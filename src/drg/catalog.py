@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,10 @@ from .potentials import compute_profile
 from .tables import BIGGS_SMITH_NAME, EXTRA_TABLE, VALENCY_34_TABLE
 
 ENV_SUPPLEMENTARY = "DRG_CATALOG"
+
+
+class CatalogError(ValueError):
+    """The supplementary catalog file cannot be read or has a bad line."""
 
 
 @dataclass(frozen=True)
@@ -85,25 +90,30 @@ def _build_entry(
     return entry
 
 
+def named_array_lines(lines: list[str]) -> Iterator[tuple[int, str, str]]:
+    """(lineno, name, array) per `name | array` or bare-array line; `#` comments."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            name, bar, array_text = (part.strip() for part in line.partition("|"))
+            yield (lineno, name, array_text) if bar else (lineno, line, line)
+
+
 def _supplementary_from_env() -> list[CatalogEntry]:
     path = os.environ.get(ENV_SUPPLEMENTARY)
     if not path:
         return []
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CatalogError(f"{path}: cannot read {ENV_SUPPLEMENTARY}: {exc}") from exc
     out = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "|" in line:
-            name, array_text = (part.strip() for part in line.split("|", 1))
-        else:
-            name, array_text = line, line
+    for lineno, name, array_text in named_array_lines(lines):
         try:
             out.append(_build_entry(name, None, array_text, None, None, True))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            raise CatalogError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

@@ -20,7 +20,7 @@ from .arrays import (
     parse_array,
     validate,
 )
-from .catalog import CatalogEntry, catalog_list, lookup
+from .catalog import CatalogEntry, CatalogError, catalog_list, lookup, named_array_lines
 from .fmt import approx_str, decimal_str, frac_str
 from .graphs import construct, parse_edge_list, registry_names, verify_drg
 from .oracle import cross_validate
@@ -337,20 +337,18 @@ def _oracle_one(g) -> bool:
         result = cross_validate(g)
     except ValueError as exc:
         print(f"   {exc}")
-        report = None
         try:
-            report = verify_drg(g)
-        except ValueError:
-            pass
-        if report is not None and report.violations:
-            for violation in report.violations[:5]:
-                print(
-                    f"   violation: base={violation.base} target={violation.target} "
-                    f"{violation.kind}: expected {violation.expected}, "
-                    f"observed {violation.observed}"
-                )
-            if len(report.violations) > 5:
-                print(f"   ... {len(report.violations) - 5} more violation(s)")
+            violations = verify_drg(g).violations
+        except ValueError:  # disconnected or a single vertex
+            violations = ()
+        for violation in violations[:5]:
+            print(
+                f"   violation: base={violation.base} target={violation.target} "
+                f"{violation.kind}: expected {violation.expected}, "
+                f"observed {violation.observed}"
+            )
+        if len(violations) > 5:
+            print(f"   ... {len(violations) - 5} more violation(s)")
         print("   result: FAIL")
         return False
     observed = result.drg_report.observed_array
@@ -414,22 +412,15 @@ def cmd_batch(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _err(f"cannot read batch file: {exc}")
         return 2
 
     total = valid = invalid = below_opt = below_2 = 0
     extremal_entries: list[str] = []
     all_valid_below_2 = True
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, label, array_text in named_array_lines(lines):
         total += 1
-        if "|" in line:
-            label, array_text = (part.strip() for part in line.split("|", 1))
-        else:
-            label, array_text = line, line
         try:
             arr = parse_array(array_text)
         except ArrayFormatError as exc:
@@ -516,7 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CatalogError as exc:
+        _err(str(exc))
+        return 2
 
 
 def entrypoint() -> None:

@@ -1,35 +1,30 @@
 """Independent resistance oracle: exact Laplacian solves on explicit graphs.
 
-Effective resistance is computed from the combinatorial Laplacian with
-exact rational elimination and compared, pair by pair, against the
-potential-based formula r_j = 2*(phi_0+...+phi_{j-1})/(nk).  Agreement
-must be exact, not approximate.
+Effective resistances come from fraction-free integer elimination on the
+grounded Laplacian (see resistance_matrix) and are compared, at every
+pair, against the potential-based formula r_j = 2*(phi_0+...+phi_{j-1})/(nk).
+Agreement must be exact, not approximate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .arrays import derive
 from .graphs import DistancePartitionReport, LabeledGraph, verify_drg
 from .potentials import compute_profile
 
-SAMPLE_THRESHOLD = 30  # all pairs up to here, deterministic sample beyond
-SAMPLE_PER_CLASS = 10
 
-
-def _laplacian_plus_ones(g: LabeledGraph) -> linalg.Matrix:
-    """L + (1/n) J: the rank-one correction makes the system nonsingular."""
-    n = g.n
-    shift = Fraction(1, n)
-    m = [[shift] * n for _ in range(n)]
-    for v in range(n):
-        m[v][v] += g.degree(v)
+def _laplacian(g: LabeledGraph) -> linalg.Matrix:
+    """The integer Laplacian L = D - A."""
+    m = [[0] * g.n for _ in range(g.n)]
+    for v in range(g.n):
+        m[v][v] = g.degree(v)
     for u, v in g.edges:
-        m[u][v] -= 1
-        m[v][u] -= 1
+        m[u][v] = m[v][u] = -1
     return m
 
 
@@ -38,7 +33,8 @@ def laplacian_resistance(
 ) -> Fraction:
     """Exact effective resistance between u and v with unit-resistance edges.
 
-    method="ones" solves (L + J/n) x = e_u - e_v; method="grounded" pins
+    method="ones" solves (nL + J) x = n(e_u - e_v), the system
+    (L + J/n) x = e_u - e_v scaled to integers; method="grounded" pins
     vertex 0 and solves the reduced system.  Both give the same x_u - x_v
     because any solution of L x = e_u - e_v does.
     """
@@ -48,41 +44,39 @@ def laplacian_resistance(
         raise ValueError("vertex index out of range")
     if not g.is_connected():
         raise ValueError("graph is disconnected")
+    n, lap = g.n, _laplacian(g)
+    e = [(w == u) - (w == v) for w in range(n)]
     if method == "ones":
-        rhs = [Fraction(0)] * g.n
-        rhs[u] = Fraction(1)
-        rhs[v] = Fraction(-1)
-        x = linalg.solve(_laplacian_plus_ones(g), rhs)
-        return x[u] - x[v]
-    if method == "grounded":
-        keep = list(range(1, g.n))
-        lap = [
-            [
-                Fraction(g.degree(r) if r == c else 0)
-                - (1 if c in g.adjacency[r] else 0)
-                for c in keep
-            ]
-            for r in keep
-        ]
-        rhs = [Fraction(1 if r == u else 0) - (1 if r == v else 0) for r in keep]
-        y = linalg.solve(lap, rhs)
-        x = [Fraction(0)] + y
-        return x[u] - x[v]
-    raise ValueError(f"unknown method {method!r}")
+        system = [[n * entry + 1 for entry in row] for row in lap]
+        det, x = linalg.fraction_free_solve(system, [[n * c] for c in e])
+    elif method == "grounded":
+        grounded = [row[1:] for row in lap[1:]]
+        det, x = linalg.fraction_free_solve(grounded, [[c] for c in e[1:]])
+        x = [[0]] + x
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return Fraction(x[u][0] - x[v][0], det)
 
 
 def resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
-    """All-pairs resistances from one exact inverse of L + J/n.
+    """All-pairs resistances from one fraction-free elimination on [L0 | I].
 
-    r(u,v) = M_uu + M_vv - 2 M_uv where M = (L + J/n)^{-1}; the J/n part
-    cancels in the quadratic form.
+    L0 is L with vertex 0's row and column removed.  The elimination
+    returns tau = det L0, the number of spanning trees, and
+    A = adj L0 = tau * L0^-1, bordered here by zeros for vertex 0; then
+    r(u,v) = (A_uu + A_vv - 2 A_uv) / tau.
     """
     if not g.is_connected():
         raise ValueError("graph is disconnected")
-    m = linalg.invert(_laplacian_plus_ones(g))
-    return [
-        [m[u][u] + m[v][v] - 2 * m[u][v] for v in range(g.n)] for u in range(g.n)
-    ]
+    n = g.n
+    grounded = [row[1:] for row in _laplacian(g)[1:]]
+    identity = [[int(r == c) for c in range(1, n)] for r in range(1, n)]
+    tau, adj = linalg.fraction_free_solve(grounded, identity)
+    a = [[0] * n] + [[0] + row for row in adj]
+    nums = [[a[u][u] + a[v][v] - 2 * a[u][v] for v in range(n)] for u in range(n)]
+    # Few distinct values (D on a distance-regular graph): reduce each once.
+    values = {num: Fraction(num, tau) for num in set().union(*nums)}
+    return [[values[num] for num in row] for row in nums]
 
 
 @dataclass(frozen=True)
@@ -113,10 +107,8 @@ class CrossValidation:
 def cross_validate(g: LabeledGraph) -> CrossValidation:
     """Assert exact equality of solver resistances with the potential formula.
 
-    Every pair of each distance class is checked (first SAMPLE_PER_CLASS
-    pairs per class, in index order, for graphs above SAMPLE_THRESHOLD
-    vertices).  Constancy within a class follows from equality with the
-    single per-class formula value.
+    Every pair of each distance class is checked.  Constancy within a
+    class follows from equality with the single per-class formula value.
     """
     report = verify_drg(g)
     if not report.is_drg:
@@ -132,25 +124,20 @@ def cross_validate(g: LabeledGraph) -> CrossValidation:
     dist = g.all_distances()
     rmat = resistance_matrix(g)
 
-    classes = []
-    for d in range(1, report.diameter + 1):
-        pairs = [
-            (u, v) for u in range(g.n) for v in range(u + 1, g.n) if dist[u][v] == d
-        ]
-        if g.n > SAMPLE_THRESHOLD:
-            pairs = pairs[:SAMPLE_PER_CLASS]
-        expected = profile.resistances[d - 1]
-        mismatches = tuple(
-            (u, v, rmat[u][v]) for u, v in pairs if rmat[u][v] != expected
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(report.diameter + 1)]
+    for u, v in combinations(range(g.n), 2):
+        pairs[dist[u][v]].append((u, v))
+    classes = tuple(
+        ClassCheck(
+            distance=d,
+            expected=expected,
+            pairs_checked=len(pairs[d]),
+            mismatches=tuple(
+                (u, v, rmat[u][v]) for u, v in pairs[d] if rmat[u][v] != expected
+            ),
         )
-        classes.append(
-            ClassCheck(
-                distance=d,
-                expected=expected,
-                pairs_checked=len(pairs),
-                mismatches=mismatches,
-            )
-        )
+        for d, expected in enumerate(profile.resistances, start=1)
+    )
     return CrossValidation(
-        graph_name=g.name or "graph", drg_report=report, classes=tuple(classes)
+        graph_name=g.name or "graph", drg_report=report, classes=classes
     )

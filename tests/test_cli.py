@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from drg.cli import main
 
 
@@ -214,3 +216,43 @@ def test_batch_paper_table(tmp_path, capsys, paper_rows):
     assert "23 entries, 23 valid, 0 invalid" in out
     assert "rho < 93/100: 22" in out
     assert "rho < 2: 23" in out
+
+
+@pytest.mark.parametrize("argv", (("analyze", "cube"), ("table",)))
+def test_malformed_env_catalog_exit_2(tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "bad.txt"
+    path.write_text("# extras\nbroken | 3,3;1,1\n")
+    monkeypatch.setenv("DRG_CATALOG", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{path}:2: " in err
+
+
+@pytest.mark.parametrize("argv", (("analyze", "cube"), ("table",)))
+def test_missing_env_catalog_exit_2(tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "missing.txt"
+    monkeypatch.setenv("DRG_CATALOG", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("argv", (("analyze", "cube"), ("table",)))
+def test_non_utf8_env_catalog_exit_2(tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"caf\xe9 | 3,2,1;1,2,3\n")
+    monkeypatch.setenv("DRG_CATALOG", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert str(path) in err
+
+
+def test_batch_non_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"caf\xe9 | 3,2,1;1,2,3\n")
+    code, _, err = run(capsys, "batch", str(path))
+    assert code == 2
+    assert "cannot read batch file" in err
