@@ -97,7 +97,13 @@ def _parse_side(side: str, label: str) -> list[int]:
         m = _INT_TOKEN.match(token)
         if m is None:
             raise ArrayFormatError(f"bad token {token!r} in {label}-sequence")
-        v = int(m.group(1))
+        digits = m.group(1)
+        try:
+            v = int(digits)
+        except ValueError as exc:  # beyond sys.get_int_max_str_digits()
+            raise ArrayFormatError(
+                f"entry of {len(digits)} digits in {label}-sequence is too long to convert"
+            ) from exc
         if v <= 0:
             raise ArrayFormatError(f"entries must be positive, got {v}")
         values.append(v)

@@ -3,6 +3,11 @@
 Subcommands: validate, analyze, table, oracle, batch, catalog.
 Exit codes: 0 success, 1 failed checks, 2 unparseable input or unknown
 name, 3 validation failure (the report is still printed).
+
+validate and analyze build one record per array (`_record`), a dict that
+keeps exact `Fraction` and `BoundTrace` values.  `--json` prints it with
+`json.dumps` and a hook that writes each rational as {"num", "den"}
+strings; the text form is printed from the same dict by `_print_text`.
 """
 
 from __future__ import annotations
@@ -25,18 +30,13 @@ from .fmt import approx_str, decimal_str, frac_str
 from .graphs import construct, parse_edge_list, registry_names, verify_drg
 from .oracle import cross_validate
 from .potentials import (
-    PotentialProfile,
     check_resistance_cap,
     compute_potentials_explicit,
     compute_profile,
     step_inequalities,
     tail_sum_check,
 )
-from .proofs import BoundTrace, prove_k3, prove_optimal
-
-
-def _q(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+from .proofs import TARGET_K3, TARGET_OPTIMAL, BoundTrace, prove_k3, prove_optimal
 
 
 def _err(message: str) -> None:
@@ -56,211 +56,166 @@ def _resolve(target: str) -> tuple[IntersectionArray, CatalogEntry | None]:
 
 
 # ----------------------------------------------------------------------
-# validate / analyze
+# validate / analyze: one record, rendered as JSON or as text
 
-def _validation_json(report) -> dict:
-    return {
-        "condition_i": report.condition_i,
-        "condition_ii": report.condition_ii,
-        "condition_iii": report.condition_iii,
-        "integral_spheres": report.integral_spheres,
-        "nonnegative_a": report.nonnegative_a,
-        "handshake_even": report.handshake_even,
-        "k_ge_3": report.k_ge_3,
-        "b1_ge_2": report.b1_ge_2,
-        "passed": report.passed,
-        "failures": list(report.failure_messages()),
-    }
+# The six feasibility checks: (ValidationReport attribute, text label).
+_CHECKS = (
+    ("condition_i", "condition (i)  b-sequence strictly then weakly decreasing"),
+    ("condition_ii", "condition (ii) c-sequence weakly increasing from 1"),
+    ("condition_iii", "condition (iii) b_i >= c_j for i+j <= D"),
+    ("integral_spheres", "integral sphere sizes"),
+    ("nonnegative_a", "nonnegative a_i"),
+    ("handshake_even", "handshake (n*k even)"),
+)
 
 
-def _print_validation(report) -> None:
-    def mark(ok: bool) -> str:
-        return "ok" if ok else "FAIL"
-
-    print(f"validation: {'PASS' if report.passed else 'FAIL'}")
-    print(f"  condition (i)  b-sequence strictly then weakly decreasing: {mark(report.condition_i)}")
-    print(f"  condition (ii) c-sequence weakly increasing from 1: {mark(report.condition_ii)}")
-    print(f"  condition (iii) b_i >= c_j for i+j <= D: {mark(report.condition_iii)}")
-    print(f"  integral sphere sizes: {mark(report.integral_spheres)}")
-    print(f"  nonnegative a_i: {mark(report.nonnegative_a)}")
-    print(f"  handshake (n*k even): {mark(report.handshake_even)}")
-    yn = lambda flag: "yes" if flag else "no"
-    print(f"  flags: k>=3 {yn(report.k_ge_3)}; b1>=2 {yn(report.b1_ge_2)}")
-    for message in report.failure_messages():
-        print(f"  ! {message}")
+def _fields(obj, *names: str) -> dict:
+    """The named attributes of `obj`, in the order given (the JSON key order)."""
+    return {name: getattr(obj, name) for name in names}
 
 
-def _trace_json(trace: BoundTrace) -> dict:
-    return {
-        "case_id": trace.case_id.value,
-        "branch": trace.branch,
-        "alpha": _q(trace.alpha) if trace.alpha is not None else None,
-        "target": _q(trace.target),
-        "rho": _q(trace.rho),
-        "steps": [
-            {
-                "label": s.label,
-                "lhs": _q(s.lhs),
-                "relation": s.relation,
-                "rhs": _q(s.rhs),
-                "holds": s.holds,
-            }
-            for s in trace.steps
-        ],
-        "verdict": trace.verdict,
-        "extremal": trace.extremal,
-        "proof_path_available": trace.proof_path_available,
-        "assumption_dependent": trace.assumption_dependent,
-        "notes": list(trace.notes),
-    }
+def _record(
+    arr: IntersectionArray, entry: CatalogEntry | None, analyze: bool, prove: str | None
+) -> dict:
+    """The report on one array, with Fraction and BoundTrace values left as they are.
 
-
-def _analysis_sections(profile: PotentialProfile, explicit_ok: bool) -> None:
-    params = profile.params
-    print(f"derived: k={params.k}  n={params.n}  D={params.D}  j={params.j}")
-    print(f"  a_i: {','.join(map(str, params.a))}")
-    print(f"  sphere sizes: {','.join(map(str, params.sphere_sizes))}")
-    print("potentials: " + ", ".join(str(x) for x in profile.phi))
-    print(f"  recursion == closed form: {'ok' if explicit_ok else 'FAIL'}")
-    print("resistances:")
-    for d, r in enumerate(profile.resistances, start=1):
-        print(f"  r_{d} = {approx_str(r)}")
-    print(f"rho: {approx_str(profile.ratio)}")
-    print(f"k_effective: {approx_str(profile.k_effective)}")
-    cap, cap_holds = check_resistance_cap(profile)
-    print(
-        f"max-resistance cap: r_D = {approx_str(profile.resistances[-1])} "
-        f"< 4/k = {approx_str(cap)} [{'OK' if cap_holds else 'FAIL'}]"
-    )
-    tail = tail_sum_check(profile)
-    print(
-        f"tail bound (j={tail.j}): {approx_str(tail.lhs)} <= {approx_str(tail.rhs)} "
-        f"[{'OK' if tail.holds else 'FAIL'}]"
-    )
-    if params.D >= 2 and params.array.bi(1) >= 2:
-        print("step inequalities:")
-        for s in step_inequalities(profile):
-            print(
-                f"  {s.kind}[{s.i}]: {approx_str(s.phi_i)} < {approx_str(s.bound)} "
-                f"[{'OK' if s.holds else 'FAIL'}]"
-            )
-    else:
-        print("step inequalities: skipped (require D >= 2 and b_1 >= 2)")
-
-
-def cmd_validate(args) -> int:
-    try:
-        arr, entry = _resolve(args.target)
-    except (ArrayFormatError, LookupError) as exc:
-        _err(str(exc))
-        return 2
+    Keys are in JSON output order.  The analysis keys (from "derived" on)
+    are present only when `analyze` is set and the validation passed.
+    """
     report = validate(arr)
-    if args.json:
-        payload = {
-            "array": format_array(arr),
-            "name": entry.name if entry else None,
-            "validation": _validation_json(report),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        if entry:
-            print(f"name: {entry.name}")
-        print(f"array: {format_array(arr)}")
-        _print_validation(report)
-    return 0 if report.passed else 3
-
-
-def cmd_analyze(args) -> int:
-    try:
-        arr, entry = _resolve(args.target)
-    except (ArrayFormatError, LookupError) as exc:
-        _err(str(exc))
-        return 2
-    report = validate(arr)
-    payload: dict = {
+    validation = _fields(report, *(key for key, _ in _CHECKS), "k_ge_3", "b1_ge_2", "passed")
+    validation["failures"] = report.failure_messages()
+    record = {
         "array": format_array(arr),
         "name": entry.name if entry else None,
-        "validation": _validation_json(report),
+        "validation": validation,
     }
-    if not report.passed:
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            if entry:
-                print(f"name: {entry.name}")
-            print(f"array: {format_array(arr)}")
-            _print_validation(report)
-        return 3
+    if not (analyze and report.passed):
+        return record
 
     params = derive(arr)
     profile = compute_profile(params)
-    explicit_ok = compute_potentials_explicit(params) == profile.phi
     cap, cap_holds = check_resistance_cap(profile)
     tail = tail_sum_check(profile)
-
-    trace = None
-    trace_note = None
-    if args.prove:
-        prover = prove_k3 if args.prove == "k3" else prove_optimal
+    record["derived"] = _fields(params, "k", "n", "D", "a", "sphere_sizes", "j")
+    record["potentials"] = {
+        "phi": profile.phi,
+        "methods_agree": compute_potentials_explicit(params) == profile.phi,
+    }
+    record["resistances"] = profile.resistances
+    record["ratio"] = profile.ratio
+    record["k_effective"] = profile.k_effective
+    record["resistance_cap"] = {"bound": cap, "holds": cap_holds}
+    record["tail_bound"] = _fields(tail, "j", "lhs", "rhs", "holds")
+    if params.D >= 2 and arr.bi(1) >= 2:
+        record["step_inequalities"] = [
+            _fields(s, "kind", "i", "phi_i", "bound", "holds") for s in step_inequalities(profile)
+        ]
+    else:
+        record["step_inequalities"] = None
+    record["trace"] = None
+    if prove:
+        prover = prove_k3 if prove == "k3" else prove_optimal
         try:
-            trace = prover(profile)
+            record["trace"] = prover(profile)
         except ValueError as exc:
-            trace_note = str(exc)
+            record["trace_note"] = str(exc)
+    return record
 
-    if args.json:
-        payload["derived"] = {
-            "k": params.k,
-            "n": params.n,
-            "D": params.D,
-            "a": list(params.a),
-            "sphere_sizes": list(params.sphere_sizes),
-            "j": params.j,
-        }
-        payload["potentials"] = {
-            "phi": [_q(x) for x in profile.phi],
-            "methods_agree": explicit_ok,
-        }
-        payload["resistances"] = [_q(r) for r in profile.resistances]
-        payload["ratio"] = _q(profile.ratio)
-        payload["k_effective"] = _q(profile.k_effective)
-        payload["resistance_cap"] = {"bound": _q(cap), "holds": cap_holds}
-        payload["tail_bound"] = {
-            "j": tail.j,
-            "lhs": _q(tail.lhs),
-            "rhs": _q(tail.rhs),
-            "holds": tail.holds,
-        }
-        if params.D >= 2 and arr.bi(1) >= 2:
-            payload["step_inequalities"] = [
-                {
-                    "kind": s.kind,
-                    "i": s.i,
-                    "phi_i": _q(s.phi_i),
-                    "bound": _q(s.bound),
-                    "holds": s.holds,
-                }
-                for s in step_inequalities(profile)
-            ]
-        else:
-            payload["step_inequalities"] = None
-        payload["trace"] = _trace_json(trace) if trace else None
-        if trace_note:
-            payload["trace_note"] = trace_note
-        print(json.dumps(payload, indent=2))
-        return 0
 
-    if entry:
-        print(f"name: {entry.name}")
-    print(f"array: {format_array(arr)}")
-    _print_validation(report)
-    _analysis_sections(profile, explicit_ok)
-    if trace is not None:
-        print(f"proof trace ({args.prove}):")
-        for line in trace.render().splitlines():
+def _json_default(x):
+    """json.dumps hook: a rational as {"num", "den"} strings, a trace as a dict."""
+    if isinstance(x, Fraction):
+        return {"num": str(x.numerator), "den": str(x.denominator)}
+    if isinstance(x, BoundTrace):
+        return {
+            "case_id": x.case_id.value,
+            **_fields(x, "branch", "alpha", "target", "rho"),
+            "steps": [_fields(s, "label", "lhs", "relation", "rhs", "holds") for s in x.steps],
+            **_fields(x, "verdict", "extremal", "proof_path_available", "assumption_dependent"),
+            "notes": x.notes,
+        }
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _print_text(record: dict, prove: str | None) -> None:
+    def mark(ok: bool, yes: str = "ok") -> str:
+        return yes if ok else "FAIL"
+
+    yn = lambda flag: "yes" if flag else "no"
+
+    if record["name"] is not None:
+        print(f"name: {record['name']}")
+    print(f"array: {record['array']}")
+    v = record["validation"]
+    print(f"validation: {mark(v['passed'], 'PASS')}")
+    for key, label in _CHECKS:
+        print(f"  {label}: {mark(v[key])}")
+    print(f"  flags: k>=3 {yn(v['k_ge_3'])}; b1>=2 {yn(v['b1_ge_2'])}")
+    for message in v["failures"]:
+        print(f"  ! {message}")
+    if "derived" not in record:
+        return
+
+    d = record["derived"]
+    print(f"derived: k={d['k']}  n={d['n']}  D={d['D']}  j={d['j']}")
+    print(f"  a_i: {','.join(map(str, d['a']))}")
+    print(f"  sphere sizes: {','.join(map(str, d['sphere_sizes']))}")
+    print("potentials: " + ", ".join(map(str, record["potentials"]["phi"])))
+    print(f"  recursion == closed form: {mark(record['potentials']['methods_agree'])}")
+    print("resistances:")
+    for i, r in enumerate(record["resistances"], start=1):
+        print(f"  r_{i} = {approx_str(r)}")
+    print(f"rho: {approx_str(record['ratio'])}")
+    print(f"k_effective: {approx_str(record['k_effective'])}")
+    cap = record["resistance_cap"]
+    print(
+        f"max-resistance cap: r_D = {approx_str(record['resistances'][-1])} "
+        f"< 4/k = {approx_str(cap['bound'])} [{mark(cap['holds'], 'OK')}]"
+    )
+    tail = record["tail_bound"]
+    print(
+        f"tail bound (j={tail['j']}): {approx_str(tail['lhs'])} <= {approx_str(tail['rhs'])} "
+        f"[{mark(tail['holds'], 'OK')}]"
+    )
+    if record["step_inequalities"] is None:
+        print("step inequalities: skipped (require D >= 2 and b_1 >= 2)")
+    else:
+        print("step inequalities:")
+        for s in record["step_inequalities"]:
+            print(
+                f"  {s['kind']}[{s['i']}]: {approx_str(s['phi_i'])} < {approx_str(s['bound'])} "
+                f"[{mark(s['holds'], 'OK')}]"
+            )
+    if record["trace"] is not None:
+        print(f"proof trace ({prove}):")
+        for line in record["trace"].render().splitlines():
             print(f"  {line}")
-    elif trace_note is not None:
-        print(f"proof trace: unavailable ({trace_note})")
-    return 0
+    elif "trace_note" in record:
+        print(f"proof trace: unavailable ({record['trace_note']})")
+
+
+def _report(args, analyze: bool) -> int:
+    try:
+        arr, entry = _resolve(args.target)
+    except (ArrayFormatError, LookupError) as exc:
+        _err(str(exc))
+        return 2
+    prove = args.prove if analyze else None
+    record = _record(arr, entry, analyze, prove)
+    if args.json:
+        print(json.dumps(record, indent=2, default=_json_default))
+    else:
+        _print_text(record, prove)
+    return 0 if record["validation"]["passed"] else 3
+
+
+def cmd_validate(args) -> int:
+    return _report(args, analyze=False)
+
+
+def cmd_analyze(args) -> int:
+    return _report(args, analyze=True)
 
 
 # ----------------------------------------------------------------------
@@ -416,9 +371,11 @@ def cmd_batch(args) -> int:
         _err(f"cannot read batch file: {exc}")
         return 2
 
+    # the ratio targets as printed: 93/100, 0.93 and 2
+    opt, opt_dec = frac_str(TARGET_OPTIMAL), decimal_str(TARGET_OPTIMAL, 2)
+    k3 = decimal_str(TARGET_K3, 0)
     total = valid = invalid = below_opt = below_2 = 0
     extremal_entries: list[str] = []
-    all_valid_below_2 = True
     for lineno, label, array_text in named_array_lines(lines):
         total += 1
         try:
@@ -434,30 +391,27 @@ def cmd_batch(args) -> int:
             print(f"line {lineno}: {label}: INVALID ({reasons})")
             continue
         valid += 1
-        profile = compute_profile(derive(arr))
-        rho = profile.ratio
-        lt_opt = rho < Fraction(93, 100)
-        lt_2 = rho < 2
+        rho = compute_profile(derive(arr)).ratio
+        lt_opt = rho < TARGET_OPTIMAL
+        lt_2 = rho < TARGET_K3
         below_opt += lt_opt
         below_2 += lt_2
-        if not lt_2:
-            all_valid_below_2 = False
         if not lt_opt:
             extremal_entries.append(f"{label} (rho = {frac_str(rho)})")
         yn = lambda flag: "yes" if flag else "NO"
         print(
             f"line {lineno}: {label}: valid rho={approx_str(rho)} "
-            f"[rho<0.93 {yn(lt_opt)}] [rho<2 {yn(lt_2)}]"
+            f"[rho<{opt_dec} {yn(lt_opt)}] [rho<{k3} {yn(lt_2)}]"
         )
     print(
         f"batch summary: {total} entr{'y' if total == 1 else 'ies'}, "
         f"{valid} valid, {invalid} invalid"
     )
-    print(f"  rho < 93/100: {below_opt}")
-    print(f"  rho < 2: {below_2}")
+    print(f"  rho < {opt}: {below_opt}")
+    print(f"  rho < {k3}: {below_2}")
     if extremal_entries:
-        print("  extremal entries (rho >= 93/100): " + "; ".join(extremal_entries))
-    return 0 if all_valid_below_2 else 1
+        print(f"  extremal entries (rho >= {opt}): " + "; ".join(extremal_entries))
+    return 0 if below_2 == valid else 1
 
 
 # ----------------------------------------------------------------------

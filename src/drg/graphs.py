@@ -91,6 +91,7 @@ class DistancePartitionReport:
     observed_array: IntersectionArray | None
     violations: tuple[Violation, ...]
     diameter: int
+    distances: list[list[int]]  # distances[u][v], from one BFS per vertex
 
 
 def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
@@ -150,6 +151,7 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
         observed_array=observed,
         violations=tuple(violations),
         diameter=diameter,
+        distances=dist,
     )
 
 

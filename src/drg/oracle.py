@@ -121,12 +121,11 @@ def cross_validate(g: LabeledGraph) -> CrossValidation:
 
     params = derive(report.observed_array)
     profile = compute_profile(params)
-    dist = g.all_distances()
     rmat = resistance_matrix(g)
 
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(report.diameter + 1)]
     for u, v in combinations(range(g.n), 2):
-        pairs[dist[u][v]].append((u, v))
+        pairs[report.distances[u][v]].append((u, v))
     classes = tuple(
         ClassCheck(
             distance=d,

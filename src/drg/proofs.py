@@ -109,12 +109,38 @@ class BoundTrace:
         return "\n".join(lines)
 
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+_step = TraceStep  # a short name for the many steps below; it converts both sides to Fraction
 
 
-def _step(label: str, lhs, relation: str, rhs) -> TraceStep:
-    return TraceStep(label, _fr(lhs), relation, _fr(rhs))
+def _trace(
+    profile: PotentialProfile, case_id: CaseId, steps, target: Fraction = TARGET_OPTIMAL, **fields
+) -> BoundTrace:
+    """A trace for `profile`; the verdict is rho < target unless given."""
+    rho = profile.ratio
+    fields.setdefault("verdict", rho < target)
+    return BoundTrace(case_id=case_id, target=target, rho=rho, steps=tuple(steps), **fields)
+
+
+def _direct(
+    profile: PotentialProfile,
+    case_id: CaseId,
+    note: str,
+    target: Fraction = TARGET_OPTIMAL,
+    **fields,
+) -> BoundTrace:
+    """The one-step trace rho < target, checked on the exact ratio alone."""
+    step = _step("rho_lt_target", profile.ratio, "<", target)
+    return _trace(profile, case_id, (step,), target, notes=(note,), **fields)
+
+
+# Shapes that both provers settle by the direct comparison, with their notes.
+_DIRECT_NOTES = {
+    CaseId.D1_TRIVIAL: "diameter 1: no interior potentials, rho = 0",
+    CaseId.COCKTAIL: "b_1 = 1 (cocktail-party shape): verified by direct computation",
+}
+_QUADRANGLE_NOTE = (
+    "quadrangle presence inferred from c_2/b_2 > 1/2 (sufficient condition only)"
+)
 
 
 # ----------------------------------------------------------------------
@@ -194,30 +220,14 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
     whose weight never exceeds the peak of f, itself below 1.
     """
     params = profile.params
-    arr = params.array
     rho = profile.ratio
     if params.k < 3:
         raise ValueError("the ratio bounds assume valency k >= 3")
-    if arr.D == 1:
-        return BoundTrace(
-            case_id=CaseId.D1_TRIVIAL,
-            target=TARGET_K3,
-            rho=rho,
-            steps=(_step("rho_lt_target", rho, "<", TARGET_K3),),
-            verdict=rho < TARGET_K3,
-            notes=("diameter 1: no interior potentials, rho = 0",),
-        )
-    b1 = arr.bi(1)
-    if b1 == 1:
-        return BoundTrace(
-            case_id=CaseId.COCKTAIL,
-            target=TARGET_K3,
-            rho=rho,
-            steps=(_step("rho_lt_target", rho, "<", TARGET_K3),),
-            verdict=rho < TARGET_K3,
-            notes=("b_1 = 1 (cocktail-party shape): verified by direct computation",),
-        )
+    case = classify_case(params)
+    if case in _DIRECT_NOTES:
+        return _direct(profile, case, _DIRECT_NOTES[case], TARGET_K3)
 
+    b1 = params.array.bi(1)
     j = params.j  # >= 2 whenever b_1 >= 2
     alpha = Fraction(b1 - 1, b1)
     head = sum((alpha**m for m in range(j - 1)), Fraction(0)) / b1
@@ -235,14 +245,7 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
         _step("total_lt_target", 1 + tail, "<", TARGET_K3),
         _step("rho_lt_target", rho, "<", TARGET_K3),
     )
-    return BoundTrace(
-        case_id=classify_case(params),
-        target=TARGET_K3,
-        rho=rho,
-        steps=steps,
-        verdict=rho < TARGET_K3,
-        alpha=alpha,
-    )
+    return _trace(profile, case, steps, TARGET_K3, alpha=alpha)
 
 
 # ----------------------------------------------------------------------
@@ -254,9 +257,9 @@ def prove_optimal(profile: PotentialProfile) -> BoundTrace:
     if params.k < 3:
         raise ValueError("the ratio bounds assume valency k >= 3")
     case = classify_case(params)
+    if case in _DIRECT_NOTES:
+        return _direct(profile, case, _DIRECT_NOTES[case])
     builder = {
-        CaseId.D1_TRIVIAL: _optimal_trivial,
-        CaseId.COCKTAIL: _optimal_cocktail,
         CaseId.CASE1_D2: _optimal_case1,
         CaseId.CASE2_SMALL_VALENCY: _optimal_case2,
         CaseId.CASE3_C2_EQ_1: _optimal_case3,
@@ -265,34 +268,6 @@ def prove_optimal(profile: PotentialProfile) -> BoundTrace:
         CaseId.CASE6_TERWILLIGER: _optimal_case6,
     }[case]
     return builder(profile)
-
-
-def _verdict(rho: Fraction) -> bool:
-    return rho < TARGET_OPTIMAL
-
-
-def _optimal_trivial(profile: PotentialProfile) -> BoundTrace:
-    rho = profile.ratio
-    return BoundTrace(
-        case_id=CaseId.D1_TRIVIAL,
-        target=TARGET_OPTIMAL,
-        rho=rho,
-        steps=(_step("rho_lt_target", rho, "<", TARGET_OPTIMAL),),
-        verdict=_verdict(rho),
-        notes=("diameter 1: no interior potentials, rho = 0",),
-    )
-
-
-def _optimal_cocktail(profile: PotentialProfile) -> BoundTrace:
-    rho = profile.ratio
-    return BoundTrace(
-        case_id=CaseId.COCKTAIL,
-        target=TARGET_OPTIMAL,
-        rho=rho,
-        steps=(_step("rho_lt_target", rho, "<", TARGET_OPTIMAL),),
-        verdict=_verdict(rho),
-        notes=("b_1 = 1 (cocktail-party shape): verified by direct computation",),
-    )
 
 
 def _optimal_case1(profile: PotentialProfile) -> BoundTrace:
@@ -306,14 +281,7 @@ def _optimal_case1(profile: PotentialProfile) -> BoundTrace:
         _step("half_cap", Fraction(1, b1), "<=", Fraction(1, 2)),
         _step("target_gap", Fraction(1, 2), "<", TARGET_OPTIMAL),
     )
-    return BoundTrace(
-        case_id=CaseId.CASE1_D2,
-        target=TARGET_OPTIMAL,
-        rho=rho,
-        steps=steps,
-        verdict=_verdict(rho),
-        alpha=Fraction(b1 - 1, b1),
-    )
+    return _trace(profile, CaseId.CASE1_D2, steps, alpha=Fraction(b1 - 1, b1))
 
 
 def _optimal_case2(profile: PotentialProfile) -> BoundTrace:
@@ -323,38 +291,29 @@ def _optimal_case2(profile: PotentialProfile) -> BoundTrace:
     alpha = Fraction(arr.bi(1) - 1, arr.bi(1))
     name = valency34_membership().get((arr.b, arr.c))
     if name is None:
-        return BoundTrace(
-            case_id=CaseId.UNCLASSIFIED,
-            target=TARGET_OPTIMAL,
-            rho=rho,
-            steps=(_step("rho_lt_target", rho, "<", TARGET_OPTIMAL),),
-            verdict=_verdict(rho),
+        return _direct(
+            profile,
+            CaseId.UNCLASSIFIED,
+            "valency-3/4 array with D >= 3 not found in the embedded "
+            "classification table; verdict computed directly from rho",
             alpha=alpha,
             proof_path_available=False,
-            notes=(
-                "valency-3/4 array with D >= 3 not found in the embedded "
-                "classification table; verdict computed directly from rho",
-            ),
         )
     if name == BIGGS_SMITH_NAME:
-        return BoundTrace(
-            case_id=CaseId.CASE2_SMALL_VALENCY,
-            target=TARGET_OPTIMAL,
-            rho=rho,
-            steps=(_step("extremal_equality", rho, "==", BIGGS_SMITH_RATIO),),
+        return _trace(
+            profile,
+            CaseId.CASE2_SMALL_VALENCY,
+            (_step("extremal_equality", rho, "==", BIGGS_SMITH_RATIO),),
             verdict=rho == BIGGS_SMITH_RATIO,
             alpha=alpha,
             extremal=True,
             notes=(f"matched classification row: {name} (the unique extremal array)",),
         )
-    return BoundTrace(
-        case_id=CaseId.CASE2_SMALL_VALENCY,
-        target=TARGET_OPTIMAL,
-        rho=rho,
-        steps=(_step("rho_lt_target", rho, "<", TARGET_OPTIMAL),),
-        verdict=_verdict(rho),
+    return _direct(
+        profile,
+        CaseId.CASE2_SMALL_VALENCY,
+        f"matched classification row: {name}",
         alpha=alpha,
-        notes=(f"matched classification row: {name}",),
     )
 
 
@@ -383,12 +342,10 @@ def _optimal_case3(profile: PotentialProfile) -> BoundTrace:
     j = params.j
 
     if j == 2:
-        return BoundTrace(
-            case_id=CaseId.CASE3_C2_EQ_1,
-            target=TARGET_OPTIMAL,
-            rho=rho,
-            steps=_split_j2_steps(profile),
-            verdict=_verdict(rho),
+        return _trace(
+            profile,
+            CaseId.CASE3_C2_EQ_1,
+            _split_j2_steps(profile),
             alpha=Fraction(b1 - 1, b1),
             branch="j2",
         )
@@ -409,14 +366,8 @@ def _optimal_case3(profile: PotentialProfile) -> BoundTrace:
             _step("cap_value", Fraction(11, 4) / b1, "<=", Fraction(11, 12)),
             _step("target_gap", Fraction(11, 12), "<", TARGET_OPTIMAL),
         )
-        return BoundTrace(
-            case_id=CaseId.CASE3_C2_EQ_1,
-            target=TARGET_OPTIMAL,
-            rho=rho,
-            steps=steps,
-            verdict=_verdict(rho),
-            alpha=Fraction(b1 - 1, b1),
-            branch="j3",
+        return _trace(
+            profile, CaseId.CASE3_C2_EQ_1, steps, alpha=Fraction(b1 - 1, b1), branch="j3"
         )
 
     # j >= 4: two deep-head subcases, both contracting by alpha2 = (b1-2)/(b1-1)
@@ -427,15 +378,12 @@ def _optimal_case3(profile: PotentialProfile) -> BoundTrace:
     b3, c3 = arr.bi(3), arr.ci(3)
     if Fraction(b2 * b3, c2 * c3) >= 4:
         return _case3_subcase_product4(profile, alpha2)
-    return BoundTrace(  # unreachable for c2 = 1, kept as a guard
-        case_id=CaseId.UNCLASSIFIED,
-        target=TARGET_OPTIMAL,
-        rho=rho,
-        steps=(_step("rho_lt_target", rho, "<", TARGET_OPTIMAL),),
-        verdict=_verdict(rho),
+    return _direct(  # unreachable for c2 = 1, kept as a guard
+        profile,
+        CaseId.UNCLASSIFIED,
+        "neither deep-head subcase condition holds",
         alpha=alpha2,
         proof_path_available=False,
-        notes=("neither deep-head subcase condition holds",),
     )
 
 
@@ -491,15 +439,7 @@ def _case3_subcase_ratio3(profile: PotentialProfile, alpha2: Fraction) -> BoundT
             _step("final_value", final, "==", Fraction(3, 4)),
             _step("target_gap", Fraction(3, 4), "<", TARGET_OPTIMAL),
         ]
-    return BoundTrace(
-        case_id=CaseId.CASE3_C2_EQ_1,
-        target=TARGET_OPTIMAL,
-        rho=rho,
-        steps=tuple(steps),
-        verdict=_verdict(rho),
-        alpha=alpha2,
-        branch="subcase1_ratio3",
-    )
+    return _trace(profile, CaseId.CASE3_C2_EQ_1, steps, alpha=alpha2, branch="subcase1_ratio3")
 
 
 def _case3_subcase_product4(profile: PotentialProfile, alpha2: Fraction) -> BoundTrace:
@@ -572,15 +512,7 @@ def _case3_subcase_product4(profile: PotentialProfile, alpha2: Fraction) -> Boun
             _step("final_value", Fraction(3, 2 * b1) + Fraction(1, 2), "<=", Fraction(3, 4)),
             _step("target_gap", Fraction(3, 4), "<", TARGET_OPTIMAL),
         ]
-    return BoundTrace(
-        case_id=CaseId.CASE3_C2_EQ_1,
-        target=TARGET_OPTIMAL,
-        rho=rho,
-        steps=tuple(steps),
-        verdict=_verdict(rho),
-        alpha=alpha2,
-        branch="subcase2_product4",
-    )
+    return _trace(profile, CaseId.CASE3_C2_EQ_1, steps, alpha=alpha2, branch="subcase2_product4")
 
 
 def _optimal_case4(profile: PotentialProfile) -> BoundTrace:
@@ -641,17 +573,12 @@ def _optimal_case4(profile: PotentialProfile) -> BoundTrace:
         branch = "c3_eq_b3_quadrangle"
         steps += _quadrangle_chain(profile)
         assumption_dependent = True
-        notes = (
-            "quadrangle presence inferred from c_2/b_2 > 1/2 (sufficient "
-            "condition only)",
-        )
+        notes = (_QUADRANGLE_NOTE,)
 
-    return BoundTrace(
-        case_id=CaseId.CASE4_J3,
-        target=TARGET_OPTIMAL,
-        rho=rho,
-        steps=tuple(steps),
-        verdict=_verdict(rho),
+    return _trace(
+        profile,
+        CaseId.CASE4_J3,
+        steps,
         alpha=alpha,
         branch=branch,
         assumption_dependent=assumption_dependent,
@@ -686,38 +613,26 @@ def _quadrangle_chain(profile: PotentialProfile) -> list[TraceStep]:
 
 
 def _optimal_case5(profile: PotentialProfile) -> BoundTrace:
-    params = profile.params
-    arr = params.array
-    rho = profile.ratio
-    b1 = arr.bi(1)
+    b1 = profile.params.array.bi(1)
     alpha = Fraction(b1 - 1, b1)
-    notes: tuple[str, ...] = (
-        "quadrangle presence inferred from c_2/b_2 > 1/2 (sufficient "
-        "condition only)",
-    )
-
-    if params.j == 2:
+    if profile.params.j == 2:
         # a short tail needs no quadrangle machinery at all
-        return BoundTrace(
-            case_id=CaseId.CASE5_QUADRANGLE,
-            target=TARGET_OPTIMAL,
-            rho=rho,
-            steps=_split_j2_steps(profile),
-            verdict=_verdict(rho),
+        return _trace(
+            profile,
+            CaseId.CASE5_QUADRANGLE,
+            _split_j2_steps(profile),
             alpha=alpha,
             branch="split_j2",
             notes=("head/tail split at j = 2: the tail bound alone suffices",),
         )
-    return BoundTrace(
-        case_id=CaseId.CASE5_QUADRANGLE,
-        target=TARGET_OPTIMAL,
-        rho=rho,
-        steps=tuple(_quadrangle_chain(profile)),
-        verdict=_verdict(rho),
+    return _trace(
+        profile,
+        CaseId.CASE5_QUADRANGLE,
+        _quadrangle_chain(profile),
         alpha=alpha,
         branch="quadrangle",
         assumption_dependent=True,
-        notes=notes,
+        notes=(_QUADRANGLE_NOTE,),
     )
 
 
@@ -740,12 +655,10 @@ def _optimal_case6(profile: PotentialProfile) -> BoundTrace:
         _step("ten_half", ten_ratio, "<", Fraction(1, 2)),
         _step("target_gap", Fraction(1, 2), "<", TARGET_OPTIMAL),
     )
-    return BoundTrace(
-        case_id=CaseId.CASE6_TERWILLIGER,
-        target=TARGET_OPTIMAL,
-        rho=rho,
-        steps=steps,
-        verdict=_verdict(rho),
+    return _trace(
+        profile,
+        CaseId.CASE6_TERWILLIGER,
+        steps,
         alpha=Fraction(b1 - 1, b1),
         assumption_dependent=True,
         notes=(

@@ -256,3 +256,23 @@ def test_batch_non_utf8_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "batch", str(path))
     assert code == 2
     assert "cannot read batch file" in err
+
+
+@pytest.mark.parametrize("cmd", ("analyze", "validate"))
+@pytest.mark.parametrize(
+    "text", ("9" * 5000 + ";1", "3;" + "9" * 5000), ids=("long_b", "long_c")
+)
+def test_over_long_entry_exit_2(capsys, cmd, text):
+    code, out, err = run(capsys, cmd, text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "5000 digits" in err
+
+
+def test_batch_over_long_entry_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "long.txt"
+    path.write_text("long | " + "9" * 5000 + ";1\nCube | 3,2,1;1,2,3\n")
+    code, out, _ = run(capsys, "batch", str(path))
+    assert code == 0
+    assert "line 1: long: parse error: " in out
+    assert "2 entries, 1 valid, 1 invalid" in out

@@ -1,0 +1,119 @@
+"""Golden CLI output: stdout, stderr and the exit code, compared exactly.
+
+Each case runs `drg.cli.main(argv)` in-process from inside tests/golden
+(so file arguments are the relative paths under inputs/) with
+DRG_CATALOG unset, and compares against tests/golden/<case>.json.
+To regenerate after an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from drg.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# One array per CaseId and branch exercised in test_proofs.py.
+PROOF_ARRAYS = {
+    "d1": "3;1",
+    "cocktail": "4,1;1,4",
+    "case1": "3,2;1,1",
+    "case2_matched": "3,2,1;1,2,3",
+    "case2_unclassified": "3,2,2;1,1,2",
+    "case2_biggs_smith": "biggs-smith",
+    "case3_j2": "5,3,1;1,1,5",
+    "case3_j3": "6,3,2;1,1,6",
+    "case3_ratio3": "7,6,5,4;1,1,1,7",
+    "case3_ratio3_b1_3": "6,3,3,3;1,1,1,6",
+    "case3_product4_j4": "7,6,2,2;1,1,1,7",
+    "case3_product4_b1_6": "7,6,2,2,2;1,1,1,1,7",
+    "case3_product4_b1_5": "6,5,2,2,2;1,1,1,1,6",
+    "case3_product4_b1_3": "6,3,2,2,2;1,1,1,1,6",
+    "case4_c3_gt_b3": "8,6,4,2;1,2,3,4",
+    "case4_c3_gt_b3_at_diameter": "10,3,3;1,2,3",
+    "case4_half": "9,4,4,3;1,2,3,3",
+    "case4_quadrangle": "8,4,3,3;1,2,3,3",
+    "case5_split_j2": "15,6,1;1,6,15",
+    "case5_quadrangle": "8,3,3,3;1,2,2,3",
+    "case6": "100,60,60,60;1,2,2,2",
+    "case6_preconditions_fail": "10,8,6,4,2;1,2,3,4,5",
+}
+
+JSON_PROOF_CASES = (
+    "cocktail",
+    "case2_unclassified",
+    "case2_biggs_smith",
+    "case4_quadrangle",
+    "case6",
+)
+
+INPUT_CASES = {
+    "pass": "3,2,1;1,2,3",
+    "fail": "3,3;1,1",
+    "parse_error": "3,,1;1,2",
+    "unknown_name": "not-a-graph",
+    "by_name": "petersen",
+}
+
+
+def _cases() -> dict[str, list[str]]:
+    cases: dict[str, list[str]] = {}
+    for cmd in ("validate", "analyze"):
+        for key, target in INPUT_CASES.items():
+            cases[f"{cmd}_{key}"] = [cmd, target]
+            cases[f"{cmd}_{key}_json"] = [cmd, target, "--json"]
+    for key, target in PROOF_ARRAYS.items():
+        for prover in ("k3", "optimal"):
+            cases[f"prove_{prover}_{key}"] = ["analyze", target, "--prove", prover]
+    for key in JSON_PROOF_CASES:
+        argv = ["analyze", PROOF_ARRAYS[key], "--prove", "optimal", "--json"]
+        cases[f"prove_optimal_{key}_json"] = argv
+    cases["prove_k3_case2_matched_json"] = ["analyze", "3,2,1;1,2,3", "--prove", "k3", "--json"]
+    cases["prove_k3_low_valency"] = ["analyze", "2,1;1,2", "--prove", "k3"]
+    cases["prove_optimal_low_valency_json"] = ["analyze", "2,1;1,2", "--prove", "optimal", "--json"]
+    cases["table"] = ["table"]
+    cases["table_extras"] = ["table", "--extras"]
+    cases["catalog_list"] = ["catalog", "list"]
+    cases["oracle_petersen"] = ["oracle", "petersen"]
+    cases["oracle_graph_file_fail"] = ["oracle", "--graph-file", "inputs/path3.txt"]
+    cases["batch_mixed"] = ["batch", "inputs/batch_mixed.txt"]
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, monkeypatch):
+    monkeypatch.delenv("DRG_CATALOG", raising=False)
+    monkeypatch.chdir(GOLDEN)
+    expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+    assert run_case(CASES[case]) == expected
+
+
+def regenerate() -> None:
+    os.environ.pop("DRG_CATALOG", None)
+    os.chdir(GOLDEN)
+    for case, argv in CASES.items():
+        text = json.dumps(run_case(argv), indent=1, ensure_ascii=False) + "\n"
+        (GOLDEN / f"{case}.json").write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -138,3 +138,18 @@ def test_hypercube_adjacent_resistance_matches_formula(d):
     c = ",".join(str(i + 1) for i in range(d))
     profile = compute_profile(derive(parse_array(f"{b};{c}")))
     assert laplacian_resistance(g, 0, 1) == profile.resistances[0]
+
+
+def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
+    calls = []
+    bfs = LabeledGraph.distances_from
+
+    def counted(self, source):
+        calls.append(source)
+        return bfs(self, source)
+
+    monkeypatch.setattr(LabeledGraph, "distances_from", counted)
+    g = construct("petersen")
+    assert cross_validate(g).ok
+    # one BFS per vertex for the distance matrix, plus the two connectivity checks
+    assert len(calls) <= g.n + 2
