@@ -2,11 +2,14 @@
 
 Entries are self-verifying: loading recomputes the vertex count and the
 ratio from the stored array and refuses to serve data that disagrees
-with the stored rendering.
+with the stored rendering.  The embedded rows are built and checked once
+per process, on first use; the DRG_CATALOG file is read again on every
+call, so an edited file (or a bad one) shows at once.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from collections.abc import Iterator
@@ -117,25 +120,28 @@ def _supplementary_from_env() -> list[CatalogEntry]:
     return out
 
 
+@functools.cache
+def _embedded() -> tuple[CatalogEntry, ...]:
+    """The table rows, then the extras flagged supplementary; built once per process."""
+    return tuple(
+        _build_entry(name, n, arr, ratio, constructible, supplementary)
+        for table, supplementary in ((VALENCY_34_TABLE, False), (EXTRA_TABLE, True))
+        for name, n, arr, ratio, constructible in table
+    )
+
+
 def catalog_list(include_env: bool = True) -> tuple[CatalogEntry, ...]:
     """All embedded rows, the extras flagged supplementary, plus env entries."""
-    entries = [
-        _build_entry(name, n, arr, ratio, constructible, False)
-        for name, n, arr, ratio, constructible in VALENCY_34_TABLE
-    ]
-    entries += [
-        _build_entry(name, n, arr, ratio, constructible, True)
-        for name, n, arr, ratio, constructible in EXTRA_TABLE
-    ]
+    entries = _embedded()
     if include_env:
-        entries += _supplementary_from_env()
-    return tuple(entries)
+        entries += tuple(_supplementary_from_env())
+    return entries
 
 
 def lookup(name: str, include_env: bool = True) -> CatalogEntry | None:
     """Find an entry by slug or (case-insensitive) display name."""
-    want = name.strip().lower()
+    slug, want = slugify(name), name.strip().lower()
     for entry in catalog_list(include_env=include_env):
-        if entry.slug == slugify(name) or entry.name.lower() == want:
+        if entry.slug == slug or entry.name.lower() == want:
             return entry
     return None

@@ -13,6 +13,7 @@ strings; the text form is printed from the same dict by `_print_text`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -117,9 +118,12 @@ def _record(
     if prove:
         prover = prove_k3 if prove == "k3" else prove_optimal
         try:
-            record["trace"] = prover(profile)
+            trace = prover(profile)
+            trace.render()  # str() refuses an integer of more than 4300 digits
         except ValueError as exc:
             record["trace_note"] = str(exc)
+        else:
+            record["trace"] = trace
     return record
 
 
@@ -416,7 +420,9 @@ def cmd_batch(args) -> int:
 
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: `parse_args` gives a fresh namespace each call."""
     parser = argparse.ArgumentParser(
         prog="drg",
         description=(

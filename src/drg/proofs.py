@@ -22,11 +22,18 @@ from fractions import Fraction
 from .arrays import DerivedParams
 from .fmt import approx_str
 from .potentials import PotentialProfile
-from .tables import BIGGS_SMITH_NAME, valency34_membership
+from .tables import BIGGS_SMITH_NAME, VALENCY_34_MEMBERSHIP
 
 TARGET_K3 = Fraction(2)
 TARGET_OPTIMAL = Fraction(93, 100)
 BIGGS_SMITH_RATIO = Fraction(94, 101)
+
+# prove_k3 refuses b_1 above this before raising anything to a power, so its
+# work stays bounded (near b_1 = 10^8 a power holds billions of bits).  Its
+# trace holds ((b_1-1)/b_1)^(b_1-2)/b_1, about (b_1-1)*log10(b_1) digits:
+# past b_1 = 1371 that is over Python's 4300-digit str() limit, but J(80,40)
+# (b_1 = 1521) must still get a verdict, so the cap sits above both.
+K3_MAX_B1 = 2000
 
 _RELATIONS = {
     "<": operator.lt,
@@ -218,6 +225,7 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
     The head phi_1..phi_{j-1} is dominated by the geometric series
     summing to 1; the tail obeys phi_j+...+phi_{D-1} <= (j-1/2) phi_{j-1},
     whose weight never exceeds the peak of f, itself below 1.
+    Raises ValueError for k < 3 or b_1 > K3_MAX_B1.
     """
     params = profile.params
     rho = profile.ratio
@@ -228,6 +236,10 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
         return _direct(profile, case, _DIRECT_NOTES[case], TARGET_K3)
 
     b1 = params.array.bi(1)
+    if b1 > K3_MAX_B1:
+        raise ValueError(
+            f"b_1 = {b1} is above {K3_MAX_B1}, the largest b_1 whose K = 3 trace is computed"
+        )
     j = params.j  # >= 2 whenever b_1 >= 2
     alpha = Fraction(b1 - 1, b1)
     head = sum((alpha**m for m in range(j - 1)), Fraction(0)) / b1
@@ -289,7 +301,7 @@ def _optimal_case2(profile: PotentialProfile) -> BoundTrace:
     arr = params.array
     rho = profile.ratio
     alpha = Fraction(arr.bi(1) - 1, arr.bi(1))
-    name = valency34_membership().get((arr.b, arr.c))
+    name = VALENCY_34_MEMBERSHIP.get((arr.b, arr.c))
     if name is None:
         return _direct(
             profile,

@@ -9,6 +9,9 @@ verify agreement.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 VALENCY_34_TABLE: tuple[tuple[str, int, str, str, str | None], ...] = (
     ("Cube", 8, "3,2,1;1,2,3", "0.428571", "hypercube:3"),
     ("Heawood graph", 14, "3,2,2;1,1,3", "0.461538", "heawood"),
@@ -47,12 +50,12 @@ BIGGS_SMITH_NAME = "Biggs-Smith graph"
 BIGGS_SMITH_ARRAY_TEXT = "3,2,2,2,1,1,1;1,1,1,1,1,1,3"
 
 
-def valency34_membership() -> dict[tuple[tuple[int, ...], tuple[int, ...]], str]:
-    """(b, c) -> display name for the embedded valency-3/4 classification."""
-    out = {}
-    for name, _, text, _, _ in VALENCY_34_TABLE:
-        b_text, c_text = text.split(";")
-        b = tuple(int(v) for v in b_text.split(","))
-        c = tuple(int(v) for v in c_text.split(","))
-        out[(b, c)] = name
-    return out
+def _sequences(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    b_text, c_text = text.split(";")
+    return tuple(map(int, b_text.split(","))), tuple(map(int, c_text.split(",")))
+
+
+# (b, c) -> display name for the embedded valency-3/4 classification.
+VALENCY_34_MEMBERSHIP: Mapping[tuple[tuple[int, ...], tuple[int, ...]], str] = MappingProxyType(
+    {_sequences(text): name for name, _, text, _, _ in VALENCY_34_TABLE}
+)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from drg.cli import main
+from drg.proofs import K3_MAX_B1
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -276,3 +280,59 @@ def test_batch_over_long_entry_is_parse_error(tmp_path, capsys):
     assert code == 0
     assert "line 1: long: parse error: " in out
     assert "2 entries, 1 valid, 1 invalid" in out
+
+
+def test_parser_reused_after_argparse_rejection(monkeypatch, capsys):
+    monkeypatch.delenv("DRG_CATALOG", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "petersen", "--prove", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    expected = json.loads((GOLDEN / "analyze_by_name.json").read_text(encoding="utf-8"))
+    assert expected["argv"] == ["analyze", "petersen"]
+    code, out, err = run(capsys, *expected["argv"])
+    assert (code, out, err) == (expected["code"], expected["stdout"], expected["stderr"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("analyze", "biggs-smith", "--prove", "optimal"),
+        ("validate", "3,3;1,1", "--json"),
+        ("analyze", "not-a-graph"),
+        ("catalog", "list"),
+        ("table", "--extras"),
+    ),
+)
+def test_same_argv_twice_gives_identical_output(capsys, argv):
+    first = run(capsys, *argv)
+    assert run(capsys, *argv) == first
+
+
+STR_LIMIT = "Exceeds the limit (4300 digits)"
+
+
+@pytest.mark.parametrize("as_json", (False, True), ids=("text", "json"))
+@pytest.mark.parametrize(
+    "b1, note",
+    (
+        (1371, None),  # the largest b_1 whose K = 3 trace str() can print
+        (1372, STR_LIMIT),
+        (K3_MAX_B1, STR_LIMIT),
+        (K3_MAX_B1 + 1, f"b_1 = {K3_MAX_B1 + 1} is above {K3_MAX_B1}"),
+    ),
+)
+def test_prove_k3_on_long_numbers_exits_normally(capsys, b1, note, as_json):
+    array_text = f"{b1 + 1},{b1};1,{b1 + 1}"  # K_{b1+1,b1+1}
+    code, out, err = run(capsys, "analyze", array_text, "--prove", "k3", *(["--json"] * as_json))
+    assert code == 0 and err == ""
+    if as_json:
+        record = json.loads(out)
+        if note is None:
+            assert record["trace"]["verdict"] and "trace_note" not in record
+        else:
+            assert record["trace"] is None and record["trace_note"].startswith(note)
+    elif note is None:
+        assert out.endswith("  verdict: OK\n")
+    else:
+        assert f"proof trace: unavailable ({note}" in out

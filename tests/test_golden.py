@@ -13,6 +13,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -105,6 +107,25 @@ def test_cli_output_matches_golden(case, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
     assert run_case(CASES[case]) == expected
+
+
+def test_cold_process_matches_golden():
+    """A fresh interpreter builds the catalog and the parser from nothing."""
+    golden_file = GOLDEN / "prove_optimal_case2_biggs_smith_json.json"
+    expected = json.loads(golden_file.read_text(encoding="utf-8"))
+    assert expected["argv"] == ["analyze", "biggs-smith", "--prove", "optimal", "--json"]
+    env = {key: value for key, value in os.environ.items() if key != "DRG_CATALOG"}
+    src = str(GOLDEN.parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "drg.cli", *expected["argv"]],
+        cwd=GOLDEN,
+        env=env,
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (expected["code"], expected["stdout"])
 
 
 def regenerate() -> None:

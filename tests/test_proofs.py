@@ -18,6 +18,7 @@ from drg import (
     prove_k3,
     prove_optimal,
 )
+from drg.proofs import K3_MAX_B1
 
 OPTIMAL = Fraction(93, 100)
 
@@ -329,3 +330,20 @@ def test_trace_render_format():
     text = trace.render()
     assert "head_tail_bound: 3/7 (≈ 0.428571) <= 5/4 (≈ 1.250000) [OK]" in text
     assert text.splitlines()[-1] == "verdict: OK"
+
+
+def complete_bipartite(m: int) -> str:
+    """K_{m,m}: valency m, diameter 2, b_1 = m - 1."""
+    return f"{m},{m - 1};1,{m}"
+
+
+def test_prove_k3_proves_at_the_b1_cap():
+    trace = prove_k3(profile_of(complete_bipartite(K3_MAX_B1 + 1)))
+    assert trace.alpha == Fraction(K3_MAX_B1 - 1, K3_MAX_B1)
+    assert trace.verdict and trace.all_steps_hold
+
+
+def test_prove_k3_refuses_b1_above_the_cap():
+    profile = profile_of(complete_bipartite(K3_MAX_B1 + 2))
+    with pytest.raises(ValueError, match=f"b_1 = {K3_MAX_B1 + 1} is above {K3_MAX_B1}"):
+        prove_k3(profile)
