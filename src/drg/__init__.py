@@ -26,7 +26,12 @@ from .graphs import (
     registry_names,
     verify_drg,
 )
-from .oracle import cross_validate, laplacian_resistance, resistance_matrix
+from .oracle import (
+    cross_validate,
+    kirchhoff_certifies,
+    laplacian_resistance,
+    resistance_matrix,
+)
 from .potentials import (
     PotentialProfile,
     StepBound,
@@ -82,6 +87,7 @@ __all__ = [
     "f_value",
     "format_array",
     "is_cocktail_party",
+    "kirchhoff_certifies",
     "laplacian_resistance",
     "lookup",
     "parse_array",

@@ -256,9 +256,17 @@ def derive(arr: IntersectionArray) -> DerivedParams:
 
     Raises ValueError if the array fails validation.
     """
-    report = validate(arr)
+    return derive_from(validate(arr))
+
+
+def derive_from(report: ValidationReport) -> DerivedParams:
+    """derive() for the array of a validation report already at hand.
+
+    Raises ValueError if the report did not pass.
+    """
     if not report.passed:
         raise ValueError("array failed validation: " + "; ".join(report.failure_messages()))
+    arr = report.array
     D = arr.D
     k = arr.k
     sizes = tuple(int(s) for s in sphere_sizes_exact(arr))

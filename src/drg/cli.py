@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: validate, analyze, table, oracle, batch, catalog.
-Exit codes: 0 success, 1 failed checks, 2 unparseable input or unknown
-name, 3 validation failure (the report is still printed).
+Exit codes: 0 success, 1 failed checks, 2 unparseable input, an unknown
+name, a graph above graphs.MAX_VERTICES vertices or a report too long to
+print, 3 validation failure (the report is still printed).
 
 validate and analyze build one record per array (`_record`), a dict that
 keeps exact `Fraction` and `BoundTrace` values.  `--json` prints it with
 `json.dumps` and a hook that writes each rational as {"num", "den"}
-strings; the text form is printed from the same dict by `_print_text`.
+strings; the text form is rendered from the same dict by `_text_lines`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from .arrays import (
     ArrayFormatError,
     IntersectionArray,
-    derive,
+    derive_from,
     format_array,
     parse_array,
     validate,
@@ -94,7 +95,7 @@ def _record(
     if not (analyze and report.passed):
         return record
 
-    params = derive(arr)
+    params = derive_from(report)
     profile = compute_profile(params)
     cap, cap_holds = check_resistance_cap(profile)
     tail = tail_sum_check(profile)
@@ -142,61 +143,63 @@ def _json_default(x):
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _print_text(record: dict, prove: str | None) -> None:
+def _text_lines(record: dict, prove: str | None):
+    """The lines of a record's text form."""
+
     def mark(ok: bool, yes: str = "ok") -> str:
         return yes if ok else "FAIL"
 
     yn = lambda flag: "yes" if flag else "no"
 
     if record["name"] is not None:
-        print(f"name: {record['name']}")
-    print(f"array: {record['array']}")
+        yield f"name: {record['name']}"
+    yield f"array: {record['array']}"
     v = record["validation"]
-    print(f"validation: {mark(v['passed'], 'PASS')}")
+    yield f"validation: {mark(v['passed'], 'PASS')}"
     for key, label in _CHECKS:
-        print(f"  {label}: {mark(v[key])}")
-    print(f"  flags: k>=3 {yn(v['k_ge_3'])}; b1>=2 {yn(v['b1_ge_2'])}")
+        yield f"  {label}: {mark(v[key])}"
+    yield f"  flags: k>=3 {yn(v['k_ge_3'])}; b1>=2 {yn(v['b1_ge_2'])}"
     for message in v["failures"]:
-        print(f"  ! {message}")
+        yield f"  ! {message}"
     if "derived" not in record:
         return
 
     d = record["derived"]
-    print(f"derived: k={d['k']}  n={d['n']}  D={d['D']}  j={d['j']}")
-    print(f"  a_i: {','.join(map(str, d['a']))}")
-    print(f"  sphere sizes: {','.join(map(str, d['sphere_sizes']))}")
-    print("potentials: " + ", ".join(map(str, record["potentials"]["phi"])))
-    print(f"  recursion == closed form: {mark(record['potentials']['methods_agree'])}")
-    print("resistances:")
+    yield f"derived: k={d['k']}  n={d['n']}  D={d['D']}  j={d['j']}"
+    yield f"  a_i: {','.join(map(str, d['a']))}"
+    yield f"  sphere sizes: {','.join(map(str, d['sphere_sizes']))}"
+    yield "potentials: " + ", ".join(map(str, record["potentials"]["phi"]))
+    yield f"  recursion == closed form: {mark(record['potentials']['methods_agree'])}"
+    yield "resistances:"
     for i, r in enumerate(record["resistances"], start=1):
-        print(f"  r_{i} = {approx_str(r)}")
-    print(f"rho: {approx_str(record['ratio'])}")
-    print(f"k_effective: {approx_str(record['k_effective'])}")
+        yield f"  r_{i} = {approx_str(r)}"
+    yield f"rho: {approx_str(record['ratio'])}"
+    yield f"k_effective: {approx_str(record['k_effective'])}"
     cap = record["resistance_cap"]
-    print(
+    yield (
         f"max-resistance cap: r_D = {approx_str(record['resistances'][-1])} "
         f"< 4/k = {approx_str(cap['bound'])} [{mark(cap['holds'], 'OK')}]"
     )
     tail = record["tail_bound"]
-    print(
+    yield (
         f"tail bound (j={tail['j']}): {approx_str(tail['lhs'])} <= {approx_str(tail['rhs'])} "
         f"[{mark(tail['holds'], 'OK')}]"
     )
     if record["step_inequalities"] is None:
-        print("step inequalities: skipped (require D >= 2 and b_1 >= 2)")
+        yield "step inequalities: skipped (require D >= 2 and b_1 >= 2)"
     else:
-        print("step inequalities:")
+        yield "step inequalities:"
         for s in record["step_inequalities"]:
-            print(
+            yield (
                 f"  {s['kind']}[{s['i']}]: {approx_str(s['phi_i'])} < {approx_str(s['bound'])} "
                 f"[{mark(s['holds'], 'OK')}]"
             )
     if record["trace"] is not None:
-        print(f"proof trace ({prove}):")
+        yield f"proof trace ({prove}):"
         for line in record["trace"].render().splitlines():
-            print(f"  {line}")
+            yield f"  {line}"
     elif "trace_note" in record:
-        print(f"proof trace: unavailable ({record['trace_note']})")
+        yield f"proof trace: unavailable ({record['trace_note']})"
 
 
 def _report(args, analyze: bool) -> int:
@@ -206,11 +209,16 @@ def _report(args, analyze: bool) -> int:
         _err(str(exc))
         return 2
     prove = args.prove if analyze else None
-    record = _record(arr, entry, analyze, prove)
-    if args.json:
-        print(json.dumps(record, indent=2, default=_json_default))
-    else:
-        _print_text(record, prove)
+    try:  # str() refuses an integer of more than 4300 digits
+        record = _record(arr, entry, analyze, prove)
+        if args.json:
+            out = json.dumps(record, indent=2, default=_json_default)
+        else:
+            out = "\n".join(_text_lines(record, prove))
+    except ValueError as exc:
+        _err(f"the report cannot be printed: {exc}")
+        return 2
+    print(out)
     return 0 if record["validation"]["passed"] else 3
 
 
@@ -395,7 +403,7 @@ def cmd_batch(args) -> int:
             print(f"line {lineno}: {label}: INVALID ({reasons})")
             continue
         valid += 1
-        rho = compute_profile(derive(arr)).ratio
+        rho = compute_profile(derive_from(report)).ratio
         lt_opt = rho < TARGET_OPTIMAL
         lt_2 = rho < TARGET_K3
         below_opt += lt_opt

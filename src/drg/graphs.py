@@ -4,6 +4,11 @@ The registry holds small named graphs (plus three parameterized
 families), each carrying the intersection array it is expected to
 realize.  verify_drg checks distance-regularity from scratch by BFS, so
 a registry entry's claim is never trusted, always re-derived.
+
+No graph above MAX_VERTICES vertices is built: construct checks a
+family's vertex count from its parameter and parse_edge_list checks
+every vertex index as it reads it, before any edge list or n x n matrix
+exists.
 """
 
 from __future__ import annotations
@@ -13,6 +18,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arrays import IntersectionArray, parse_array
+
+# The most vertices a constructed or parsed graph may have.  verify_drg
+# and the oracle's check are O(n * m); GH(3,3), with 728 vertices, fits.
+MAX_VERTICES = 1024
 
 
 class LabeledGraph:
@@ -101,6 +110,11 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
     of y at distance i-1 (resp. i+1) from x must be a constant c_i
     (resp. b_i).  If a claimed array is attached, its values are the
     expected constants; otherwise the first observed count is.
+
+    For each base x one pass over the edges counts every vertex's down
+    and up neighbors at once (an edge joins vertices whose distances from
+    x differ by at most one), so the check is O(n * m).  Violations are
+    listed in (x, y) order, c_i before b_i.
     """
     if not g.is_connected():
         raise ValueError("graph is disconnected")
@@ -120,23 +134,29 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
             expected_c[i] = claimed.ci(i)
     violations: list[Violation] = []
 
-    for x in range(g.n):
+    n, edges = g.n, g.edges
+    for x in range(n):
         row = dist[x]
-        for y in range(g.n):
-            i = row[y]
-            down = sum(1 for w in g.adjacency[y] if row[w] == i - 1)
-            up = sum(1 for w in g.adjacency[y] if row[w] == i + 1)
+        down = [0] * n
+        up = [0] * n
+        for u, v in edges:
+            du, dv = row[u], row[v]
+            if du < dv:
+                down[v] += 1
+                up[u] += 1
+            elif dv < du:
+                down[u] += 1
+                up[v] += 1
+        for y, i in enumerate(row):
             if expected_c[i] is None:
-                expected_c[i] = down
-            elif expected_c[i] != down:
-                violations.append(Violation(x, y, f"c{i}", expected_c[i], down))
-            if i < diameter:
+                expected_c[i] = down[y]
+            elif expected_c[i] != down[y]:
+                violations.append(Violation(x, y, f"c{i}", expected_c[i], down[y]))
+            if i < diameter:  # nothing is at distance diameter + 1
                 if expected_b[i] is None:
-                    expected_b[i] = up
-                elif expected_b[i] != up:
-                    violations.append(Violation(x, y, f"b{i}", expected_b[i], up))
-            elif up != 0:
-                violations.append(Violation(x, y, f"b{i}", 0, up))
+                    expected_b[i] = up[y]
+                elif expected_b[i] != up[y]:
+                    violations.append(Violation(x, y, f"b{i}", expected_b[i], up[y]))
 
     if claimed is not None and claimed.D != diameter:
         violations.append(Violation(0, 0, "diameter", claimed.D, diameter))
@@ -159,7 +179,10 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
 # constructions
 
 def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> LabeledGraph:
-    """Build a graph from `u v` lines (0-based); '#' comments and blanks allowed."""
+    """Build a graph from `u v` lines (0-based); '#' comments and blanks allowed.
+
+    A vertex index of MAX_VERTICES or more is refused on its line.
+    """
     edges = []
     top = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -175,6 +198,11 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
             raise ValueError(f"line {lineno}: non-integer vertex in {raw!r}") from exc
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: negative vertex index")
+        if max(u, v) >= MAX_VERTICES:
+            raise ValueError(
+                f"line {lineno}: vertex {max(u, v)} is beyond the cap of "
+                f"{MAX_VERTICES} vertices"
+            )
         edges.append((u, v))
         top = max(top, u, v)
     if not edges:
@@ -327,21 +355,23 @@ def tutte_8cage_graph() -> LabeledGraph:
     )
 
 
-# name -> (builder, takes_param, default_param)
+# name -> (builder, default_param, order): a parameterized family has a
+# default parameter and order(param), its vertex count, which is never
+# less than param; a fixed graph has neither.
 REGISTRY: dict[str, tuple] = {
-    "complete": (complete_graph, True, 4),
-    "cocktail_party": (cocktail_party_graph, True, 3),
-    "hypercube": (hypercube_graph, True, 3),
-    "petersen": (petersen_graph, False, None),
-    "line_of_petersen": (line_of_petersen_graph, False, None),
-    "heawood": (heawood_graph, False, None),
-    "pappus": (pappus_graph, False, None),
-    "coxeter": (coxeter_graph, False, None),
-    "tutte_8cage": (tutte_8cage_graph, False, None),
-    "dodecahedron": (dodecahedron_graph, False, None),
-    "desargues": (desargues_graph, False, None),
-    "crown_5": (crown_5_graph, False, None),
-    "nonincidence_pg22": (nonincidence_pg22_graph, False, None),
+    "complete": (complete_graph, 4, lambda m: m),
+    "cocktail_party": (cocktail_party_graph, 3, lambda m: 2 * m),
+    "hypercube": (hypercube_graph, 3, lambda d: 2**d),
+    "petersen": (petersen_graph, None, None),
+    "line_of_petersen": (line_of_petersen_graph, None, None),
+    "heawood": (heawood_graph, None, None),
+    "pappus": (pappus_graph, None, None),
+    "coxeter": (coxeter_graph, None, None),
+    "tutte_8cage": (tutte_8cage_graph, None, None),
+    "dodecahedron": (dodecahedron_graph, None, None),
+    "desargues": (desargues_graph, None, None),
+    "crown_5": (crown_5_graph, None, None),
+    "nonincidence_pg22": (nonincidence_pg22_graph, None, None),
 }
 
 
@@ -350,13 +380,24 @@ def registry_names() -> tuple[str, ...]:
 
 
 def construct(name: str, param: int | None = None) -> LabeledGraph:
-    """Build a registry graph; parameterized families take `param`."""
+    """Build a registry graph; parameterized families take `param`.
+
+    A family member above MAX_VERTICES vertices is refused before it is
+    built.
+    """
     try:
-        builder, takes_param, default = REGISTRY[name]
+        builder, default, order = REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown construction {name!r}") from None
-    if takes_param:
-        return builder(default if param is None else param)
-    if param is not None:
-        raise ValueError(f"construction {name!r} takes no parameter")
-    return builder()
+    if order is None:
+        if param is not None:
+            raise ValueError(f"construction {name!r} takes no parameter")
+        return builder()
+    if param is None:
+        param = default
+    # order(param) >= param, so a huge param is refused without computing it
+    if param > MAX_VERTICES or order(param) > MAX_VERTICES:
+        raise ValueError(
+            f"{name}({param}) has more than the cap of {MAX_VERTICES} vertices"
+        )
+    return builder(param)

@@ -1,16 +1,22 @@
-"""Independent resistance oracle: exact Laplacian solves on explicit graphs.
+"""Independent resistance oracle: exact Laplacian checks on explicit graphs.
 
-Effective resistances come from fraction-free integer elimination on the
-grounded Laplacian (see resistance_matrix) and are compared, at every
-pair, against the potential-based formula r_j = 2*(phi_0+...+phi_{j-1})/(nk).
-Agreement must be exact, not approximate.
+cross_validate builds the candidate resistance matrix from the
+potential-based formula r_j = 2*(phi_0+...+phi_{j-1})/(nk), one value
+per distance class, and certifies it exactly with Kirchhoff's law
+(kirchhoff_certifies), in O(n * m) integer operations.  Only when the
+certificate fails does it solve for the resistances by fraction-free
+integer elimination on the grounded Laplacian (resistance_matrix), the
+O(n^3) diagnostic that lists every mismatching pair.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from operator import sub
 
 from . import linalg
 from .arrays import derive
@@ -79,9 +85,59 @@ def resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
     return [[values[num] for num in row] for row in nums]
 
 
+def kirchhoff_certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) -> bool:
+    """True iff scaled[u][v] / scale is the effective resistance of u, v in g.
+
+    g must be connected (ValueError otherwise) and `scale` positive;
+    S = `scaled` is an integer n x n matrix.  S / scale is accepted iff
+    S is symmetric with a zero diagonal and, for every vertex u, the row
+
+        deg(u) * S[u] - sum(S[w] for w ~ u) + 2 * scale * e_u
+
+    (row u of L S + 2 scale I, L = D - A the Laplacian) is constant.
+    The cost is O(n * m) integer additions.
+
+    Proof.  Let R be the resistance matrix and L+ the pseudoinverse of L,
+    with d = diag(L+).  Then R = d 1^T + 1 d^T - 2 L+, and since L 1 = 0
+    and L L+ = I - J/n,
+
+        L R + 2 I = (L d + (2/n) 1) 1^T,
+
+    whose rows are constant: R passes.  Conversely let R' be symmetric
+    with zero diagonal and L R' + 2 I = c 1^T, and put E = R' - R.  Then
+    L E = f 1^T with f = c - (L d + (2/n) 1).  Summing the rows gives
+    1^T f = 0 (1^T L = 0), so every column of E solves L x = f; as g is
+    connected, ker L = span(1), so E = h 1^T + 1 a^T with h = L+ f.
+    Symmetry gives h_u - a_u = h_v - a_v = t for all u, v, so
+    E_uv = h_u + h_v - t; the zero diagonal gives h_u = t/2, hence
+    E = 0 and R' = R.  Scaling R' by `scale` scales both sides alike.
+    """
+    if not g.is_connected():
+        raise ValueError("graph is disconnected")
+    n = g.n
+    # n rows equal to the n columns: square and symmetric
+    if len(scaled) != n or [list(col) for col in zip(*scaled)] != scaled:
+        return False
+    if any(scaled[u][u] for u in range(n)):
+        return False
+    for u, row in enumerate(scaled):
+        kirchhoff = [len(g.adjacency[u]) * x for x in row]
+        for w in g.adjacency[u]:
+            kirchhoff = list(map(sub, kirchhoff, scaled[w]))
+        kirchhoff[u] += 2 * scale
+        if kirchhoff.count(kirchhoff[0]) != n:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ClassCheck:
-    """Formula-vs-solver comparison for one distance class."""
+    """The formula's check for one distance class.
+
+    mismatches is empty when the Kirchhoff certificate holds; otherwise
+    it lists each pair (u, v, solved resistance) that differs from
+    `expected`.
+    """
 
     distance: int
     expected: Fraction
@@ -105,10 +161,13 @@ class CrossValidation:
 
 
 def cross_validate(g: LabeledGraph) -> CrossValidation:
-    """Assert exact equality of solver resistances with the potential formula.
+    """Assert exact equality of the graph's resistances with the potential formula.
 
-    Every pair of each distance class is checked.  Constancy within a
-    class follows from equality with the single per-class formula value.
+    The candidate R[u][v] = r_{d(u,v)} (r_0 = 0), scaled to integers by
+    the lcm N of the formula's denominators, is certified at every pair
+    at once by kirchhoff_certifies.  If it fails, resistance_matrix
+    solves for every pair and each pair whose resistance differs from
+    its class's formula value is listed as a mismatch.
     """
     report = verify_drg(g)
     if not report.is_drg:
@@ -120,23 +179,37 @@ def cross_validate(g: LabeledGraph) -> CrossValidation:
         raise ValueError("observed intersection array differs from the claimed one")
 
     params = derive(report.observed_array)
-    profile = compute_profile(params)
-    rmat = resistance_matrix(g)
-
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(report.diameter + 1)]
-    for u, v in combinations(range(g.n), 2):
-        pairs[report.distances[u][v]].append((u, v))
+    resistances = compute_profile(params).resistances
+    scale = math.lcm(*(r.denominator for r in resistances))
+    per_class = [0] + [r.numerator * (scale // r.denominator) for r in resistances]
+    scaled = [list(map(per_class.__getitem__, row)) for row in report.distances]
+    if kirchhoff_certifies(g, scaled, scale):
+        mismatches = {}
+    else:
+        mismatches = _solver_mismatches(g, report.distances, resistances)
+    ordered_pairs = Counter(chain.from_iterable(report.distances))
     classes = tuple(
         ClassCheck(
             distance=d,
             expected=expected,
-            pairs_checked=len(pairs[d]),
-            mismatches=tuple(
-                (u, v, rmat[u][v]) for u, v in pairs[d] if rmat[u][v] != expected
-            ),
+            pairs_checked=ordered_pairs[d] // 2,
+            mismatches=tuple(mismatches.get(d, ())),
         )
-        for d, expected in enumerate(profile.resistances, start=1)
+        for d, expected in enumerate(resistances, start=1)
     )
     return CrossValidation(
         graph_name=g.name or "graph", drg_report=report, classes=classes
     )
+
+
+def _solver_mismatches(
+    g: LabeledGraph, distances: list[list[int]], resistances: tuple[Fraction, ...]
+) -> dict[int, list[tuple[int, int, Fraction]]]:
+    """Every pair u < v whose solved resistance is not r_{d(u,v)}, by distance."""
+    rmat = resistance_matrix(g)
+    found: dict[int, list[tuple[int, int, Fraction]]] = {}
+    for u, v in combinations(range(g.n), 2):
+        d = distances[u][v]
+        if rmat[u][v] != resistances[d - 1]:
+            found.setdefault(d, []).append((u, v, rmat[u][v]))
+    return found

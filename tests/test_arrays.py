@@ -15,7 +15,7 @@ from drg import (
     parse_array,
     validate,
 )
-from drg.arrays import sphere_sizes_exact
+from drg.arrays import derive_from, sphere_sizes_exact
 
 
 def test_parse_basic():
@@ -206,3 +206,12 @@ def test_corpus_split_index_properties(corpus):
 def test_corpus_nonnegative_a(corpus):
     for arr in corpus:
         assert all(v >= 0 for v in derive(arr).a)
+
+
+def test_derive_from_a_report():
+    for text in ("3,2,1;1,2,3", "3,2;1,1", "3;1"):
+        arr = parse_array(text)
+        assert derive_from(validate(arr)) == derive(arr)
+    failing = validate(parse_array("4,2;1,3"))
+    with pytest.raises(ValueError, match="non-integral sphere sizes"):
+        derive_from(failing)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from drg import arrays, cli, graphs
 from drg.cli import main
 from drg.proofs import K3_MAX_B1
 
@@ -312,6 +313,20 @@ def test_same_argv_twice_gives_identical_output(capsys, argv):
 STR_LIMIT = "Exceeds the limit (4300 digits)"
 
 
+def _str_limit_message() -> str:
+    """This interpreter's message for str() of an over-long int, up to "conversion".
+
+    Python 3.11 says "Exceeds the limit (4300 digits) for integer string
+    conversion", 3.10 "Exceeds the limit (4300) for integer string conversion".
+    """
+    try:
+        str(10**5000)
+    except ValueError as exc:
+        message = str(exc)
+        return message[: message.index("conversion") + len("conversion")]
+    raise AssertionError("str() printed a 5001-digit int")
+
+
 @pytest.mark.parametrize("as_json", (False, True), ids=("text", "json"))
 @pytest.mark.parametrize(
     "b1, note",
@@ -324,6 +339,8 @@ STR_LIMIT = "Exceeds the limit (4300 digits)"
 )
 def test_prove_k3_on_long_numbers_exits_normally(capsys, b1, note, as_json):
     array_text = f"{b1 + 1},{b1};1,{b1 + 1}"  # K_{b1+1,b1+1}
+    if note == STR_LIMIT:
+        note = _str_limit_message()
     code, out, err = run(capsys, "analyze", array_text, "--prove", "k3", *(["--json"] * as_json))
     assert code == 0 and err == ""
     if as_json:
@@ -336,3 +353,130 @@ def test_prove_k3_on_long_numbers_exits_normally(capsys, b1, note, as_json):
         assert out.endswith("  verdict: OK\n")
     else:
         assert f"proof trace: unavailable ({note}" in out
+
+
+# ----------------------------------------------------------------------
+# oversized oracle requests are refused before any graph is built
+
+
+def _cycle_file(tmp_path, n):
+    path = tmp_path / f"cycle{n}.txt"
+    path.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    (
+        (("complete", "--param", "16"), 16),
+        (("cocktail_party", "--param", "8"), 16),
+        (("hypercube", "--param", "4"), 16),
+    ),
+)
+def test_oracle_cap_boundary(monkeypatch, capsys, argv, n):
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 16)
+    code, out, err = run(capsys, "oracle", *argv)
+    assert (code, err) == (0, "")
+    assert f"[n={n}, " in out
+    name, flag, param = argv
+    code, out, err = run(capsys, "oracle", name, flag, str(int(param) + 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "cap of 16 vertices" in err
+
+
+def test_oracle_graph_file_cap_boundary(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 16)
+    code, out, err = run(capsys, "oracle", "--graph-file", _cycle_file(tmp_path, 16))
+    assert (code, err) == (0, "")
+    assert "[n=16, m=16]" in out and "result: PASS" in out
+    code, out, err = run(capsys, "oracle", "--graph-file", _cycle_file(tmp_path, 17))
+    assert (code, out) == (2, "")
+    assert err == "error: line 16: vertex 16 is beyond the cap of 16 vertices\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("hypercube", "--param", "40"),
+        ("hypercube", "--param", str(10**30)),
+        ("complete", "--param", "1025"),
+        ("cocktail_party", "--param", "513"),
+    ),
+)
+def test_oracle_refuses_oversized_parameters_without_building(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graphs, "LabeledGraph", refuse)
+    code, out, err = run(capsys, "oracle", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"cap of {graphs.MAX_VERTICES} vertices" in err
+
+
+def test_oracle_refuses_an_oversized_vertex_index(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text(f"0 1\n1 {10**12}\n", encoding="utf-8")
+    code, out, err = run(capsys, "oracle", "--graph-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2: vertex {10**12} is beyond the cap of 1024 vertices\n"
+
+
+def test_hypercube_at_the_default_cap():
+    assert graphs.MAX_VERTICES == 1024
+    assert graphs.construct("hypercube", 10).n == 1024
+    with pytest.raises(ValueError, match="cap of 1024 vertices"):
+        graphs.construct("hypercube", 11)
+    with pytest.raises(ValueError, match="needs dimension >= 2"):
+        graphs.construct("hypercube", -3)
+
+
+# ----------------------------------------------------------------------
+# reports holding an integer too long for str() exit 2
+
+
+Q = 10**2200
+LONG_NUMBER_CASES = (
+    # H(2, Q): n = Q**2 has 4401 digits
+    ("analyze", f"{2 * (Q - 1)},{Q - 1};1,2"),
+    # |K_2| = Q (Q - 1) / 7 is not an integer and its numerator has 4400 digits
+    ("validate", f"{Q},{Q - 1};1,7"),
+)
+
+
+@pytest.mark.parametrize("as_json", (False, True), ids=("text", "json"))
+@pytest.mark.parametrize("command, array_text", LONG_NUMBER_CASES, ids=("analyze", "validate"))
+def test_report_too_long_to_print_exits_2(capsys, command, array_text, as_json):
+    code, out, err = run(capsys, command, array_text, *(["--json"] * as_json))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the report cannot be printed: ")
+    assert err.count("\n") == 1
+
+
+# ----------------------------------------------------------------------
+# each analysed array is validated once
+
+
+def _count_validations(monkeypatch):
+    calls = []
+    validate = arrays.validate
+
+    def counted(arr):
+        calls.append(arr)
+        return validate(arr)
+
+    monkeypatch.setattr(arrays, "validate", counted)
+    monkeypatch.setattr(cli, "validate", counted)
+    return calls
+
+
+def test_analyze_validates_once(monkeypatch, capsys):
+    calls = _count_validations(monkeypatch)
+    code, _, _ = run(capsys, "analyze", "3,2,1;1,2,3")
+    assert code == 0 and len(calls) == 1
+
+
+def test_batch_validates_each_line_once(monkeypatch, capsys):
+    calls = _count_validations(monkeypatch)
+    path = GOLDEN / "inputs" / "batch_mixed.txt"
+    run(capsys, "batch", str(path))
+    assert len(calls) == 5  # six lines, one of them unparseable

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 
 from drg import (
+    IntersectionArray,
     LabeledGraph,
     construct,
     parse_array,
@@ -12,6 +16,7 @@ from drg import (
     registry_names,
     verify_drg,
 )
+from drg.graphs import Violation
 
 
 def test_registry_has_expected_size():
@@ -135,3 +140,88 @@ def test_verify_accepts_observed_array_without_claim():
     report = verify_drg(g)
     assert report.is_drg
     assert report.observed_array == parse_array("3,2,2;1,1,3")
+
+
+# ----------------------------------------------------------------------
+# verify_drg against the per-pair neighbor scan it replaced
+
+
+def reference_verify(g):
+    """(violations, observed array) by scanning y's neighborhood twice per pair (x, y)."""
+    dist = g.all_distances()
+    diameter = max(max(row) for row in dist)
+    expected_b = [None] * (diameter + 1)
+    expected_c = [None] * (diameter + 1)
+    claimed = g.claimed_array
+    if claimed is not None and claimed.D == diameter:
+        for i in range(diameter):
+            expected_b[i] = claimed.bi(i)
+        expected_c[0] = 0
+        for i in range(1, diameter + 1):
+            expected_c[i] = claimed.ci(i)
+    violations = []
+    for x in range(g.n):
+        row = dist[x]
+        for y in range(g.n):
+            i = row[y]
+            down = sum(1 for w in g.adjacency[y] if row[w] == i - 1)
+            up = sum(1 for w in g.adjacency[y] if row[w] == i + 1)
+            if expected_c[i] is None:
+                expected_c[i] = down
+            elif expected_c[i] != down:
+                violations.append(Violation(x, y, f"c{i}", expected_c[i], down))
+            if i < diameter:
+                if expected_b[i] is None:
+                    expected_b[i] = up
+                elif expected_b[i] != up:
+                    violations.append(Violation(x, y, f"b{i}", expected_b[i], up))
+            elif up != 0:
+                violations.append(Violation(x, y, f"b{i}", 0, up))
+    if claimed is not None and claimed.D != diameter:
+        violations.append(Violation(0, 0, "diameter", claimed.D, diameter))
+    observed = None
+    if not violations:
+        observed = IntersectionArray(tuple(expected_b[:diameter]), tuple(expected_c[1:]))
+    return tuple(violations), observed
+
+
+def relabelled(g, claimed):
+    """g under a fixed vertex permutation, carrying `claimed` as its array."""
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    label = f"{g.name}-claims-{claimed}" if claimed else f"{g.name}-relabelled"
+    return LabeledGraph(
+        g.n, [(perm[u], perm[v]) for u, v in g.edges], name=label, claimed_array=claimed
+    )
+
+
+def _reference_cases():
+    golden = Path(__file__).parent / "golden" / "inputs" / "path3.txt"
+    cases = [construct(name) for name in registry_names()]
+    cases.append(parse_edge_list(golden.read_text(encoding="utf-8"), name="path3"))
+    petersen, cube = construct("petersen"), construct("hypercube", 4)
+    cases += [
+        # not distance-regular
+        LabeledGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], name="k4-minus-edge"),
+        LabeledGraph(6, [(i, i + 1) for i in range(5)], name="path6"),
+        LabeledGraph(5, [(0, i) for i in range(1, 5)], name="star"),
+        LabeledGraph(cube.n, cube.edges + ((0, 15),), name="cube4-plus-diagonal"),
+        LabeledGraph(petersen.n, petersen.edges[1:], name="petersen-minus-edge"),
+        # distance-regular, mislabelled
+        relabelled(petersen, parse_array("3,2,1;1,2,3")),  # wrong diameter
+        relabelled(petersen, parse_array("3,2;1,2")),  # wrong c_2
+        relabelled(cube, parse_array("4,3,2,1;1,2,2,4")),  # wrong c_3
+        relabelled(construct("complete", 5), parse_array("3;1")),  # wrong k
+        # distance-regular, no claim
+        relabelled(construct("coxeter"), None),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("g", _reference_cases(), ids=lambda g: g.name)
+def test_verify_drg_matches_the_per_pair_scan(g):
+    report = verify_drg(g)
+    violations, observed = reference_verify(g)
+    assert report.violations == violations
+    assert report.observed_array == observed
+    assert report.is_drg == (not violations)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,10 +15,14 @@ from drg import (
     construct,
     cross_validate,
     derive,
+    kirchhoff_certifies,
     laplacian_resistance,
     parse_array,
+    registry_names,
     resistance_matrix,
+    verify_drg,
 )
+from drg import oracle
 
 
 def test_complete_graph_resistance():
@@ -153,3 +159,150 @@ def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
     assert cross_validate(g).ok
     # one BFS per vertex for the distance matrix, plus the two connectivity checks
     assert len(calls) <= g.n + 2
+
+
+# ----------------------------------------------------------------------
+# the Kirchhoff certificate that cross_validate relies on
+
+CERTIFIED = [(name, None) for name in registry_names()] + [
+    ("hypercube", d) for d in range(4, 9)
+] + [("cocktail_party", 16), ("complete", 24)]
+
+
+def scaled_candidate(g):
+    """The formula's candidate R[u][v] = r_{d(u,v)}, scaled to integers.
+
+    Returns (S, N, per_class) with S[u][v] = N * r_{d(u,v)} and N the lcm
+    of the formula's denominators.
+    """
+    report = verify_drg(g)
+    resistances = compute_profile(derive(report.observed_array)).resistances
+    scale = math.lcm(*(r.denominator for r in resistances))
+    per_class = [0] + [int(r * scale) for r in resistances]
+    return [[per_class[d] for d in row] for row in report.distances], scale, per_class
+
+
+@pytest.mark.parametrize("name, param", CERTIFIED)
+def test_certificate_accepts_the_formula(name, param):
+    g = construct(name, param)
+    scaled, scale, _ = scaled_candidate(g)
+    assert kirchhoff_certifies(g, scaled, scale)
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_certificate_rejects_each_class_moved_by_one_step(name):
+    g = construct(name)
+    distances = verify_drg(g).distances
+    _, scale, per_class = scaled_candidate(g)
+    for d in range(1, len(per_class)):
+        for step in (1, -1):
+            moved = list(per_class)
+            moved[d] += step  # r_d moved by 1/N
+            candidate = [[moved[e] for e in row] for row in distances]
+            assert not kirchhoff_certifies(g, candidate, scale), (d, step)
+
+
+@pytest.mark.parametrize("name", ("petersen", "hypercube", "coxeter"))
+def test_certificate_rejects_one_changed_pair(name):
+    g = construct(name)
+    scaled, scale, _ = scaled_candidate(g)
+    u, v = 1, g.n - 1
+    scaled[u][v] += 1
+    assert not kirchhoff_certifies(g, scaled, scale)  # not symmetric
+    scaled[v][u] += 1
+    assert not kirchhoff_certifies(g, scaled, scale)  # symmetric, still wrong
+
+
+def test_certificate_needs_symmetry_and_a_zero_diagonal():
+    # S + h 1^T + 1 a^T keeps every row of L S + 2N I constant; only the
+    # symmetry and zero-diagonal tests tell these candidates apart.
+    g = construct("petersen")
+    scaled, scale, _ = scaled_candidate(g)
+    skew = [[x + (u == 0) - (v == 0) for v, x in enumerate(row)] for u, row in enumerate(scaled)]
+    assert not kirchhoff_certifies(g, skew, scale)  # zero diagonal, not symmetric
+    shifted = [[x + 1 for x in row] for row in scaled]
+    assert not kirchhoff_certifies(g, shifted, scale)  # symmetric, diagonal 1
+    assert not kirchhoff_certifies(g, scaled[:-1], scale)
+    with pytest.raises(ValueError):
+        kirchhoff_certifies(LabeledGraph(4, [(0, 1), (2, 3)]), [[0] * 4] * 4, 1)
+
+
+def test_certificate_scale_must_match():
+    g = construct("hypercube", 3)
+    scaled, scale, _ = scaled_candidate(g)
+    assert not kirchhoff_certifies(g, scaled, 2 * scale)
+    assert kirchhoff_certifies(g, [[3 * x for x in row] for row in scaled], 3 * scale)
+
+
+def reference_mismatches(g, resistances):
+    """Every pair u < v with a solved resistance other than r_{d(u,v)}, by class."""
+    rmat = resistance_matrix(g)
+    distances = g.all_distances()
+    return [
+        tuple(
+            (u, v, rmat[u][v])
+            for u, v in combinations(range(g.n), 2)
+            if distances[u][v] == d and rmat[u][v] != expected
+        )
+        for d, expected in enumerate(resistances, start=1)
+    ]
+
+
+@pytest.mark.parametrize("name", ("complete", "petersen", "hypercube", "heawood"))
+@pytest.mark.parametrize("wrong_class", (0, -1), ids=("r_1", "r_D"))
+def test_wrong_formula_lists_the_solver_mismatches(monkeypatch, name, wrong_class):
+    formula = oracle.compute_profile
+
+    def wrong(params):
+        profile = formula(params)
+        rs = list(profile.resistances)
+        rs[wrong_class] += Fraction(1, 1000)
+        return dataclasses.replace(profile, resistances=tuple(rs))
+
+    monkeypatch.setattr(oracle, "compute_profile", wrong)
+    g = construct(name)
+    result = cross_validate(g)
+    assert not result.ok
+    wrong_rs = wrong(derive(g.claimed_array)).resistances
+    assert [c.mismatches for c in result.classes] == reference_mismatches(g, wrong_rs)
+    assert [c.expected for c in result.classes] == list(wrong_rs)
+    assert sum(c.pairs_checked for c in result.classes) == g.n * (g.n - 1) // 2
+
+
+def test_wrong_formula_mismatches_on_k4_are_every_pair(monkeypatch):
+    monkeypatch.setattr(
+        oracle,
+        "compute_profile",
+        lambda params: dataclasses.replace(
+            compute_profile(params), resistances=(Fraction(1, 3),)
+        ),
+    )
+    (cls,) = cross_validate(construct("complete", 4)).classes
+    assert cls.mismatches == tuple(
+        (u, v, Fraction(1, 2)) for u, v in combinations(range(4), 2)
+    )
+
+
+@pytest.mark.parametrize("name, param", [(name, None) for name in registry_names()] + [("hypercube", 6)])
+def test_cross_validate_never_solves_when_certified(monkeypatch, name, param):
+    def refuse(g):
+        raise AssertionError("resistance_matrix called")
+
+    monkeypatch.setattr(oracle, "resistance_matrix", refuse)
+    result = cross_validate(construct(name, param))
+    assert result.ok
+    n = len(result.drg_report.distances)
+    assert sum(c.pairs_checked for c in result.classes) == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_resistance_matrix_equals_the_formula_at_every_pair(name):
+    g = construct(name)
+    report = verify_drg(g)
+    resistances = (0, *compute_profile(derive(report.observed_array)).resistances)
+    rmat = resistance_matrix(g)
+    assert all(
+        rmat[u][v] == resistances[report.distances[u][v]]
+        for u in range(g.n)
+        for v in range(g.n)
+    )
