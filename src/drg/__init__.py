@@ -29,7 +29,6 @@ from .graphs import (
 from .oracle import (
     cross_validate,
     kirchhoff_certifies,
-    laplacian_resistance,
     resistance_matrix,
 )
 from .potentials import (
@@ -88,7 +87,6 @@ __all__ = [
     "format_array",
     "is_cocktail_party",
     "kirchhoff_certifies",
-    "laplacian_resistance",
     "lookup",
     "parse_array",
     "parse_edge_list",

@@ -2,8 +2,9 @@
 
 Subcommands: validate, analyze, table, oracle, batch, catalog.
 Exit codes: 0 success, 1 failed checks, 2 unparseable input, an unknown
-name, a graph above graphs.MAX_VERTICES vertices or a report too long to
-print, 3 validation failure (the report is still printed).
+name, a graph above graphs.MAX_VERTICES vertices or graphs.MAX_WORK = n*m
+or a report too long to print, 3 validation failure (the report is
+still printed).
 
 validate and analyze build one record per array (`_record`), a dict that
 keeps exact `Fraction` and `BoundTrace` values.  `--json` prints it with
@@ -29,8 +30,8 @@ from .arrays import (
 )
 from .catalog import CatalogEntry, CatalogError, catalog_list, lookup, named_array_lines
 from .fmt import approx_str, decimal_str, frac_str
-from .graphs import construct, parse_edge_list, registry_names, verify_drg
-from .oracle import cross_validate
+from .graphs import construct, parse_edge_list, registry_names
+from .oracle import NotDistanceRegular, cross_validate
 from .potentials import (
     check_resistance_cap,
     compute_potentials_explicit,
@@ -304,10 +305,8 @@ def _oracle_one(g) -> bool:
         result = cross_validate(g)
     except ValueError as exc:
         print(f"   {exc}")
-        try:
-            violations = verify_drg(g).violations
-        except ValueError:  # disconnected or a single vertex
-            violations = ()
+        # a disconnected or one-vertex graph raises a plain ValueError
+        violations = exc.report.violations if isinstance(exc, NotDistanceRegular) else ()
         for violation in violations[:5]:
             print(
                 f"   violation: base={violation.base} target={violation.target} "

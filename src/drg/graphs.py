@@ -5,23 +5,31 @@ families), each carrying the intersection array it is expected to
 realize.  verify_drg checks distance-regularity from scratch by BFS, so
 a registry entry's claim is never trusted, always re-derived.
 
-No graph above MAX_VERTICES vertices is built: construct checks a
-family's vertex count from its parameter and parse_edge_list checks
-every vertex index as it reads it, before any edge list or n x n matrix
-exists.
+The fixed graphs come from three constructions: LCF notation (_lcf), a
+graph on a set system with an adjacency rule (_graph_on) and a
+bipartite incidence graph with a relation (_incidence).
+
+No graph above MAX_VERTICES vertices or MAX_WORK = n * m is built:
+construct checks a family's n and m from its parameter and
+parse_edge_list checks every line as it reads it, before any edge list
+or n x n matrix exists.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from .arrays import IntersectionArray, parse_array
 
-# The most vertices a constructed or parsed graph may have.  verify_drg
-# and the oracle's check are O(n * m); GH(3,3), with 728 vertices, fits.
+# The most vertices a constructed or parsed graph may have, and the most
+# work n * m: verify_drg and the oracle's check are O(n * m).  GH(3,3),
+# with 728 vertices, fits; so does the 10-cube, the largest graph at
+# both caps at once (n * m = 1024 * 5120).
 MAX_VERTICES = 1024
+MAX_WORK = 1024 * 5120
 
 
 class LabeledGraph:
@@ -181,7 +189,9 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
 def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> LabeledGraph:
     """Build a graph from `u v` lines (0-based); '#' comments and blanks allowed.
 
-    A vertex index of MAX_VERTICES or more is refused on its line.
+    A vertex index of MAX_VERTICES or more is refused on its line, and
+    so is the line whose edge takes (largest index + 1) * (edges so far)
+    above MAX_WORK.
     """
     edges = []
     top = -1
@@ -205,39 +215,60 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
             )
         edges.append((u, v))
         top = max(top, u, v)
+        if (top + 1) * len(edges) > MAX_WORK:
+            raise ValueError(
+                f"line {lineno}: n*m = {top + 1}*{len(edges)} is beyond the "
+                f"work cap of {MAX_WORK}"
+            )
     if not edges:
         raise ValueError("edge list is empty")
     arr = parse_array(claimed) if claimed else None
     return LabeledGraph(top + 1, edges, name=name, claimed_array=arr)
 
 
-def _lcf(pattern: list[int], repeats: int) -> list[tuple[int, int]]:
-    """Hamiltonian cycle plus LCF chords."""
+def _lcf(pattern: list[int], repeats: int, name: str, claimed: str) -> LabeledGraph:
+    """LCF notation: the cycle 0..n-1 plus the chords i ~ i + pattern[i mod len]."""
     n = len(pattern) * repeats
     edges = {(i, (i + 1) % n) for i in range(n)}
     for i in range(n):
         j = (i + pattern[i % len(pattern)]) % n
         edges.add((i, j) if i < j else (j, i))
-    return sorted((min(u, v), max(u, v)) for u, v in edges)
+    return LabeledGraph(n, edges, name, parse_array(claimed))
+
+
+def _graph_on(vertices, adjacent, name: str, claimed: str) -> LabeledGraph:
+    """The graph on `vertices`, numbered in the order given, with u ~ v iff adjacent(u, v)."""
+    vertices = tuple(vertices)
+    edges = [
+        (i, j) for j, v in enumerate(vertices) for i in range(j) if adjacent(vertices[i], v)
+    ]
+    return LabeledGraph(len(vertices), edges, name, parse_array(claimed))
+
+
+def _incidence(left, right, related, name: str, claimed: str) -> LabeledGraph:
+    """The bipartite graph joining left[i] to right[j] iff related(left[i], right[j])."""
+    left, right = tuple(left), tuple(right)
+    edges = [
+        (i, len(left) + j)
+        for i, p in enumerate(left)
+        for j, q in enumerate(right)
+        if related(p, q)
+    ]
+    return LabeledGraph(len(left) + len(right), edges, name, parse_array(claimed))
 
 
 def complete_graph(m: int) -> LabeledGraph:
     if m < 2:
         raise ValueError("complete graph needs m >= 2")
-    edges = list(combinations(range(m), 2))
-    return LabeledGraph(m, edges, f"complete({m})", parse_array(f"{m - 1};1"))
+    return _graph_on(range(m), operator.ne, f"complete({m})", f"{m - 1};1")
 
 
 def cocktail_party_graph(m: int) -> LabeledGraph:
     """K_{m x 2}: everyone adjacent except the m antipodal pairs."""
     if m < 2:
         raise ValueError("cocktail party graph needs m >= 2")
-    n = 2 * m
-    edges = [
-        (u, v) for u, v in combinations(range(n), 2) if v - u != m
-    ]
-    claimed = parse_array(f"{n - 2},1;1,{n - 2}")
-    return LabeledGraph(n, edges, f"cocktail_party({m})", claimed)
+    claimed = f"{2 * m - 2},1;1,{2 * m - 2}"
+    return _graph_on(range(2 * m), lambda u, v: v - u != m, f"cocktail_party({m})", claimed)
 
 
 def hypercube_graph(d: int) -> LabeledGraph:
@@ -250,118 +281,79 @@ def hypercube_graph(d: int) -> LabeledGraph:
     return LabeledGraph(n, edges, f"hypercube({d})", parse_array(f"{b};{c}"))
 
 
-def generalized_petersen(n: int, s: int, name: str, claimed: str) -> LabeledGraph:
-    """GP(n, s): outer n-cycle, inner n-cycle with step s, plus spokes."""
-    edges = []
-    for i in range(n):
-        edges.append((i, (i + 1) % n))  # outer cycle
-        edges.append((i, n + i))  # spoke
-        inner = (n + i, n + (i + s) % n)
-        edges.append((min(inner), max(inner)))
-    return LabeledGraph(2 * n, edges, name, parse_array(claimed))
+# Vertex sets are built once, at import: construct runs on every oracle call.
+_PAIRS = tuple(map(frozenset, combinations(range(5), 2)))
+_TRIPLES = tuple(map(frozenset, combinations(range(5), 3)))
+_FANO_LINES = tuple(frozenset({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7))
+_NON_LINES = tuple(
+    t for t in map(frozenset, combinations(range(7), 3)) if t not in _FANO_LINES
+)
 
 
 def petersen_graph() -> LabeledGraph:
-    return generalized_petersen(5, 2, "petersen", "3,2;1,1")
-
-
-def dodecahedron_graph() -> LabeledGraph:
-    return generalized_petersen(10, 2, "dodecahedron", "3,2,1,1,1;1,1,1,2,3")
-
-
-def desargues_graph() -> LabeledGraph:
-    return generalized_petersen(10, 3, "desargues", "3,2,2,1,1;1,1,2,2,3")
-
-
-def heawood_graph() -> LabeledGraph:
-    return LabeledGraph(
-        14, _lcf([5, -5], 7), "heawood", parse_array("3,2,2;1,1,3")
-    )
-
-
-def pappus_graph() -> LabeledGraph:
-    return LabeledGraph(
-        18, _lcf([5, 7, -7, 7, -7, -5], 3), "pappus", parse_array("3,2,2,1;1,1,2,3")
-    )
+    """The 2-subsets of a 5-set, adjacent when disjoint."""
+    return _graph_on(_PAIRS, frozenset.isdisjoint, "petersen", "3,2;1,1")
 
 
 def line_of_petersen_graph() -> LabeledGraph:
-    """Line graph of the Petersen graph: vertices are Petersen's edges."""
-    base = petersen_graph()
-    idx = {e: i for i, e in enumerate(base.edges)}
-    edges = [
-        (idx[e], idx[f])
-        for e, f in combinations(base.edges, 2)
-        if set(e) & set(f)
-    ]
-    return LabeledGraph(15, edges, "line_of_petersen", parse_array("4,2,1;1,1,4"))
+    """Petersen's edges, adjacent when they meet."""
+    edges = map(frozenset, petersen_graph().edges)
+    return _graph_on(
+        edges, lambda e, f: not e.isdisjoint(f), "line_of_petersen", "4,2,1;1,1,4"
+    )
 
 
-def crown_5_graph() -> LabeledGraph:
-    """K_{5,5} minus a perfect matching."""
-    edges = [(i, 5 + jj) for i in range(5) for jj in range(5) if i != jj]
-    return LabeledGraph(10, edges, "crown_5", parse_array("4,3,1;1,3,4"))
+def heawood_graph() -> LabeledGraph:
+    """The points and lines of the Fano plane, joined by incidence."""
+    return _incidence(
+        range(7), _FANO_LINES, lambda p, line: p in line, "heawood", "3,2,2;1,1,3"
+    )
 
 
 def nonincidence_pg22_graph() -> LabeledGraph:
-    """Points vs lines of the Fano plane, joined when NOT incident."""
-    lines = [{i, (i + 1) % 7, (i + 3) % 7} for i in range(7)]
-    edges = [
-        (p, 7 + li) for p in range(7) for li in range(7) if p not in lines[li]
-    ]
-    return LabeledGraph(14, edges, "nonincidence_pg22", parse_array("4,3,2;1,2,4"))
-
-
-# The Coxeter graph is not Hamiltonian (no LCF form) and Tutte's 8-cage
-# is large enough that a frozen edge list is the clearest source; both
-# lists are in the same `u v` format accepted for user-supplied graphs.
-_COXETER_EDGES = """
-0 25   0 26   0 27   1 21   1 24   1 26   2 20
-2 21   2 23   3 20   3 22   3 25   4 18   4 19
-4 27   5 16   5 17   5 26   6 15   6 17   6 19
-7 13   7 14   7 24   8 14   8 19   8 23   9 13
-9 18   9 22   10 12  10 13  10 16  11 12  11 15
-11 20  12 27  14 25  15 24  16 23  17 22  18 21
-"""
-
-_TUTTE_8CAGE_EDGES = """
-0 1    0 17   0 29   1 2    1 22   2 3    2 9
-3 4    3 26   4 5    4 13   5 6    5 18   6 7
-6 23   7 8    7 28   8 9    8 15   9 10   10 11
-10 19  11 12  11 24  12 13  12 29  13 14  14 15
-14 21  15 16  16 17  16 25  17 18  18 19  19 20
-20 21  20 27  21 22  22 23  23 24  24 25  25 26
-26 27  27 28  28 29
-"""
-
-
-def _multi_pair_lines(blob: str) -> str:
-    """Several `u v` pairs per physical line back into one pair per line."""
-    tokens = blob.split()
-    return "\n".join(
-        f"{tokens[i]} {tokens[i + 1]}" for i in range(0, len(tokens), 2)
+    """The points and lines of the Fano plane, joined when NOT incident."""
+    return _incidence(
+        range(7), _FANO_LINES, lambda p, line: p not in line,
+        "nonincidence_pg22", "4,3,2;1,2,4",
     )
 
 
 def coxeter_graph() -> LabeledGraph:
-    return parse_edge_list(
-        _multi_pair_lines(_COXETER_EDGES), "coxeter", "3,2,2,1;1,1,1,2"
-    )
+    """The 28 triples of a 7-set that are not Fano lines, adjacent when disjoint."""
+    return _graph_on(_NON_LINES, frozenset.isdisjoint, "coxeter", "3,2,2,1;1,1,1,2")
+
+
+def desargues_graph() -> LabeledGraph:
+    """The 2-subsets and the 3-subsets of a 5-set, joined by inclusion."""
+    claimed = "3,2,2,1,1;1,1,2,2,3"
+    return _incidence(_PAIRS, _TRIPLES, frozenset.issubset, "desargues", claimed)
+
+
+def crown_5_graph() -> LabeledGraph:
+    """K_{5,5} minus a perfect matching."""
+    return _incidence(range(5), range(5), operator.ne, "crown_5", "4,3,1;1,3,4")
+
+
+def pappus_graph() -> LabeledGraph:
+    return _lcf([5, 7, -7, 7, -7, -5], 3, "pappus", "3,2,2,1;1,1,2,3")
 
 
 def tutte_8cage_graph() -> LabeledGraph:
-    return parse_edge_list(
-        _multi_pair_lines(_TUTTE_8CAGE_EDGES), "tutte_8cage", "3,2,2,2;1,1,1,3"
-    )
+    return _lcf([-13, -9, 7, -7, 9, 13], 5, "tutte_8cage", "3,2,2,2;1,1,1,3")
 
 
-# name -> (builder, default_param, order): a parameterized family has a
-# default parameter and order(param), its vertex count, which is never
-# less than param; a fixed graph has neither.
+def dodecahedron_graph() -> LabeledGraph:
+    pattern = [10, 7, 4, -4, -7, 10, -4, 7, -7, 4]
+    return _lcf(pattern, 2, "dodecahedron", "3,2,1,1,1;1,1,1,2,3")
+
+
+# name -> (builder, default_param, size): a parameterized family has a
+# default parameter and size(param) = (n, m), its vertex and edge counts,
+# with n never less than param; a fixed graph has neither.
 REGISTRY: dict[str, tuple] = {
-    "complete": (complete_graph, 4, lambda m: m),
-    "cocktail_party": (cocktail_party_graph, 3, lambda m: 2 * m),
-    "hypercube": (hypercube_graph, 3, lambda d: 2**d),
+    "complete": (complete_graph, 4, lambda m: (m, m * (m - 1) // 2)),
+    "cocktail_party": (cocktail_party_graph, 3, lambda m: (2 * m, 2 * m * (m - 1))),
+    "hypercube": (hypercube_graph, 3, lambda d: (2**d, d * 2 ** (d - 1))),
     "petersen": (petersen_graph, None, None),
     "line_of_petersen": (line_of_petersen_graph, None, None),
     "heawood": (heawood_graph, None, None),
@@ -382,22 +374,27 @@ def registry_names() -> tuple[str, ...]:
 def construct(name: str, param: int | None = None) -> LabeledGraph:
     """Build a registry graph; parameterized families take `param`.
 
-    A family member above MAX_VERTICES vertices is refused before it is
-    built.
+    A family member above MAX_VERTICES vertices or MAX_WORK = n * m is
+    refused before it is built.
     """
     try:
-        builder, default, order = REGISTRY[name]
+        builder, default, size = REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown construction {name!r}") from None
-    if order is None:
+    if size is None:
         if param is not None:
             raise ValueError(f"construction {name!r} takes no parameter")
         return builder()
     if param is None:
         param = default
-    # order(param) >= param, so a huge param is refused without computing it
-    if param > MAX_VERTICES or order(param) > MAX_VERTICES:
+    # n >= param, so a huge param is refused without computing size(param)
+    n, m = size(param) if param <= MAX_VERTICES else (param, 0)
+    if n > MAX_VERTICES:
         raise ValueError(
             f"{name}({param}) has more than the cap of {MAX_VERTICES} vertices"
+        )
+    if n * m > MAX_WORK:
+        raise ValueError(
+            f"{name}({param}) has n*m = {n}*{m}, beyond the work cap of {MAX_WORK}"
         )
     return builder(param)

@@ -34,36 +34,6 @@ def _laplacian(g: LabeledGraph) -> linalg.Matrix:
     return m
 
 
-def laplacian_resistance(
-    g: LabeledGraph, u: int, v: int, method: str = "ones"
-) -> Fraction:
-    """Exact effective resistance between u and v with unit-resistance edges.
-
-    method="ones" solves (nL + J) x = n(e_u - e_v), the system
-    (L + J/n) x = e_u - e_v scaled to integers; method="grounded" pins
-    vertex 0 and solves the reduced system.  Both give the same x_u - x_v
-    because any solution of L x = e_u - e_v does.
-    """
-    if u == v:
-        raise ValueError("resistance between a vertex and itself is not computed")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex index out of range")
-    if not g.is_connected():
-        raise ValueError("graph is disconnected")
-    n, lap = g.n, _laplacian(g)
-    e = [(w == u) - (w == v) for w in range(n)]
-    if method == "ones":
-        system = [[n * entry + 1 for entry in row] for row in lap]
-        det, x = linalg.fraction_free_solve(system, [[n * c] for c in e])
-    elif method == "grounded":
-        grounded = [row[1:] for row in lap[1:]]
-        det, x = linalg.fraction_free_solve(grounded, [[c] for c in e[1:]])
-        x = [[0]] + x
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Fraction(x[u][0] - x[v][0], det)
-
-
 def resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
     """All-pairs resistances from one fraction-free elimination on [L0 | I].
 
@@ -149,6 +119,16 @@ class ClassCheck:
         return not self.mismatches
 
 
+class NotDistanceRegular(ValueError):
+    """cross_validate's refusal of a graph; `report` holds verify_drg's violations."""
+
+    def __init__(self, name: str, report: DistancePartitionReport):
+        super().__init__(
+            f"{name} is not distance-regular ({len(report.violations)} violation(s))"
+        )
+        self.report = report
+
+
 @dataclass(frozen=True)
 class CrossValidation:
     graph_name: str
@@ -168,15 +148,14 @@ def cross_validate(g: LabeledGraph) -> CrossValidation:
     at once by kirchhoff_certifies.  If it fails, resistance_matrix
     solves for every pair and each pair whose resistance differs from
     its class's formula value is listed as a mismatch.
+
+    A graph that verify_drg rejects raises NotDistanceRegular.  A claimed
+    array is never contradicted silently: verify_drg counts against it,
+    so a graph it passes realises the claim.
     """
     report = verify_drg(g)
     if not report.is_drg:
-        raise ValueError(
-            f"{g.name or 'graph'} is not distance-regular "
-            f"({len(report.violations)} violation(s))"
-        )
-    if g.claimed_array is not None and report.observed_array != g.claimed_array:
-        raise ValueError("observed intersection array differs from the claimed one")
+        raise NotDistanceRegular(g.name or "graph", report)
 
     params = derive(report.observed_array)
     resistances = compute_profile(params).resistances

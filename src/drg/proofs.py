@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .arrays import DerivedParams
+from .arrays import DerivedParams, is_cocktail_party
 from .fmt import approx_str
 from .potentials import PotentialProfile
 from .tables import BIGGS_SMITH_NAME, VALENCY_34_MEMBERSHIP
@@ -198,7 +198,7 @@ def classify_case(params: DerivedParams) -> CaseId:
     D = arr.D
     if D == 1:
         return CaseId.D1_TRIVIAL
-    if arr.bi(1) == 1:
+    if is_cocktail_party(arr):
         return CaseId.COCKTAIL
     if D <= 2:
         return CaseId.CASE1_D2
@@ -301,7 +301,7 @@ def _optimal_case2(profile: PotentialProfile) -> BoundTrace:
     arr = params.array
     rho = profile.ratio
     alpha = Fraction(arr.bi(1) - 1, arr.bi(1))
-    name = VALENCY_34_MEMBERSHIP.get((arr.b, arr.c))
+    name = VALENCY_34_MEMBERSHIP.get(arr)
     if name is None:
         return _direct(
             profile,

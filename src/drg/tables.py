@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from types import MappingProxyType
 
+from .arrays import IntersectionArray, parse_array
+
 VALENCY_34_TABLE: tuple[tuple[str, int, str, str, str | None], ...] = (
     ("Cube", 8, "3,2,1;1,2,3", "0.428571", "hypercube:3"),
     ("Heawood graph", 14, "3,2,2;1,1,3", "0.461538", "heawood"),
@@ -47,15 +49,8 @@ EXTRA_TABLE: tuple[tuple[str, int, str, None, str | None], ...] = (
 )
 
 BIGGS_SMITH_NAME = "Biggs-Smith graph"
-BIGGS_SMITH_ARRAY_TEXT = "3,2,2,2,1,1,1;1,1,1,1,1,1,3"
 
-
-def _sequences(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    b_text, c_text = text.split(";")
-    return tuple(map(int, b_text.split(","))), tuple(map(int, c_text.split(",")))
-
-
-# (b, c) -> display name for the embedded valency-3/4 classification.
-VALENCY_34_MEMBERSHIP: Mapping[tuple[tuple[int, ...], tuple[int, ...]], str] = MappingProxyType(
-    {_sequences(text): name for name, _, text, _, _ in VALENCY_34_TABLE}
+# array -> display name for the embedded valency-3/4 classification.
+VALENCY_34_MEMBERSHIP: Mapping[IntersectionArray, str] = MappingProxyType(
+    {parse_array(text): name for name, _, text, _, _ in VALENCY_34_TABLE}
 )

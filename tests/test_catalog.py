@@ -10,12 +10,19 @@ import pytest
 from drg import catalog, catalog_list, construct, derive, lookup, parse_array, slugify
 from drg.catalog import CatalogError, _build_entry
 from drg.fmt import decimal_places, decimal_str
+from drg.tables import VALENCY_34_MEMBERSHIP, VALENCY_34_TABLE
 
 
 def test_catalog_sizes():
     entries = catalog_list(include_env=False)
     assert len([e for e in entries if not e.supplementary]) == 23
     assert len([e for e in entries if e.supplementary]) == 3
+
+
+def test_valency_34_membership_is_keyed_by_the_parsed_array():
+    assert len(VALENCY_34_MEMBERSHIP) == len(VALENCY_34_TABLE)
+    for name, _, text, _, _ in VALENCY_34_TABLE:
+        assert VALENCY_34_MEMBERSHIP[parse_array(text)] == name
 
 
 def test_every_entry_is_self_verifying(paper_rows):

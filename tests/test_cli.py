@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from drg import arrays, cli, graphs
+from drg import arrays, cli, graphs, oracle
 from drg.cli import main
 from drg.proofs import K3_MAX_B1
 
@@ -480,3 +480,79 @@ def test_batch_validates_each_line_once(monkeypatch, capsys):
     path = GOLDEN / "inputs" / "batch_mixed.txt"
     run(capsys, "batch", str(path))
     assert len(calls) == 5  # six lines, one of them unparseable
+
+
+# ----------------------------------------------------------------------
+# a failed oracle call runs verify_drg once
+
+
+def test_failed_graph_file_runs_verify_drg_once(monkeypatch, capsys):
+    calls = []
+    verify_drg = graphs.verify_drg
+
+    def counted(g):
+        calls.append(g)
+        return verify_drg(g)
+
+    for module in (graphs, oracle, cli):
+        if getattr(module, "verify_drg", None) is verify_drg:
+            monkeypatch.setattr(module, "verify_drg", counted)
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run(capsys, "oracle", "--graph-file", "inputs/path3.txt")
+    assert code == 1 and "violation: base=1 target=1 b0" in out
+    assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# the work cap n * m
+
+
+def test_oracle_work_cap_boundary(monkeypatch, capsys):
+    monkeypatch.setattr(graphs, "MAX_WORK", 16 * 120)  # n * m of complete(16)
+    code, out, err = run(capsys, "oracle", "complete", "--param", "16")
+    assert (code, err) == (0, "")
+    assert "[n=16, m=120]" in out and "result: PASS" in out
+    code, out, err = run(capsys, "oracle", "complete", "--param", "17")
+    assert (code, out) == (2, "")
+    assert err == "error: complete(17) has n*m = 17*136, beyond the work cap of 1920\n"
+
+
+def test_oracle_graph_file_work_cap_boundary(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(graphs, "MAX_WORK", 16 * 16)  # n * m of a 16-cycle
+    code, out, err = run(capsys, "oracle", "--graph-file", _cycle_file(tmp_path, 16))
+    assert (code, err) == (0, "")
+    assert "[n=16, m=16]" in out and "result: PASS" in out
+    code, out, err = run(capsys, "oracle", "--graph-file", _cycle_file(tmp_path, 17))
+    assert (code, out) == (2, "")
+    assert err == "error: line 16: n*m = 17*16 is beyond the work cap of 256\n"
+
+
+@pytest.mark.parametrize(
+    "name, largest, refusal",
+    (
+        ("complete", 219, "work cap"),
+        ("cocktail_party", 109, "work cap"),
+        ("hypercube", 10, "cap of 1024 vertices"),
+    ),
+)
+def test_work_cap_at_the_defaults(monkeypatch, name, largest, refusal):
+    assert graphs.MAX_WORK == 1024 * 5120
+    g = graphs.construct(name, largest)
+    assert g.n * len(g.edges) <= graphs.MAX_WORK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graphs, "LabeledGraph", refuse)
+    with pytest.raises(ValueError, match=refusal):
+        graphs.construct(name, largest + 1)
+
+
+def test_edge_list_refused_on_the_line_past_the_work_cap():
+    cube = graphs.construct("hypercube", 10)
+    lines = [f"{u} {v}" for u, v in cube.edges]
+    assert graphs.parse_edge_list("\n".join(lines)).n * len(lines) == graphs.MAX_WORK
+    extra = next(f"0 {v}" for v in range(2, 1024) if v not in cube.adjacency[0])
+    with pytest.raises(ValueError) as exc:
+        graphs.parse_edge_list("\n".join(lines + [extra, "junk"]))
+    assert str(exc.value) == "line 5121: n*m = 1024*5121 is beyond the work cap of 5242880"

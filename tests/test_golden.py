@@ -86,6 +86,7 @@ def _cases() -> dict[str, list[str]]:
     cases["table_extras"] = ["table", "--extras"]
     cases["catalog_list"] = ["catalog", "list"]
     cases["oracle_petersen"] = ["oracle", "petersen"]
+    cases["oracle_all"] = ["oracle", "--all"]
     cases["oracle_graph_file_fail"] = ["oracle", "--graph-file", "inputs/path3.txt"]
     cases["batch_mixed"] = ["batch", "inputs/batch_mixed.txt"]
     return cases

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,23 @@ def test_line_of_petersen_shape():
     g = construct("line_of_petersen")
     assert g.n == 15
     assert all(g.degree(v) == 4 for v in range(15))
+
+
+def test_set_system_graph_numbers_vertices_in_the_order_given():
+    pairs = [set(p) for p in combinations(range(5), 2)]
+    disjoint = [(i, j) for i, j in combinations(range(10), 2) if not pairs[i] & pairs[j]]
+    assert construct("petersen").edges == tuple(disjoint)
+
+
+def test_incidence_graphs_number_the_left_side_first():
+    lines = [{i, (i + 1) % 7, (i + 3) % 7} for i in range(7)]
+    flags = [(p, 7 + j) for p in range(7) for j, line in enumerate(lines) if p in line]
+    antiflags = [(p, 7 + j) for p in range(7) for j, line in enumerate(lines) if p not in line]
+    assert construct("heawood").edges == tuple(flags)
+    assert construct("nonincidence_pg22").edges == tuple(antiflags)
+    assert construct("crown_5").edges == tuple(
+        (i, 5 + j) for i in range(5) for j in range(5) if i != j
+    )
 
 
 def test_invalid_parameters():

@@ -16,7 +16,6 @@ from drg import (
     cross_validate,
     derive,
     kirchhoff_certifies,
-    laplacian_resistance,
     parse_array,
     registry_names,
     resistance_matrix,
@@ -26,49 +25,27 @@ from drg import oracle
 
 
 def test_complete_graph_resistance():
-    g = construct("complete", 4)
+    rmat = resistance_matrix(construct("complete", 4))
     for u, v in combinations(range(4), 2):
-        assert laplacian_resistance(g, u, v) == Fraction(1, 2)
+        assert rmat[u][v] == Fraction(1, 2)
 
 
 def test_cube_adjacent_and_antipodal():
-    g = construct("hypercube", 3)
-    assert laplacian_resistance(g, 0, 1) == Fraction(7, 12)
-    assert laplacian_resistance(g, 0, 7) == Fraction(5, 6)  # antipodal 000 vs 111
+    rmat = resistance_matrix(construct("hypercube", 3))
+    assert rmat[0][1] == Fraction(7, 12)
+    assert rmat[0][7] == Fraction(5, 6)  # antipodal 000 vs 111
 
 
 def test_petersen_adjacent():
     g = construct("petersen")
     u, v = g.edges[0]
-    assert laplacian_resistance(g, u, v) == Fraction(3, 5)
+    assert resistance_matrix(g)[u][v] == Fraction(3, 5)
 
 
 def test_octahedron_adjacent():
     g = construct("cocktail_party", 3)
     u, v = g.edges[0]
-    assert laplacian_resistance(g, u, v) == Fraction(5, 12)
-
-
-def test_both_solver_methods_agree():
-    for name in ("complete", "hypercube", "petersen"):
-        g = construct(name)
-        for u, v in list(combinations(range(g.n), 2))[:12]:
-            ones = laplacian_resistance(g, u, v, method="ones")
-            grounded = laplacian_resistance(g, u, v, method="grounded")
-            assert ones == grounded, (name, u, v)
-
-
-def test_solver_rejects_bad_input():
-    g = construct("petersen")
-    with pytest.raises(ValueError):
-        laplacian_resistance(g, 2, 2)
-    with pytest.raises(ValueError):
-        laplacian_resistance(g, 0, 99)
-    with pytest.raises(ValueError):
-        laplacian_resistance(g, 0, 1, method="approximate")
-    disconnected = LabeledGraph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
-        laplacian_resistance(disconnected, 0, 2)
+    assert resistance_matrix(g)[u][v] == Fraction(5, 12)
 
 
 def test_resistance_matrix_symmetric_and_consistent():
@@ -78,7 +55,8 @@ def test_resistance_matrix_symmetric_and_consistent():
         assert rmat[u][u] == 0
         for v in range(u + 1, g.n):
             assert rmat[u][v] == rmat[v][u]
-            assert rmat[u][v] == laplacian_resistance(g, u, v)
+            adjacent = v in g.adjacency[u]
+            assert rmat[u][v] == (Fraction(3, 5) if adjacent else Fraction(4, 5))
 
 
 @pytest.mark.parametrize("name", ("hypercube", "petersen", "heawood"))
@@ -137,13 +115,23 @@ def test_cross_validate_rejects_wrong_claim():
         cross_validate(g)
 
 
+def test_cross_validate_rejects_wrong_claim_of_the_same_diameter():
+    base = construct("petersen")
+    g = LabeledGraph(base.n, base.edges, name="petersen-mislabelled",
+                     claimed_array=parse_array("3,2;1,2"))
+    with pytest.raises(oracle.NotDistanceRegular, match="not distance-regular") as exc:
+        cross_validate(g)
+    assert exc.value.report == verify_drg(g)
+    assert {v.kind for v in exc.value.report.violations} == {"c2"}
+
+
 @pytest.mark.parametrize("d", (3, 4, 5))
 def test_hypercube_adjacent_resistance_matches_formula(d):
     g = construct("hypercube", d)
     b = ",".join(str(d - i) for i in range(d))
     c = ",".join(str(i + 1) for i in range(d))
     profile = compute_profile(derive(parse_array(f"{b};{c}")))
-    assert laplacian_resistance(g, 0, 1) == profile.resistances[0]
+    assert resistance_matrix(g)[0][1] == profile.resistances[0]
 
 
 def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
