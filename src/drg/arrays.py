@@ -11,8 +11,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd
 
 _INT_TOKEN = re.compile(r"^[ ]*([0-9]+)[ ]*$")
+
+# parse_array refuses an array of larger diameter before converting an entry:
+# validate() lists up to D^2/2 pairs for an array failing condition (iii).
+MAX_DIAMETER = 1024
 
 
 class ArrayFormatError(ValueError):
@@ -77,6 +83,13 @@ def parse_array(text: str) -> IntersectionArray:
     if text.count(";") != 1:
         raise ArrayFormatError(f"expected exactly one ';' in {text!r}")
     left, right = text.split(";")
+    for side, label in ((left, "b"), (right, "c")):
+        entries = side.count(",") + 1
+        if entries > MAX_DIAMETER:
+            raise ArrayFormatError(
+                f"{entries} entries in the {label}-sequence, "
+                f"above the largest diameter {MAX_DIAMETER}"
+            )
     b = _parse_side(left, "b")
     c = _parse_side(right, "c")
     if len(b) != len(c):
@@ -94,10 +107,12 @@ def parse_array(text: str) -> IntersectionArray:
 def _parse_side(side: str, label: str) -> list[int]:
     values = []
     for token in side.split(","):
-        m = _INT_TOKEN.match(token)
-        if m is None:
-            raise ArrayFormatError(f"bad token {token!r} in {label}-sequence")
-        digits = m.group(1)
+        digits = token
+        if not (token.isascii() and token.isdigit()):  # not bare digits: use the grammar
+            m = _INT_TOKEN.match(token)
+            if m is None:
+                raise ArrayFormatError(f"bad token {token!r} in {label}-sequence")
+            digits = m.group(1)
         try:
             v = int(digits)
         except ValueError as exc:  # beyond sys.get_int_max_str_digits()
@@ -115,15 +130,35 @@ def format_array(arr: IntersectionArray) -> str:
     return ",".join(map(str, arr.b)) + ";" + ",".join(map(str, arr.c))
 
 
+def _sphere_pairs(b: tuple[int, ...], c: tuple[int, ...]) -> list[tuple[int, int]]:
+    """|K_0|,...,|K_D| as reduced (numerator, denominator) pairs.
+
+    |K_{i+1}| = |K_i| * b_i / c_{i+1}, kept reduced by one gcd per step.
+    """
+    num = den = 1
+    out = [(1, 1)]
+    for b_i, c_next in zip(b, c):
+        num *= b_i
+        den *= c_next
+        g = gcd(num, den)
+        num //= g
+        den //= g
+        out.append((num, den))
+    return out
+
+
+def _a_values(b: tuple[int, ...], c: tuple[int, ...]) -> list[int]:
+    """a_1,...,a_D with a_i = k - b_i - c_i and b_D = 0."""
+    k = b[0]
+    return [k - b_i - c_i for b_i, c_i in zip((*b[1:], 0), c)]
+
+
 def sphere_sizes_exact(arr: IntersectionArray) -> tuple[Fraction, ...]:
     """|K_0|,...,|K_D| as exact rationals: |K_i| = (b_0...b_{i-1})/(c_1...c_i).
 
     Rational-valued so non-integral (infeasible) sizes can be reported.
     """
-    sizes = [Fraction(1)]
-    for i in range(arr.D):
-        sizes.append(sizes[-1] * arr.bi(i) / arr.ci(i + 1))
-    return tuple(sizes)
+    return tuple(Fraction(num, den) for num, den in _sphere_pairs(arr.b, arr.c))
 
 
 @dataclass(frozen=True)
@@ -182,36 +217,32 @@ class ValidationReport:
 
 def validate(arr: IntersectionArray) -> ValidationReport:
     """Check the feasibility conditions; failures are reported, never raised."""
-    D = arr.D
-    k = arr.k
+    b, c = arr.b, arr.c
+    D = len(b)
+    k = b[0]
 
-    cond_i = all(
-        arr.bi(i) > arr.bi(i + 1) if i == 0 else arr.bi(i) >= arr.bi(i + 1)
-        for i in range(D - 1)
-    )
-    cond_ii = all(arr.ci(i) <= arr.ci(i + 1) for i in range(1, D))
+    cond_i = D < 2 or (b[0] > b[1] and all(x >= y for x, y in zip(b[1:], b[2:])))
+    cond_ii = all(x <= y for x, y in zip(c, c[1:]))
 
+    # (iii) b_i >= c_j for i + j <= D: row i can fail only if the largest of
+    # c_1..c_{D-i} exceeds b_i, so only such rows are scanned pair by pair
+    c_max = list(accumulate(c, max))  # c_max[m - 1] = max(c_1, ..., c_m)
     iii_failures = tuple(
         (i, j)
         for i in range(D)
-        for j in range(1, D + 1)
-        if i + j <= D and arr.bi(i) < arr.ci(j)
+        if c_max[D - i - 1] > b[i]
+        for j in range(1, D - i + 1)
+        if b[i] < c[j - 1]
     )
 
-    sizes = sphere_sizes_exact(arr)
-    non_integral = tuple(i for i, s in enumerate(sizes) if s.denominator != 1)
-
-    # a_i = k - b_i - c_i for i < D, a_D = k - c_D; all must be >= 0
-    neg_a = tuple(
-        i
-        for i in range(1, D + 1)
-        if (k - (arr.bi(i) if i < D else 0) - arr.ci(i)) < 0
-    )
+    sizes = _sphere_pairs(b, c)
+    non_integral = tuple(i for i, (_, den) in enumerate(sizes) if den != 1)
+    neg_a = tuple(i for i, a_i in enumerate(_a_values(b, c), start=1) if a_i < 0)
 
     if non_integral:
         handshake = True  # vacuous: n is not even well-defined
     else:
-        n = sum(int(s) for s in sizes)
+        n = sum(num for num, _ in sizes)
         handshake = (n * k) % 2 == 0
 
     return ValidationReport(
@@ -226,7 +257,7 @@ def validate(arr: IntersectionArray) -> ValidationReport:
         negative_a_at=neg_a,
         handshake_even=handshake,
         k_ge_3=k >= 3,
-        b1_ge_2=D >= 2 and arr.bi(1) >= 2,
+        b1_ge_2=D >= 2 and b[1] >= 2,
     )
 
 
@@ -267,15 +298,12 @@ def derive_from(report: ValidationReport) -> DerivedParams:
     if not report.passed:
         raise ValueError("array failed validation: " + "; ".join(report.failure_messages()))
     arr = report.array
-    D = arr.D
-    k = arr.k
-    sizes = tuple(int(s) for s in sphere_sizes_exact(arr))
-    n = sum(sizes)
-    a = tuple(
-        k - (arr.bi(i) if i < D else 0) - arr.ci(i) for i in range(1, D + 1)
+    b, c = arr.b, arr.c
+    sizes = tuple(num for num, _ in _sphere_pairs(b, c))  # integral: the report passed
+    j = next((i for i in range(1, len(b)) if c[i - 1] >= b[i]), len(b))
+    return DerivedParams(
+        array=arr, k=b[0], n=sum(sizes), a=tuple(_a_values(b, c)), sphere_sizes=sizes, j=j
     )
-    j = next((i for i in range(1, D) if arr.ci(i) >= arr.bi(i)), D)
-    return DerivedParams(array=arr, k=k, n=n, a=a, sphere_sizes=sizes, j=j)
 
 
 def is_cocktail_party(arr: IntersectionArray) -> bool:

@@ -345,6 +345,9 @@ def cmd_oracle(args) -> int:
         return 0 if _oracle_one(g) else 1
 
     if args.all:
+        if args.param is not None:  # only the three families take a parameter
+            _err("--param applies to one construction; it cannot be combined with --all")
+            return 2
         names = registry_names()
     elif args.name:
         if args.name not in registry_names():

@@ -4,42 +4,59 @@ The potential sequence phi_0,...,phi_{D-1} is defined by phi_0 = n-1 and
 phi_i = (c_i*phi_{i-1} - k)/b_i.  Every resistance between vertices at
 distance j follows as r_j = 2*(phi_0+...+phi_{j-1})/(nk).  Everything in
 this module is exact rational arithmetic.
+
+The recursion runs on integers.  With B_i = b_1...b_i (B_0 = 1) write
+phi_i = P_i/B_i; then P_0 = n-1 and P_i = c_i*P_{i-1} - k*B_{i-1}.
+Scaled to the common denominator B = B_{D-1}, phi_i = Q_i/B with
+Q_i = P_i*b_{i+1}...b_{D-1}, so the resistances and the ratio
+rho = (phi_1+...+phi_{D-1})/phi_0 come from integer prefix sums of the
+Q_i, and a Fraction is built once per returned value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .arrays import DerivedParams
 
 
+def _numerators(params: DerivedParams) -> list[tuple[int, int]]:
+    """(P_i, B_i) for 0 <= i <= D-1: phi_i = P_i/B_i with B_i = b_1...b_i."""
+    arr = params.array
+    b, c = arr.b, arr.c
+    k = params.k
+    p, b_prod = params.n - 1, 1
+    out = [(p, b_prod)]
+    for i in range(1, len(b)):
+        p = c[i - 1] * p - k * b_prod
+        b_prod *= b[i]
+        out.append((p, b_prod))
+    return out
+
+
 def compute_potentials_recursive(params: DerivedParams) -> tuple[Fraction, ...]:
     """phi_0 = n-1, then phi_i = (c_i*phi_{i-1} - k)/b_i for 1 <= i <= D-1."""
-    arr = params.array
-    k = params.k
-    phi = [Fraction(params.n - 1)]
-    for i in range(1, arr.D):
-        phi.append((arr.ci(i) * phi[-1] - k) / arr.bi(i))
-    return tuple(phi)
+    return tuple(Fraction(p, b_prod) for p, b_prod in _numerators(params))
 
 
 def compute_potentials_explicit(params: DerivedParams) -> tuple[Fraction, ...]:
-    """Closed form: phi_i = k * sum_{t=i+1}^{D} (b_{i+1}...b_{t-1})/(c_{i+1}...c_t)."""
+    """Closed form: phi_i = k * sum_{t=i+1}^{D} (b_{i+1}...b_{t-1})/(c_{i+1}...c_t).
+
+    Independent of n and of the recursion: the sum is evaluated from the
+    far end by Horner's rule, S_i = (1 + b_{i+1}*S_{i+1})/c_{i+1} with
+    S_D = 0, kept as S_i = N_i/C_i with C_i = c_{i+1}...c_D.
+    """
     arr = params.array
-    k = params.k
+    b, c = arr.b, arr.c
+    num, den = 0, 1
     out = []
-    for i in range(arr.D):
-        total = Fraction(0)
-        num = 1
-        den = 1
-        for t in range(i + 1, arr.D + 1):
-            if t > i + 1:
-                num *= arr.bi(t - 1)
-            den *= arr.ci(t)
-            total += Fraction(num, den)
-        out.append(k * total)
-    return tuple(out)
+    for i in range(arr.D - 1, -1, -1):
+        b_next = b[i + 1] if i + 1 < arr.D else 0  # b_D = 0 never multiplies a term
+        num, den = den + b_next * num, c[i] * den
+        out.append(Fraction(params.k * num, den))
+    return tuple(reversed(out))
 
 
 def telescoping_terms(params: DerivedParams, i: int) -> tuple[Fraction, ...]:
@@ -76,18 +93,6 @@ def telescoping_difference(params: DerivedParams, i: int) -> Fraction:
     return params.k * sum(telescoping_terms(params, i), Fraction(0))
 
 
-def resistances_from_potentials(
-    phi: tuple[Fraction, ...], n: int, k: int
-) -> tuple[Fraction, ...]:
-    """r_j = 2*(phi_0 + ... + phi_{j-1})/(nk) for 1 <= j <= D."""
-    out = []
-    acc = Fraction(0)
-    for value in phi:
-        acc += value
-        out.append(2 * acc / (n * k))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PotentialProfile:
     """Potentials and everything derived from them for one array."""
@@ -102,18 +107,39 @@ class PotentialProfile:
     def D(self) -> int:
         return self.params.D
 
+    def phi_sum(self, start: int) -> Fraction:
+        """phi_start + ... + phi_{D-1} (0 for an empty sum), built as one Fraction.
+
+        Every phi_i has a denominator dividing B = b_1...b_{D-1}, so the sum
+        is an integer sum over B.
+        """
+        common = prod(self.params.array.b[1:])
+        total = sum(p.numerator * (common // p.denominator) for p in self.phi[start:])
+        return Fraction(total, common)
+
 
 def compute_profile(params: DerivedParams) -> PotentialProfile:
-    """Build the full profile; recursion is the reference implementation."""
-    phi = compute_potentials_recursive(params)
-    res = resistances_from_potentials(phi, params.n, params.k)
-    rho = sum(phi[1:], Fraction(0)) / phi[0]
+    """Build the full profile from the integer recursion (see the module docstring)."""
+    numerators = _numerators(params)
+    common = numerators[-1][1]  # B = b_1...b_{D-1}
+    phi = []
+    scaled = []  # Q_i = phi_i * B
+    for p, b_prod in numerators:
+        phi.append(Fraction(p, b_prod))
+        scaled.append(p * (common // b_prod))
+    nk_common = params.n * params.k * common
+    prefix = 0
+    resistances = []
+    for q in scaled:
+        prefix += q
+        resistances.append(Fraction(2 * prefix, nk_common))
+    q0 = scaled[0]
     return PotentialProfile(
         params=params,
-        phi=phi,
-        resistances=res,
-        ratio=rho,
-        k_effective=1 + rho,
+        phi=tuple(phi),
+        resistances=tuple(resistances),
+        ratio=Fraction(prefix - q0, q0),
+        k_effective=Fraction(prefix, q0),
     )
 
 
@@ -139,7 +165,7 @@ class TailSumCheck:
 def tail_sum_check(profile: PotentialProfile) -> TailSumCheck:
     """Evaluate the tail bound at the head/tail split index j (empty sum if j = D)."""
     j = profile.params.j
-    lhs = sum(profile.phi[j:], Fraction(0))
+    lhs = profile.phi_sum(j)
     rhs = (j - Fraction(1, 2)) * profile.phi[j - 1]
     return TailSumCheck(j=j, lhs=lhs, rhs=rhs)
 

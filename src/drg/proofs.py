@@ -68,8 +68,11 @@ class TraceStep:
     def __post_init__(self) -> None:
         if self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
-        object.__setattr__(self, "lhs", Fraction(self.lhs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        # a side that is already a Fraction skips the numbers.Rational check
+        if type(self.lhs) is not Fraction:
+            object.__setattr__(self, "lhs", Fraction(self.lhs))
+        if type(self.rhs) is not Fraction:
+            object.__setattr__(self, "rhs", Fraction(self.rhs))
 
     @property
     def holds(self) -> bool:
@@ -161,6 +164,11 @@ def f_value(b1: int, i: int) -> Fraction:
     return (i - Fraction(1, 2)) * alpha**i / b1
 
 
+def f_ratio(b1: int, i: int) -> Fraction:
+    """f(i+1)/f(i) = ((2i+1)(b1-1))/((2i-1)b1), with no power of alpha."""
+    return Fraction((2 * i + 1) * (b1 - 1), (2 * i - 1) * b1)
+
+
 @dataclass(frozen=True)
 class UnimodalityStep:
     i: int
@@ -184,8 +192,7 @@ def f_unimodality(b1: int, hi: int | None = None) -> tuple[UnimodalityStep, ...]
         hi = 3 * b1
     out = []
     for i in range(1, hi + 1):
-        ratio = f_value(b1, i + 1) / f_value(b1, i)
-        out.append(UnimodalityStep(i=i, ratio=ratio, rising=i <= b1 - 1))
+        out.append(UnimodalityStep(i=i, ratio=f_ratio(b1, i), rising=i <= b1 - 1))
     return tuple(out)
 
 
@@ -211,7 +218,7 @@ def classify_case(params: DerivedParams) -> CaseId:
     if b1 >= 3 and params.j == 3 and c2 > 1:
         return CaseId.CASE4_J3
     # quadrangle detection from the array alone: sufficient condition only
-    if Fraction(c2, arr.bi(2)) > Fraction(1, 2):
+    if 2 * c2 > arr.bi(2):  # c_2/b_2 > 1/2
         return CaseId.CASE5_QUADRANGLE
     return CaseId.CASE6_TERWILLIGER
 
@@ -242,19 +249,26 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
         )
     j = params.j  # >= 2 whenever b_1 >= 2
     alpha = Fraction(b1 - 1, b1)
-    head = sum((alpha**m for m in range(j - 1)), Fraction(0)) / b1
-    tail = (j - Fraction(1, 2)) * alpha ** (j - 2) / b1
-    peak_tail = (b1 - Fraction(1, 2)) * alpha ** (b1 - 2) / b1
+    # with alpha = (b1-1)/b1: head = (1 + ... + alpha^(j-2))/b1 = 1 - alpha^(j-1),
+    # tail = (j - 1/2) alpha^(j-2)/b1 and peak_tail is tail at j = b1
+    top, bottom = (b1 - 1) ** (j - 2), b1 ** (j - 1)
+    head_num = bottom - top * (b1 - 1)
+    tail_num = (2 * j - 1) * top
+    tail = Fraction(tail_num, 2 * bottom)
+    # alpha^(b1-2) is already reduced, so this product takes gcds of small
+    # factors only; Fraction(num, den) would take one of two numbers of
+    # thousands of digits near b1 = K3_MAX_B1
+    peak_tail = Fraction(2 * b1 - 1, 2 * b1) * alpha ** (b1 - 2)
 
     steps = (
-        _step("head_tail_bound", rho, "<=", head + tail),
+        _step("head_tail_bound", rho, "<=", Fraction(2 * head_num + tail_num, 2 * bottom)),
         _step("geometric_head", Fraction(1, b1) / (1 - alpha), "==", 1),
-        _step("f_rising", f_value(b1, b1) / f_value(b1, b1 - 1), ">", 1),
-        _step("f_falling", f_value(b1, b1 + 1) / f_value(b1, b1), "<", 1),
+        _step("f_rising", f_ratio(b1, b1 - 1), ">", 1),
+        _step("f_falling", f_ratio(b1, b1), "<", 1),
         _step("tail_peak", tail, "<=", peak_tail),
         _step("peak_drop", peak_tail, "<=", Fraction(2 * b1 - 1, 2 * b1)),
         _step("peak_lt_1", Fraction(2 * b1 - 1, 2 * b1), "<", 1),
-        _step("total_lt_target", 1 + tail, "<", TARGET_K3),
+        _step("total_lt_target", Fraction(2 * bottom + tail_num, 2 * bottom), "<", TARGET_K3),
         _step("rho_lt_target", rho, "<", TARGET_K3),
     )
     return _trace(profile, case, steps, TARGET_K3, alpha=alpha)
@@ -334,10 +348,9 @@ def _split_j2_steps(profile: PotentialProfile) -> tuple[TraceStep, ...]:
     phi = profile.phi
     b1 = profile.params.array.bi(1)
     rho = profile.ratio
-    interior = sum(phi[1:], Fraction(0))
     return (
-        _step("tail_split", sum(phi[2:], Fraction(0)), "<=", Fraction(3, 2) * phi[1]),
-        _step("sum_cap", interior, "<=", Fraction(5, 2) * phi[1]),
+        _step("tail_split", profile.phi_sum(2), "<=", Fraction(3, 2) * phi[1]),
+        _step("sum_cap", profile.phi_sum(1), "<=", Fraction(5, 2) * phi[1]),
         _step("initial_drop", phi[1], "<", phi[0] / b1),
         _step("rho_cap", rho, "<", Fraction(5, 2) / b1),
         _step("cap_value", Fraction(5, 2) / b1, "<=", Fraction(5, 6)),
@@ -367,13 +380,8 @@ def _optimal_case3(profile: PotentialProfile) -> BoundTrace:
         steps = (
             _step("b2_ge_2", b2, ">=", 2),
             _step("half_drop", phi[2], "<", phi[1] / 2),
-            _step("tail_split", sum(phi[3:], Fraction(0)), "<=", Fraction(5, 2) * phi[2]),
-            _step(
-                "sum_cap",
-                sum(phi[1:], Fraction(0)),
-                "<=",
-                phi[1] + Fraction(7, 2) * phi[2],
-            ),
+            _step("tail_split", profile.phi_sum(3), "<=", Fraction(5, 2) * phi[2]),
+            _step("sum_cap", profile.phi_sum(1), "<=", phi[1] + Fraction(7, 2) * phi[2]),
             _step("rho_cap", rho, "<", Fraction(11, 4) / b1),
             _step("cap_value", Fraction(11, 4) / b1, "<=", Fraction(11, 12)),
             _step("target_gap", Fraction(11, 12), "<", TARGET_OPTIMAL),
@@ -401,10 +409,13 @@ def _optimal_case3(profile: PotentialProfile) -> BoundTrace:
 
 def _head_ratio_cap(arr, lo: int, hi: int, alpha2: Fraction) -> TraceStep | None:
     """max of c_i/b_i over lo <= i <= hi, compared against alpha2."""
-    ratios = [Fraction(arr.ci(i), arr.bi(i)) for i in range(lo, hi + 1)]
-    if not ratios:
+    if lo > hi:
         return None
-    return _step("head_ratio_cap", max(ratios), "<=", alpha2)
+    top, bottom = arr.c[lo - 1], arr.b[lo]
+    for i in range(lo + 1, hi + 1):
+        if arr.c[i - 1] * bottom > top * arr.b[i]:
+            top, bottom = arr.c[i - 1], arr.b[i]
+    return _step("head_ratio_cap", Fraction(top, bottom), "<=", alpha2)
 
 
 def _case3_subcase_ratio3(profile: PotentialProfile, alpha2: Fraction) -> BoundTrace:
@@ -414,16 +425,13 @@ def _case3_subcase_ratio3(profile: PotentialProfile, alpha2: Fraction) -> BoundT
     b1 = arr.bi(1)
     j = params.j
 
-    chain = (
-        Fraction(1, b1)
-        + sum((alpha2**m for m in range(j - 2)), Fraction(0)) / (3 * b1)
-        + (j - Fraction(1, 2)) * alpha2 ** (j - 3) / (3 * b1)
-    )
-    geo = (
-        Fraction(1, b1)
-        + Fraction(b1 - 1, 3 * b1)
-        + (j - Fraction(1, 2)) * alpha2 ** (j - 3) / (3 * b1)
-    )
+    # chain = 1/b1 + (1 + alpha2 + ... + alpha2^(j-3) + (j - 1/2) alpha2^(j-3))/(3 b1)
+    # and the geometric sum is w (1 - alpha2^(j-2)) with alpha2 = u/w: over 6 b1 w^(j-3)
+    u, w = b1 - 2, b1 - 1
+    u_pow, w_pow = u ** (j - 3), w ** (j - 3)
+    weight = (2 * j - 1) * u_pow
+    chain = Fraction(6 * w_pow + 2 * (w * w_pow - u * u_pow) + weight, 6 * b1 * w_pow)
+    geo = Fraction(6 * w_pow + 2 * w * w_pow + weight, 6 * b1 * w_pow)
     steps = [_step("sub_cond", Fraction(arr.bi(2), arr.ci(2)), ">=", 3)]
     cap = _head_ratio_cap(arr, 3, j - 1, alpha2)
     if cap is not None:
@@ -463,11 +471,12 @@ def _case3_subcase_product4(profile: PotentialProfile, alpha2: Fraction) -> Boun
     b2, c2 = arr.bi(2), arr.ci(2)
     b3, c3 = arr.bi(3), arr.ci(3)
 
-    chain = (
-        Fraction(1, b1)
-        + Fraction(1, 2 * b1)
-        + sum((alpha2**m for m in range(j - 3)), Fraction(0)) / (4 * b1)
-        + (j - Fraction(1, 2)) * alpha2 ** (j - 4) / (4 * b1)
+    # chain = 3/(2 b1) + (1 + ... + alpha2^(j-4) + (j - 1/2) alpha2^(j-4))/(4 b1),
+    # over 8 b1 w^(j-4) as in the ratio-3 subcase
+    u, w = b1 - 2, b1 - 1
+    u_pow, w_pow = u ** (j - 4), w ** (j - 4)
+    chain = Fraction(
+        12 * w_pow + 2 * (w * w_pow - u * u_pow) + (2 * j - 1) * u_pow, 8 * b1 * w_pow
     )
     steps = [
         _step("sub_cond", Fraction(b2 * b3, c2 * c3), ">=", 4),
@@ -538,7 +547,7 @@ def _optimal_case4(profile: PotentialProfile) -> BoundTrace:
     c3 = arr.ci(3)
     b3 = arr.bi(3) if D >= 4 else 0  # K_{D+1} is empty, so b_D = 0
     alpha = Fraction(b1 - 1, b1)
-    interior = sum(phi[2:], Fraction(0))
+    interior = profile.phi_sum(2)
 
     steps = [_step("c2_vs_c3", c2, "<=", Fraction(2, 3) * c3)]
     notes: tuple[str, ...] = ()
@@ -574,9 +583,9 @@ def _optimal_case4(profile: PotentialProfile) -> BoundTrace:
         branch = "c3_eq_b3_half"
         steps += [
             _step("ratio_half", Fraction(c2, b2), "<=", Fraction(1, 2)),
-            _step("tail_split", sum(phi[3:], Fraction(0)), "<=", Fraction(5, 2) * phi[2]),
+            _step("tail_split", profile.phi_sum(3), "<=", Fraction(5, 2) * phi[2]),
             _step("half_drop", phi[2], "<", phi[1] / 2),
-            _step("sum_cap", sum(phi[1:], Fraction(0)), "<=", phi[1] + Fraction(7, 2) * phi[2]),
+            _step("sum_cap", profile.phi_sum(1), "<=", phi[1] + Fraction(7, 2) * phi[2]),
             _step("rho_cap", rho, "<", Fraction(11, 4) / b1),
             _step("cap_value", Fraction(11, 4) / b1, "<=", Fraction(11, 12)),
             _step("target_gap", Fraction(11, 12), "<", TARGET_OPTIMAL),
@@ -615,7 +624,7 @@ def _quadrangle_chain(profile: PotentialProfile) -> list[TraceStep]:
         _step("quad_diameter_cap", Fraction(2 * k, k + 1 - b1), "<=", b1 + 1),
         _step("c3_growth", arr.ci(3), ">=", Fraction(3, 2) * c2),
         _step("ratio_23", Fraction(c2, b2), "<=", Fraction(2, 3)),
-        _step("interior_count", sum(phi[2:], Fraction(0)), "<=", (b1 - 1) * phi[2]),
+        _step("interior_count", profile.phi_sum(2), "<=", (b1 - 1) * phi[2]),
         _step("initial_drop", phi[1], "<", phi[0] / b1),
         _step("phi2_cap", phi[2], "<", Fraction(2, 3) * phi[1]),
         _step("rho_cap", rho, "<", final),
@@ -656,7 +665,7 @@ def _optimal_case6(profile: PotentialProfile) -> BoundTrace:
     k = params.k
     b1 = arr.bi(1)
     c2 = arr.ci(2)
-    interior = sum(phi[2:], Fraction(0))
+    interior = profile.phi_sum(2)
     ten_ratio = 10 * phi[1] / phi[0]
     steps = (
         _step("k_cap", k, ">=", 50 * (c2 - 1)),

@@ -8,6 +8,7 @@ import pytest
 
 from drg import (
     ArrayFormatError,
+    arrays,
     IntersectionArray,
     derive,
     format_array,
@@ -37,6 +38,7 @@ def test_parse_allows_spaces():
     arr = parse_array(" 3 , 2 ; 1 , 1 ")
     assert arr.b == (3, 2)
     assert arr.c == (1, 1)
+    assert parse_array("3\n,2;1,1").b == (3, 2)  # the token grammar allows one final newline
 
 
 @pytest.mark.parametrize(
@@ -52,11 +54,52 @@ def test_parse_allows_spaces():
         "-3;1",  # negative
         "3,2,;1,2,3",  # trailing separator
         "",
+        # outside the grammar, though str.isdigit() or int() accepts some of them
+        "\u00b2,2;1,1",
+        "\u0663,2;1,1",
+        "+3,2;1,1",
+        "3_0,2;1,1",
+        "3 3,2;1,1",
+        "3\n\n,2;1,1",
     ],
 )
 def test_parse_rejects(text):
     with pytest.raises(ArrayFormatError):
         parse_array(text)
+
+
+def _hypercube_text(d: int) -> str:
+    return ",".join(str(d - i) for i in range(d)) + ";" + ",".join(map(str, range(1, d + 1)))
+
+
+def test_diameter_cap_boundary(monkeypatch):
+    monkeypatch.setattr(arrays, "MAX_DIAMETER", 4)
+    assert parse_array(_hypercube_text(4)).D == 4
+    for text, label in (
+        (_hypercube_text(5), "b"),
+        ("4,3,2,1;1,2,3,4,5", "c"),
+        ("4,3,2,1,x;1", "b"),
+    ):
+        with pytest.raises(ArrayFormatError) as exc:
+            parse_array(text)
+        assert str(exc.value) == f"5 entries in the {label}-sequence, above the largest diameter 4"
+
+
+def test_diameter_cap_refuses_before_converting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an entry was converted")
+
+    monkeypatch.setattr(arrays, "_parse_side", refuse)
+    with pytest.raises(ArrayFormatError, match="above the largest diameter"):
+        parse_array(_hypercube_text(arrays.MAX_DIAMETER + 1))
+
+
+def test_diameter_cap_at_the_default():
+    assert arrays.MAX_DIAMETER == 1024
+    arr = parse_array(_hypercube_text(1024))
+    assert arr.D == 1024 and validate(arr).passed
+    with pytest.raises(ArrayFormatError, match="1025 entries in the b-sequence"):
+        parse_array(_hypercube_text(1025))
 
 
 def test_constructor_rejects_bad_structure():

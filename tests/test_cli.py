@@ -143,6 +143,12 @@ def test_oracle_hypercube_param(capsys):
     assert "formula 7/12" in out
 
 
+def test_oracle_all_refuses_a_parameter_before_any_output(capsys):
+    code, out, err = run(capsys, "oracle", "--all", "--param", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --param applies to one construction; it cannot be combined with --all\n"
+
+
 def test_oracle_unknown_name(capsys):
     code, _, err = run(capsys, "oracle", "zzz")
     assert code == 2
@@ -280,6 +286,30 @@ def test_batch_over_long_entry_is_parse_error(tmp_path, capsys):
     code, out, _ = run(capsys, "batch", str(path))
     assert code == 0
     assert "line 1: long: parse error: " in out
+    assert "2 entries, 1 valid, 1 invalid" in out
+
+
+def _long_array_text(d: int) -> str:
+    return ",".join(str(d - i) for i in range(d)) + ";" + ",".join(map(str, range(1, d + 1)))
+
+
+@pytest.mark.parametrize("cmd", ("analyze", "validate"))
+def test_array_above_the_diameter_cap_exit_2(monkeypatch, capsys, cmd):
+    monkeypatch.setattr(arrays, "MAX_DIAMETER", 3)
+    code, _, err = run(capsys, cmd, _long_array_text(3))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, cmd, _long_array_text(4))
+    assert (code, out) == (2, "")
+    assert err == "error: 4 entries in the b-sequence, above the largest diameter 3\n"
+
+
+def test_batch_array_above_the_diameter_cap_is_parse_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(arrays, "MAX_DIAMETER", 3)
+    path = tmp_path / "long.txt"
+    path.write_text(f"long | {_long_array_text(4)}\nCube | {_long_array_text(3)}\n")
+    code, out, _ = run(capsys, "batch", str(path))
+    assert code == 0
+    assert "line 1: long: parse error: 4 entries in the b-sequence" in out
     assert "2 entries, 1 valid, 1 invalid" in out
 
 
