@@ -36,6 +36,8 @@ from drg import (
     compute_profile,
     f_value,
     format_array,
+    lookup,
+    parse_array,
     prove_k3,
     prove_optimal,
     validate,
@@ -43,6 +45,7 @@ from drg import (
 from drg.arrays import DerivedParams, derive_from, sphere_sizes_exact
 from drg.potentials import PotentialProfile
 from drg.proofs import f_ratio
+from test_golden import PROOF_ARRAYS
 
 TRACES = Path(__file__).parent / "golden" / "traces.json"
 
@@ -69,7 +72,7 @@ def _odd(m: int) -> IntersectionArray:
     )
 
 
-def feasible_arrays() -> list[IntersectionArray]:
+def _corpus_arrays() -> list[IntersectionArray]:
     """The D <= 4 corpus, the catalog rows and family members up to D = 60.
 
     J(80,40) has b_1 = 1521, the largest proved; H(3,1002) has b_1 = 2002,
@@ -84,10 +87,25 @@ def feasible_arrays() -> list[IntersectionArray]:
     return list(dict.fromkeys(out))
 
 
+def feasible_arrays() -> list[IntersectionArray]:
+    """The corpus, then the golden proof arrays: one per prover case and branch.
+
+    The corpus reaches the deep case-3 subcases only at j = 4; the proof
+    arrays pin the j >= 5 branches by `repr`, not only by rendered text.
+    """
+    proof = [_named_or_parsed(text) for text in PROOF_ARRAYS.values()]
+    return list(dict.fromkeys(_corpus_arrays() + proof))
+
+
+def _named_or_parsed(text: str) -> IntersectionArray:
+    entry = lookup(text, include_env=False)
+    return entry.array if entry else parse_array(text)
+
+
 def perturbed_arrays(count: int = 60) -> list[IntersectionArray]:
     """Infeasible arrays: one entry of a feasible array (not c_1) moved by one or two."""
     rng = random.Random(20130)
-    pool = feasible_arrays()
+    pool = _corpus_arrays()  # the pool the pinned perturbations were drawn from
     out: dict[IntersectionArray, None] = {}
     while len(out) < count:
         arr = rng.choice(pool)
