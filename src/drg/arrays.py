@@ -20,6 +20,9 @@ _INT_TOKEN = re.compile(r"^[ ]*([0-9]+)[ ]*$")
 # validate() lists up to D^2/2 pairs for an array failing condition (iii).
 MAX_DIAMETER = 1024
 
+# failure_messages() prints this many condition-(iii) pairs and counts the rest.
+_LISTED_III_PAIRS = 10
+
 
 class ArrayFormatError(ValueError):
     """Input text does not match the `b0,...,b_{D-1};c1,...,cD` grammar."""
@@ -201,7 +204,11 @@ class ValidationReport:
         if not self.condition_ii:
             out.append(f"condition (ii) fails: c = {arr.c} is not 1 = c_1 <= ... <= c_D")
         if not self.condition_iii:
-            pairs = ", ".join(f"b_{i}={arr.bi(i)} < c_{j}={arr.ci(j)}" for i, j in self.condition_iii_failures)
+            failures = self.condition_iii_failures
+            listed = failures[:_LISTED_III_PAIRS]
+            pairs = ", ".join(f"b_{i}={arr.bi(i)} < c_{j}={arr.ci(j)}" for i, j in listed)
+            if len(failures) > len(listed):
+                pairs += f", … and {len(failures) - len(listed)} more"
             out.append(f"condition (iii) fails: {pairs}")
         if not self.integral_spheres:
             sizes = sphere_sizes_exact(arr)

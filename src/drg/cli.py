@@ -2,9 +2,9 @@
 
 Subcommands: validate, analyze, table, oracle, batch, catalog.
 Exit codes: 0 success, 1 failed checks, 2 unparseable input, an unknown
-name, a graph above graphs.MAX_VERTICES vertices or graphs.MAX_WORK = n*m
-or a report too long to print, 3 validation failure (the report is
-still printed).
+name, conflicting oracle selectors, a graph above graphs.MAX_VERTICES
+vertices or graphs.MAX_WORK = n*m or a report too long to print, 3
+validation failure (the report is still printed).
 
 validate and analyze build one record per array (`_record`), a dict that
 keeps exact `Fraction` and `BoundTrace` values.  `--json` prints it with
@@ -332,10 +332,22 @@ def _oracle_one(g) -> bool:
 
 
 def cmd_oracle(args) -> int:
+    selectors = (("NAME", args.name), ("--all", args.all), ("--graph-file", args.graph_file))
+    given = [flag for flag, value in selectors if value]
+    if not given:
+        _err("oracle needs a construction name, --all, or --graph-file")
+        return 2
+    if len(given) > 1:
+        _err(f"oracle takes one of NAME, --all and --graph-file; got {' and '.join(given)}")
+        return 2
+    if args.param is not None and not args.name:  # only the three families take a parameter
+        _err(f"--param applies to one construction; it cannot be combined with {given[0]}")
+        return 2
+
     if args.graph_file:
         try:
             with open(args.graph_file, encoding="utf-8") as fh:
-                g = parse_edge_list(fh.read(), name=args.name or args.graph_file)
+                g = parse_edge_list(fh.read(), name=args.graph_file)
         except OSError as exc:
             _err(f"cannot read graph file: {exc}")
             return 2
@@ -345,20 +357,11 @@ def cmd_oracle(args) -> int:
         return 0 if _oracle_one(g) else 1
 
     if args.all:
-        if args.param is not None:  # only the three families take a parameter
-            _err("--param applies to one construction; it cannot be combined with --all")
-            return 2
         names = registry_names()
-    elif args.name:
-        if args.name not in registry_names():
-            _err(
-                f"unknown construction {args.name!r}; "
-                f"known: {', '.join(registry_names())}"
-            )
-            return 2
+    elif args.name in registry_names():
         names = (args.name,)
     else:
-        _err("oracle needs a construction name, --all, or --graph-file")
+        _err(f"unknown construction {args.name!r}; known: {', '.join(registry_names())}")
         return 2
 
     passed = 0

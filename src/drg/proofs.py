@@ -10,6 +10,13 @@ Two ratio targets are traced for rho = (phi_1 + ... + phi_{D-1})/phi_0:
 
 Each trace records every intermediate inequality with both sides
 evaluated exactly, so a reader can audit the whole chain.
+
+A chain is put together from shared pieces.  `_trace` builds every
+BoundTrace with alpha = (b_1-1)/b_1 (None when D = 1 or b_1 = 1); only the
+deep case-3 subcases give alpha2 = (b_1-2)/(b_1-1) instead.  An optimal
+chain ends in `_target_gap` (value < 93/100), most of them through
+`_cap_ending` (rho < cap <= value).  `_deep_head` gives the case-3
+deep-head sum and its geometric limit for both deep subcases.
 """
 
 from __future__ import annotations
@@ -125,10 +132,25 @@ _step = TraceStep  # a short name for the many steps below; it converts both sid
 def _trace(
     profile: PotentialProfile, case_id: CaseId, steps, target: Fraction = TARGET_OPTIMAL, **fields
 ) -> BoundTrace:
-    """A trace for `profile`; the verdict is rho < target unless given."""
+    """A trace for `profile`; verdict rho < target and alpha (b_1-1)/b_1 unless given."""
     rho = profile.ratio
     fields.setdefault("verdict", rho < target)
+    if "alpha" not in fields:
+        b = profile.params.array.b
+        fields["alpha"] = Fraction(b[1] - 1, b[1]) if len(b) > 1 and b[1] > 1 else None
     return BoundTrace(case_id=case_id, target=target, rho=rho, steps=tuple(steps), **fields)
+
+
+def _target_gap(label: str, lhs: Fraction, relation: str, value: Fraction) -> list[TraceStep]:
+    """lhs relation value, then value < 93/100: the last two steps of an optimal chain."""
+    return [_step(label, lhs, relation, value), _step("target_gap", value, "<", TARGET_OPTIMAL)]
+
+
+def _cap_ending(
+    rho: Fraction, cap: Fraction, value: Fraction, label: str = "cap_value", relation: str = "<="
+) -> list[TraceStep]:
+    """rho < cap, then the target gap of cap: the close of most optimal-bound chains."""
+    return [_step("rho_cap", rho, "<", cap), *_target_gap(label, cap, relation, value)]
 
 
 def _direct(
@@ -211,14 +233,14 @@ def classify_case(params: DerivedParams) -> CaseId:
         return CaseId.CASE1_D2
     if params.k in (3, 4):
         return CaseId.CASE2_SMALL_VALENCY
-    b1 = arr.bi(1)
-    c2 = arr.ci(2)
+    b1 = arr.b[1]
+    c2 = arr.c[1]
     if b1 >= 3 and c2 == 1:
         return CaseId.CASE3_C2_EQ_1
     if b1 >= 3 and params.j == 3 and c2 > 1:
         return CaseId.CASE4_J3
     # quadrangle detection from the array alone: sufficient condition only
-    if 2 * c2 > arr.bi(2):  # c_2/b_2 > 1/2
+    if 2 * c2 > arr.b[2]:  # c_2/b_2 > 1/2
         return CaseId.CASE5_QUADRANGLE
     return CaseId.CASE6_TERWILLIGER
 
@@ -242,7 +264,7 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
     if case in _DIRECT_NOTES:
         return _direct(profile, case, _DIRECT_NOTES[case], TARGET_K3)
 
-    b1 = params.array.bi(1)
+    b1 = params.array.b[1]
     if b1 > K3_MAX_B1:
         raise ValueError(
             f"b_1 = {b1} is above {K3_MAX_B1}, the largest b_1 whose K = 3 trace is computed"
@@ -271,7 +293,7 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
         _step("total_lt_target", Fraction(2 * bottom + tail_num, 2 * bottom), "<", TARGET_K3),
         _step("rho_lt_target", rho, "<", TARGET_K3),
     )
-    return _trace(profile, case, steps, TARGET_K3, alpha=alpha)
+    return _trace(profile, case, steps, TARGET_K3)
 
 
 # ----------------------------------------------------------------------
@@ -297,32 +319,24 @@ def prove_optimal(profile: PotentialProfile) -> BoundTrace:
 
 
 def _optimal_case1(profile: PotentialProfile) -> BoundTrace:
-    params = profile.params
-    b1 = params.array.bi(1)
-    rho = profile.ratio
+    b1 = profile.params.array.b[1]
     phi = profile.phi
     steps = (
         _step("initial_drop", phi[1], "<", phi[0] / b1),
-        _step("rho_cap", rho, "<", Fraction(1, b1)),
-        _step("half_cap", Fraction(1, b1), "<=", Fraction(1, 2)),
-        _step("target_gap", Fraction(1, 2), "<", TARGET_OPTIMAL),
+        *_cap_ending(profile.ratio, Fraction(1, b1), Fraction(1, 2), "half_cap"),
     )
-    return _trace(profile, CaseId.CASE1_D2, steps, alpha=Fraction(b1 - 1, b1))
+    return _trace(profile, CaseId.CASE1_D2, steps)
 
 
 def _optimal_case2(profile: PotentialProfile) -> BoundTrace:
-    params = profile.params
-    arr = params.array
     rho = profile.ratio
-    alpha = Fraction(arr.bi(1) - 1, arr.bi(1))
-    name = VALENCY_34_MEMBERSHIP.get(arr)
+    name = VALENCY_34_MEMBERSHIP.get(profile.params.array)
     if name is None:
         return _direct(
             profile,
             CaseId.UNCLASSIFIED,
             "valency-3/4 array with D >= 3 not found in the embedded "
             "classification table; verdict computed directly from rho",
-            alpha=alpha,
             proof_path_available=False,
         )
     if name == BIGGS_SMITH_NAME:
@@ -331,209 +345,160 @@ def _optimal_case2(profile: PotentialProfile) -> BoundTrace:
             CaseId.CASE2_SMALL_VALENCY,
             (_step("extremal_equality", rho, "==", BIGGS_SMITH_RATIO),),
             verdict=rho == BIGGS_SMITH_RATIO,
-            alpha=alpha,
             extremal=True,
             notes=(f"matched classification row: {name} (the unique extremal array)",),
         )
-    return _direct(
-        profile,
-        CaseId.CASE2_SMALL_VALENCY,
-        f"matched classification row: {name}",
-        alpha=alpha,
-    )
+    return _direct(profile, CaseId.CASE2_SMALL_VALENCY, f"matched classification row: {name}")
 
 
 def _split_j2_steps(profile: PotentialProfile) -> tuple[TraceStep, ...]:
     """Shared j = 2 chain: tail bound plus the initial drop give rho <= (5/2)/b1."""
     phi = profile.phi
-    b1 = profile.params.array.bi(1)
-    rho = profile.ratio
+    b1 = profile.params.array.b[1]
     return (
         _step("tail_split", profile.phi_sum(2), "<=", Fraction(3, 2) * phi[1]),
         _step("sum_cap", profile.phi_sum(1), "<=", Fraction(5, 2) * phi[1]),
         _step("initial_drop", phi[1], "<", phi[0] / b1),
-        _step("rho_cap", rho, "<", Fraction(5, 2) / b1),
-        _step("cap_value", Fraction(5, 2) / b1, "<=", Fraction(5, 6)),
-        _step("target_gap", Fraction(5, 6), "<", TARGET_OPTIMAL),
+        *_cap_ending(profile.ratio, Fraction(5, 2) / b1, Fraction(5, 6)),
     )
+
+
+def _j3_sum_cap(profile: PotentialProfile) -> list[TraceStep]:
+    """Shared j = 3 close: the tail split and phi_2 < phi_1/2 give rho < (11/4)/b1."""
+    phi = profile.phi
+    b1 = profile.params.array.b[1]
+    return [
+        _step("sum_cap", profile.phi_sum(1), "<=", phi[1] + Fraction(7, 2) * phi[2]),
+        *_cap_ending(profile.ratio, Fraction(11, 4) / b1, Fraction(11, 12)),
+    ]
 
 
 def _optimal_case3(profile: PotentialProfile) -> BoundTrace:
     params = profile.params
-    arr = params.array
+    b = params.array.b
     phi = profile.phi
-    rho = profile.ratio
-    b1 = arr.bi(1)
     j = params.j
 
     if j == 2:
-        return _trace(
-            profile,
-            CaseId.CASE3_C2_EQ_1,
-            _split_j2_steps(profile),
-            alpha=Fraction(b1 - 1, b1),
-            branch="j2",
-        )
+        return _trace(profile, CaseId.CASE3_C2_EQ_1, _split_j2_steps(profile), branch="j2")
 
     if j == 3:
-        b2 = arr.bi(2)
         steps = (
-            _step("b2_ge_2", b2, ">=", 2),
+            _step("b2_ge_2", b[2], ">=", 2),
             _step("half_drop", phi[2], "<", phi[1] / 2),
             _step("tail_split", profile.phi_sum(3), "<=", Fraction(5, 2) * phi[2]),
-            _step("sum_cap", profile.phi_sum(1), "<=", phi[1] + Fraction(7, 2) * phi[2]),
-            _step("rho_cap", rho, "<", Fraction(11, 4) / b1),
-            _step("cap_value", Fraction(11, 4) / b1, "<=", Fraction(11, 12)),
-            _step("target_gap", Fraction(11, 12), "<", TARGET_OPTIMAL),
+            *_j3_sum_cap(profile),
         )
-        return _trace(
-            profile, CaseId.CASE3_C2_EQ_1, steps, alpha=Fraction(b1 - 1, b1), branch="j3"
-        )
+        return _trace(profile, CaseId.CASE3_C2_EQ_1, steps, branch="j3")
 
-    # j >= 4: two deep-head subcases, both contracting by alpha2 = (b1-2)/(b1-1)
-    alpha2 = Fraction(b1 - 2, b1 - 1)
-    b2, c2 = arr.bi(2), arr.ci(2)
-    if Fraction(b2, c2) >= 3:
-        return _case3_subcase_ratio3(profile, alpha2)
-    b3, c3 = arr.bi(3), arr.ci(3)
-    if Fraction(b2 * b3, c2 * c3) >= 4:
-        return _case3_subcase_product4(profile, alpha2)
-    return _direct(  # unreachable for c2 = 1, kept as a guard
-        profile,
-        CaseId.UNCLASSIFIED,
-        "neither deep-head subcase condition holds",
-        alpha=alpha2,
-        proof_path_available=False,
-    )
+    # j >= 4: two deep-head subcases, both contracting by alpha2 = (b1-2)/(b1-1).
+    # One of them always applies.  With c_2 = 1 and c_i < b_i for i <= 3 (as
+    # j >= 4), b_2 < 3 forces b_2 = 2; then c_2 <= c_3 < b_3 <= b_2 forces
+    # b_3 = 2 and c_3 = 1, so b_2 b_3/(c_2 c_3) = 4.
+    alpha2 = Fraction(b[1] - 2, b[1] - 1)
+    if b[2] >= 3:  # b_2/c_2 >= 3, as c_2 = 1
+        steps, branch = _ratio3_steps(profile, alpha2), "subcase1_ratio3"
+    else:
+        steps, branch = _product4_steps(profile, alpha2), "subcase2_product4"
+    return _trace(profile, CaseId.CASE3_C2_EQ_1, steps, alpha=alpha2, branch=branch)
 
 
-def _head_ratio_cap(arr, lo: int, hi: int, alpha2: Fraction) -> TraceStep | None:
-    """max of c_i/b_i over lo <= i <= hi, compared against alpha2."""
+def _head_ratio_cap(arr, lo: int, hi: int, alpha2: Fraction) -> list[TraceStep]:
+    """max of c_i/b_i over lo <= i <= hi, compared against alpha2 (no step if empty)."""
     if lo > hi:
-        return None
+        return []
     top, bottom = arr.c[lo - 1], arr.b[lo]
     for i in range(lo + 1, hi + 1):
         if arr.c[i - 1] * bottom > top * arr.b[i]:
             top, bottom = arr.c[i - 1], arr.b[i]
-    return _step("head_ratio_cap", Fraction(top, bottom), "<=", alpha2)
+    return [_step("head_ratio_cap", Fraction(top, bottom), "<=", alpha2)]
 
 
-def _case3_subcase_ratio3(profile: PotentialProfile, alpha2: Fraction) -> BoundTrace:
+def _deep_head(b1: int, j: int, s: int) -> tuple[Fraction, Fraction]:
+    """The case-3 deep-head chain for s = 3 or 4, and its geometric limit.
+
+    chain = lead/(2 b1) + (1 + alpha2 + ... + alpha2^(j-s) + (j - 1/2) alpha2^(j-s))/(s b1)
+    with lead = s - 1 and alpha2 = u/w = (b1-2)/(b1-1).  The geometric sum is
+    w (1 - alpha2^(j-s+1)) and its limit w, so both values are exact
+    fractions over 2 s b1 w^(j-s).
+    """
+    lead = s - 1
+    u, w = b1 - 2, b1 - 1
+    u_pow, w_pow = u ** (j - s), w ** (j - s)
+    rest = lead * s * w_pow + (2 * j - 1) * u_pow
+    den = 2 * s * b1 * w_pow
+    return Fraction(rest + 2 * (w * w_pow - u * u_pow), den), Fraction(rest + 2 * w * w_pow, den)
+
+
+def _ratio3_steps(profile: PotentialProfile, alpha2: Fraction) -> list[TraceStep]:
     params = profile.params
     arr = params.array
-    rho = profile.ratio
-    b1 = arr.bi(1)
+    b1 = arr.b[1]
     j = params.j
-
-    # chain = 1/b1 + (1 + alpha2 + ... + alpha2^(j-3) + (j - 1/2) alpha2^(j-3))/(3 b1)
-    # and the geometric sum is w (1 - alpha2^(j-2)) with alpha2 = u/w: over 6 b1 w^(j-3)
-    u, w = b1 - 2, b1 - 1
-    u_pow, w_pow = u ** (j - 3), w ** (j - 3)
-    weight = (2 * j - 1) * u_pow
-    chain = Fraction(6 * w_pow + 2 * (w * w_pow - u * u_pow) + weight, 6 * b1 * w_pow)
-    geo = Fraction(6 * w_pow + 2 * w * w_pow + weight, 6 * b1 * w_pow)
-    steps = [_step("sub_cond", Fraction(arr.bi(2), arr.ci(2)), ">=", 3)]
-    cap = _head_ratio_cap(arr, 3, j - 1, alpha2)
-    if cap is not None:
-        steps.append(cap)
-    steps.append(_step("chain", rho, "<=", chain))
-    steps.append(_step("geometric_head", chain, "<", geo))
-    if b1 >= 4:
-        peak = (b1 - Fraction(3, 2)) * alpha2 ** (b1 - 4)
-        final = Fraction(1, b1) + Fraction(b1 - 1, 3 * b1) + Fraction(1, 3)
-        steps += [
-            _step("tail_peak", (j - Fraction(1, 2)) * alpha2 ** (j - 3), "<=", peak),
-            _step("peak_cap", peak / (3 * b1), "<=", Fraction(1, 3)),
-            _step("final_value", final, "==", Fraction(2 * b1 + 2, 3 * b1)),
-            _step("target_gap", Fraction(2 * b1 + 2, 3 * b1), "<", TARGET_OPTIMAL),
-        ]
-    else:  # b1 == 3: the peak sits at i = 2, so j = 4 dominates
-        final = Fraction(1, b1) + Fraction(b1 - 1, 3 * b1) + Fraction(7, 2) * alpha2 / (3 * b1)
-        steps += [
-            _step(
-                "tail_peak",
-                (j - Fraction(1, 2)) * alpha2 ** (j - 3),
-                "<=",
-                Fraction(7, 2) * alpha2,
-            ),
-            _step("final_value", final, "==", Fraction(3, 4)),
-            _step("target_gap", Fraction(3, 4), "<", TARGET_OPTIMAL),
-        ]
-    return _trace(profile, CaseId.CASE3_C2_EQ_1, steps, alpha=alpha2, branch="subcase1_ratio3")
-
-
-def _case3_subcase_product4(profile: PotentialProfile, alpha2: Fraction) -> BoundTrace:
-    params = profile.params
-    arr = params.array
-    rho = profile.ratio
-    b1 = arr.bi(1)
-    j = params.j
-    b2, c2 = arr.bi(2), arr.ci(2)
-    b3, c3 = arr.bi(3), arr.ci(3)
-
-    # chain = 3/(2 b1) + (1 + ... + alpha2^(j-4) + (j - 1/2) alpha2^(j-4))/(4 b1),
-    # over 8 b1 w^(j-4) as in the ratio-3 subcase
-    u, w = b1 - 2, b1 - 1
-    u_pow, w_pow = u ** (j - 4), w ** (j - 4)
-    chain = Fraction(
-        12 * w_pow + 2 * (w * w_pow - u * u_pow) + (2 * j - 1) * u_pow, 8 * b1 * w_pow
-    )
+    chain, geo = _deep_head(b1, j, 3)
+    # the tail weight peaks at i = b1 - 1; for b1 = 3 that is below j >= 4, so j = 4 dominates
+    peak = (b1 - Fraction(3, 2)) * alpha2 ** (b1 - 4) if b1 >= 4 else Fraction(7, 2) * alpha2
+    head = Fraction(1, b1) + Fraction(b1 - 1, 3 * b1)  # geo less its tail term
     steps = [
-        _step("sub_cond", Fraction(b2 * b3, c2 * c3), ">=", 4),
-        _step("half_cond", Fraction(b2, c2), ">=", 2),
+        _step("sub_cond", Fraction(arr.b[2], arr.c[1]), ">=", 3),
+        *_head_ratio_cap(arr, 3, j - 1, alpha2),
+        _step("chain", profile.ratio, "<=", chain),
+        _step("geometric_head", chain, "<", geo),
+        _step("tail_peak", (j - Fraction(1, 2)) * alpha2 ** (j - 3), "<=", peak),
     ]
-    cap = _head_ratio_cap(arr, 4, j - 1, alpha2)
-    if cap is not None:
-        steps.append(cap)
-    steps.append(_step("chain", rho, "<=", chain))
+    if b1 >= 4:
+        steps += [
+            _step("peak_cap", peak / (3 * b1), "<=", Fraction(1, 3)),
+            *_target_gap("final_value", head + Fraction(1, 3), "==", Fraction(2 * b1 + 2, 3 * b1)),
+        ]
+    else:
+        steps += _target_gap("final_value", head + peak / (3 * b1), "==", Fraction(3, 4))
+    return steps
+
+
+def _product4_steps(profile: PotentialProfile, alpha2: Fraction) -> list[TraceStep]:
+    params = profile.params
+    arr = params.array
+    b, c = arr.b, arr.c
+    rho = profile.ratio
+    b1 = b[1]
+    j = params.j
+    chain, _ = _deep_head(b1, j, 4)
+    steps = [
+        _step("sub_cond", Fraction(b[2] * b[3], c[1] * c[2]), ">=", 4),
+        _step("half_cond", Fraction(b[2], c[1]), ">=", 2),
+        *_head_ratio_cap(arr, 4, j - 1, alpha2),
+        _step("chain", rho, "<=", chain),
+    ]
     if j == 4:
-        steps += [
+        return steps + [
             _step("j4_value", chain, "==", Fraction(21, 2) / (4 * b1)),
-            _step("cap_value", Fraction(21, 2) / (4 * b1), "<=", Fraction(7, 8)),
-            _step("target_gap", Fraction(7, 8), "<", TARGET_OPTIMAL),
+            *_target_gap("cap_value", Fraction(21, 2) / (4 * b1), "<=", Fraction(7, 8)),
         ]
+
+    # the tail weight peaks at i = b1 - 1; for b1 <= 5 that is below j >= 5, so j = 5 dominates
+    peak = (b1 - Fraction(3, 2)) * alpha2 ** (b1 - 5) if b1 >= 6 else Fraction(9, 2) * alpha2
+    head = Fraction(3, 2 * b1) + Fraction(b1 - 1, 4 * b1)  # the geometric limit less its tail term
+    bound = head + peak / (4 * b1)
+    steps += [
+        _step("tail_peak", (j - Fraction(1, 2)) * alpha2 ** (j - 4), "<=", peak),
+        _step("bound_peak" if b1 >= 6 else "bound_j5", rho, "<", bound),
+    ]
+    if b1 == 3:  # alpha2 = 1/2 exactly
+        steps += _target_gap("final_value", bound, "==", Fraction(41, 48))
     elif b1 <= 5:
-        geo5 = (
-            Fraction(3, 2 * b1)
-            + Fraction(b1 - 1, 4 * b1)
-            + Fraction(9, 2) * alpha2 / (4 * b1)
-        )
+        steps += _target_gap("alpha_cap", bound, "<", head + Fraction(9, 2) / (4 * b1))
+    else:
         steps += [
-            _step(
-                "tail_peak",
-                (j - Fraction(1, 2)) * alpha2 ** (j - 4),
-                "<=",
-                Fraction(9, 2) * alpha2,
-            ),
-            _step("bound_j5", rho, "<", geo5),
-        ]
-        if b1 == 3:  # alpha2 = 1/2 exactly
-            steps += [
-                _step("final_value", geo5, "==", Fraction(41, 48)),
-                _step("target_gap", Fraction(41, 48), "<", TARGET_OPTIMAL),
-            ]
-        else:
-            at_one = Fraction(3, 2 * b1) + Fraction(b1 - 1, 4 * b1) + Fraction(9, 2) / (4 * b1)
-            steps += [
-                _step("alpha_cap", geo5, "<", at_one),
-                _step("target_gap", at_one, "<", TARGET_OPTIMAL),
-            ]
-    else:  # b1 >= 6: the peak of the tail weight sits at i = b1 - 1
-        peak = (b1 - Fraction(3, 2)) * alpha2 ** (b1 - 5)
-        bound_peak = Fraction(3, 2 * b1) + Fraction(b1 - 1, 4 * b1) + peak / (4 * b1)
-        steps += [
-            _step("tail_peak", (j - Fraction(1, 2)) * alpha2 ** (j - 4), "<=", peak),
-            _step("bound_peak", rho, "<", bound_peak),
             _step(
                 "half_cap",
                 Fraction(b1 - 1, 4 * b1) + peak / (4 * b1),
                 "<",
                 Fraction(1, 2),
             ),
-            _step("final_value", Fraction(3, 2 * b1) + Fraction(1, 2), "<=", Fraction(3, 4)),
-            _step("target_gap", Fraction(3, 4), "<", TARGET_OPTIMAL),
+            *_target_gap("final_value", Fraction(3, 2 * b1) + Fraction(1, 2), "<=", Fraction(3, 4)),
         ]
-    return _trace(profile, CaseId.CASE3_C2_EQ_1, steps, alpha=alpha2, branch="subcase2_product4")
+    return steps
 
 
 def _optimal_case4(profile: PotentialProfile) -> BoundTrace:
@@ -542,67 +507,55 @@ def _optimal_case4(profile: PotentialProfile) -> BoundTrace:
     phi = profile.phi
     rho = profile.ratio
     D = arr.D
-    b1 = arr.bi(1)
-    c2, b2 = arr.ci(2), arr.bi(2)
-    c3 = arr.ci(3)
-    b3 = arr.bi(3) if D >= 4 else 0  # K_{D+1} is empty, so b_D = 0
-    alpha = Fraction(b1 - 1, b1)
-    interior = profile.phi_sum(2)
+    b1, b2 = arr.b[1], arr.b[2]
+    c2, c3 = arr.c[1], arr.c[2]
+    b3 = arr.b[3] if D >= 4 else 0  # K_{D+1} is empty, so b_D = 0
 
     steps = [_step("c2_vs_c3", c2, "<=", Fraction(2, 3) * c3)]
-    notes: tuple[str, ...] = ()
-    assumption_dependent = False
+    notes: tuple[str, ...] = ()  # each note names an assumption the branch rests on
 
     if c3 > b3:
         branch = "c3_gt_b3"
+        alpha = Fraction(b1 - 1, b1)
+        cap = Fraction(4 * b1 - 3, b1 * b1)
         steps += [
             _step("diameter_cap", D, "<=", 5),
             _step("head_contraction_2", phi[2], "<", alpha * phi[1]),
             _step("phi2_cap", phi[2], "<", alpha / b1 * phi[0]),
-            _step("interior_count", interior, "<=", 3 * phi[2]),
-            _step("rho_cap", rho, "<", Fraction(4 * b1 - 3, b1 * b1)),
+            _step("interior_count", profile.phi_sum(2), "<=", 3 * phi[2]),
         ]
         if b1 >= 4:
-            steps += [
-                _step("cap_value", Fraction(4 * b1 - 3, b1 * b1), "<=", Fraction(13, 16)),
-                _step("target_gap", Fraction(13, 16), "<", TARGET_OPTIMAL),
-            ]
+            steps += _cap_ending(rho, cap, Fraction(13, 16))
         else:
             # b1 = 3 with c2 > 1 contradicts the classification facts for
             # real graphs; the stated 5/6 cap is still evaluated here.
             steps += [
-                _step("stated_cap", rho, "<", Fraction(5, 6)),
-                _step("target_gap", Fraction(5, 6), "<", TARGET_OPTIMAL),
+                _step("rho_cap", rho, "<", cap),
+                *_target_gap("stated_cap", rho, "<", Fraction(5, 6)),
             ]
-            assumption_dependent = True
             notes = (
                 "b_1 = 3 with c_2 > 1 cannot occur for an actual graph in "
                 "this case; the cap is evaluated as stated",
             )
-    elif Fraction(c2, b2) <= Fraction(1, 2):
+    elif 2 * c2 <= b2:  # c_2/b_2 <= 1/2
         branch = "c3_eq_b3_half"
         steps += [
             _step("ratio_half", Fraction(c2, b2), "<=", Fraction(1, 2)),
             _step("tail_split", profile.phi_sum(3), "<=", Fraction(5, 2) * phi[2]),
             _step("half_drop", phi[2], "<", phi[1] / 2),
-            _step("sum_cap", profile.phi_sum(1), "<=", phi[1] + Fraction(7, 2) * phi[2]),
-            _step("rho_cap", rho, "<", Fraction(11, 4) / b1),
-            _step("cap_value", Fraction(11, 4) / b1, "<=", Fraction(11, 12)),
-            _step("target_gap", Fraction(11, 12), "<", TARGET_OPTIMAL),
+            *_j3_sum_cap(profile),
         ]
     else:
         branch = "c3_eq_b3_quadrangle"
         steps += _quadrangle_chain(profile)
-        assumption_dependent = True
         notes = (_QUADRANGLE_NOTE,)
 
     return _trace(
         profile,
         CaseId.CASE4_J3,
         steps,
-        alpha=alpha,
         branch=branch,
-        assumption_dependent=assumption_dependent,
+        assumption_dependent=bool(notes),
         notes=notes,
     )
 
@@ -612,37 +565,30 @@ def _quadrangle_chain(profile: PotentialProfile) -> list[TraceStep]:
     params = profile.params
     arr = params.array
     phi = profile.phi
-    rho = profile.ratio
-    D = arr.D
     k = params.k
-    b1 = arr.bi(1)
-    c2, b2 = arr.ci(2), arr.bi(2)
+    b1, b2 = arr.b[1], arr.b[2]
+    c2 = arr.c[1]
     final = Fraction(1, b1) + Fraction(2, 3) * Fraction(b1 - 1, b1)
     return [
         _step("quad_cond", Fraction(c2, b2), ">", Fraction(1, 2)),
-        _step("diameter_quad", D, "<=", Fraction(2 * k, k + 1 - b1)),
+        _step("diameter_quad", arr.D, "<=", Fraction(2 * k, k + 1 - b1)),
         _step("quad_diameter_cap", Fraction(2 * k, k + 1 - b1), "<=", b1 + 1),
-        _step("c3_growth", arr.ci(3), ">=", Fraction(3, 2) * c2),
+        _step("c3_growth", arr.c[2], ">=", Fraction(3, 2) * c2),
         _step("ratio_23", Fraction(c2, b2), "<=", Fraction(2, 3)),
         _step("interior_count", profile.phi_sum(2), "<=", (b1 - 1) * phi[2]),
         _step("initial_drop", phi[1], "<", phi[0] / b1),
         _step("phi2_cap", phi[2], "<", Fraction(2, 3) * phi[1]),
-        _step("rho_cap", rho, "<", final),
-        _step("final_value", final, "==", Fraction(2 * b1 + 1, 3 * b1)),
-        _step("target_gap", Fraction(2 * b1 + 1, 3 * b1), "<", TARGET_OPTIMAL),
+        *_cap_ending(profile.ratio, final, Fraction(2 * b1 + 1, 3 * b1), "final_value", "=="),
     ]
 
 
 def _optimal_case5(profile: PotentialProfile) -> BoundTrace:
-    b1 = profile.params.array.bi(1)
-    alpha = Fraction(b1 - 1, b1)
     if profile.params.j == 2:
         # a short tail needs no quadrangle machinery at all
         return _trace(
             profile,
             CaseId.CASE5_QUADRANGLE,
             _split_j2_steps(profile),
-            alpha=alpha,
             branch="split_j2",
             notes=("head/tail split at j = 2: the tail bound alone suffices",),
         )
@@ -650,7 +596,6 @@ def _optimal_case5(profile: PotentialProfile) -> BoundTrace:
         profile,
         CaseId.CASE5_QUADRANGLE,
         _quadrangle_chain(profile),
-        alpha=alpha,
         branch="quadrangle",
         assumption_dependent=True,
         notes=(_QUADRANGLE_NOTE,),
@@ -659,28 +604,22 @@ def _optimal_case5(profile: PotentialProfile) -> BoundTrace:
 
 def _optimal_case6(profile: PotentialProfile) -> BoundTrace:
     params = profile.params
-    arr = params.array
     phi = profile.phi
-    rho = profile.ratio
-    k = params.k
-    b1 = arr.bi(1)
-    c2 = arr.ci(2)
-    interior = profile.phi_sum(2)
+    b1 = params.array.b[1]
+    c2 = params.array.c[1]
     ten_ratio = 10 * phi[1] / phi[0]
     steps = (
-        _step("k_cap", k, ">=", 50 * (c2 - 1)),
+        _step("k_cap", params.k, ">=", 50 * (c2 - 1)),
         _step("b1_large", b1, ">", 20),
-        _step("interior_tail_cap", interior, "<", 9 * phi[1]),
+        _step("interior_tail_cap", profile.phi_sum(2), "<", 9 * phi[1]),
         _step("initial_drop", phi[1], "<", phi[0] / b1),
-        _step("rho_ten", rho, "<", ten_ratio),
-        _step("ten_half", ten_ratio, "<", Fraction(1, 2)),
-        _step("target_gap", Fraction(1, 2), "<", TARGET_OPTIMAL),
+        _step("rho_ten", profile.ratio, "<", ten_ratio),
+        *_target_gap("ten_half", ten_ratio, "<", Fraction(1, 2)),
     )
     return _trace(
         profile,
         CaseId.CASE6_TERWILLIGER,
         steps,
-        alpha=Fraction(b1 - 1, b1),
         assumption_dependent=True,
         notes=(
             "quadrangle-freeness is a structural property not decidable "

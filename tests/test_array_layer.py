@@ -5,7 +5,9 @@
    of its potential profile and of both bound traces (or of the error a
    prover raises).  The file was generated from the Fraction-based
    array layer, so any change to a returned value, its type or a trace
-   step shows here.  To regenerate after an intended change:
+   step shows here.  The golden proof arrays at the end of the feasible
+   set were pinned later, before the proof chains were rebuilt from
+   shared pieces.  To regenerate after an intended change:
 
        PYTHONPATH=src python tests/test_array_layer.py
 

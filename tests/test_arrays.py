@@ -156,6 +156,18 @@ def test_validate_condition_iii_failure():
     assert (1, 2) in rep.condition_iii_failures
 
 
+@pytest.mark.parametrize(
+    "text, count, more",
+    [("4,1,1,1,1,1;1,2,2,2,2,2", 10, ""), ("3,1,1,1,1,1;1,2,2,2,2,4", 11, ", … and 1 more")],
+)
+def test_condition_iii_message_lists_at_most_ten_pairs(text, count, more):
+    rep = validate(parse_array(text))
+    b, c = rep.array.b, rep.array.c
+    assert len(rep.condition_iii_failures) == count  # the report keeps every pair
+    pairs = [f"b_{i}={b[i]} < c_{j}={c[j - 1]}" for i, j in rep.condition_iii_failures[:10]]
+    assert "condition (iii) fails: " + ", ".join(pairs) + more in rep.failure_messages()
+
+
 def test_validate_handshake_failure():
     # n = 11, k = 5: nk odd, no graph can realize it
     rep = validate(parse_array("5,4;1,4"))

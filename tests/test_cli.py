@@ -149,6 +149,25 @@ def test_oracle_all_refuses_a_parameter_before_any_output(capsys):
     assert err == "error: --param applies to one construction; it cannot be combined with --all\n"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["petersen", "--all"], "one of NAME, --all and --graph-file; got NAME and --all"),
+        (["--all", "--graph-file", "{k4}"], "got --all and --graph-file"),
+        (["petersen", "--graph-file", "{k4}"], "got NAME and --graph-file"),
+        (["--graph-file", "{k4}", "--all", "--param", "5"], "got --all and --graph-file"),
+        (["--graph-file", "{k4}", "--param", "5"], "cannot be combined with --graph-file"),
+        (["--param", "5"], "oracle needs a construction name, --all, or --graph-file"),
+    ],
+)
+def test_oracle_refuses_conflicting_selectors_before_any_output(capsys, tmp_path, argv, error):
+    path = tmp_path / "k4.txt"
+    path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, err = run(capsys, "oracle", *(arg.format(k4=path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(error + "\n")
+
+
 def test_oracle_unknown_name(capsys):
     code, _, err = run(capsys, "oracle", "zzz")
     assert code == 2

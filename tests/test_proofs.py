@@ -18,7 +18,7 @@ from drg import (
     prove_k3,
     prove_optimal,
 )
-from drg.proofs import K3_MAX_B1
+from drg.proofs import K3_MAX_B1, _deep_head
 
 OPTIMAL = Fraction(93, 100)
 
@@ -297,6 +297,20 @@ def test_optimal_case6_all_preconditions_met():
     assert trace.case_id == CaseId.CASE6_TERWILLIGER
     assert trace.assumption_dependent
     assert trace.verdict and trace.all_steps_hold
+
+
+@pytest.mark.parametrize("s, lead", [(3, 2), (4, 3)])
+def test_deep_head_closed_form_matches_the_sum_term_by_term(s, lead):
+    # chain = lead/(2 b1) + (1 + alpha2 + ... + alpha2^(j-s) + (j - 1/2) alpha2^(j-s))/(s b1);
+    # the geometric limit replaces the finite sum by 1/(1 - alpha2)
+    for b1 in range(3, 31):
+        alpha2 = Fraction(b1 - 2, b1 - 1)
+        for j in range(s, s + 26):
+            weight = (j - Fraction(1, 2)) * alpha2 ** (j - s)
+            head = sum((alpha2**i for i in range(j - s + 1)), Fraction(0))
+            chain = Fraction(lead, 2 * b1) + (head + weight) / (s * b1)
+            limit = Fraction(lead, 2 * b1) + (1 / (1 - alpha2) + weight) / (s * b1)
+            assert _deep_head(b1, j, s) == (chain, limit), (b1, j)
 
 
 def test_optimal_case6_real_hamming_fails_preconditions():
