@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -66,6 +68,26 @@ def test_parse_allows_spaces():
 def test_parse_rejects(text):
     with pytest.raises(ArrayFormatError):
         parse_array(text)
+
+
+def test_token_grammar_matches_the_reference_regex():
+    """Every token of length <= 4 over a mixed alphabet, against ^[ ]*([0-9]+)[ ]*$."""
+    reference = re.compile(r"^[ ]*([0-9]+)[ ]*$")
+    alphabet = " \n\r\t03x+_²٣"
+    for length in range(5):
+        for chars in product(alphabet, repeat=length):
+            token = "".join(chars)
+            m = reference.match(token)
+            try:
+                got = parse_array(f"{token};1").b
+            except ArrayFormatError as exc:
+                got = str(exc)
+            if m is None:
+                assert got == f"bad token {token!r} in b-sequence", token
+            elif int(m.group(1)) > 0:
+                assert got == (int(m.group(1)),), token
+            else:  # in the grammar, refused by the positivity rule
+                assert "positive" in got, token
 
 
 def _hypercube_text(d: int) -> str:

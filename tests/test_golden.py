@@ -66,6 +66,14 @@ INPUT_CASES = {
     "by_name": "petersen",
 }
 
+# Arrays that parse token by token but break a shape rule of IntersectionArray.
+SHAPE_CASES = {
+    "unequal_lengths": "3,2;1",
+    "c1_not_one": "3,2;2,2",
+    "zero_entry": "3,0;1,1",
+    "zero_entry_unequal_lengths": "3,0;1",
+}
+
 
 def _cases() -> dict[str, list[str]]:
     cases: dict[str, list[str]] = {}
@@ -73,6 +81,8 @@ def _cases() -> dict[str, list[str]]:
         for key, target in INPUT_CASES.items():
             cases[f"{cmd}_{key}"] = [cmd, target]
             cases[f"{cmd}_{key}_json"] = [cmd, target, "--json"]
+    for key, target in SHAPE_CASES.items():
+        cases[f"validate_shape_{key}"] = ["validate", target]
     for key, target in PROOF_ARRAYS.items():
         for prover in ("k3", "optimal"):
             cases[f"prove_{prover}_{key}"] = ["analyze", target, "--prove", prover]
