@@ -37,7 +37,6 @@ from .potentials import (
     TailSumCheck,
     check_resistance_cap,
     compute_potentials_explicit,
-    compute_potentials_recursive,
     compute_profile,
     step_inequalities,
     tail_sum_check,
@@ -77,7 +76,6 @@ __all__ = [
     "check_resistance_cap",
     "classify_case",
     "compute_potentials_explicit",
-    "compute_potentials_recursive",
     "compute_profile",
     "construct",
     "cross_validate",

@@ -4,24 +4,24 @@ An intersection array (b_0,...,b_{D-1}; c_1,...,c_D) describes the
 distance combinatorics of a distance-regular graph.  Parsing and
 validation are deliberately separate so that infeasible arrays can be
 reported on instead of rejected outright.
+
+The IntersectionArray constructor owns the shape rules and parse_array
+the text grammar; b_i is arr.b[i] and c_i is arr.c[i - 1] everywhere.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 
-_INT_TOKEN = re.compile(r"^[ ]*([0-9]+)[ ]*$")
-
 # parse_array refuses an array of larger diameter before converting an entry:
 # validate() lists up to D^2/2 pairs for an array failing condition (iii).
 MAX_DIAMETER = 1024
 
-# failure_messages() prints this many condition-(iii) pairs and counts the rest.
-_LISTED_III_PAIRS = 10
+# failure_messages() lists this many condition-(iii) pairs or sphere sizes, then a count.
+_LISTED = 10
 
 
 class ArrayFormatError(ValueError):
@@ -60,24 +60,12 @@ class IntersectionArray:
         """Valency k = b_0."""
         return self.b[0]
 
-    def bi(self, i: int) -> int:
-        """b_i for 0 <= i <= D-1 (mathematical indexing)."""
-        if not 0 <= i < self.D:
-            raise IndexError(f"b_{i} undefined for D={self.D}")
-        return self.b[i]
-
-    def ci(self, i: int) -> int:
-        """c_i for 1 <= i <= D (mathematical indexing)."""
-        if not 1 <= i <= self.D:
-            raise IndexError(f"c_{i} undefined for D={self.D}")
-        return self.c[i - 1]
-
     def __str__(self) -> str:
         return format_array(self)
 
 
 def parse_array(text: str) -> IntersectionArray:
-    """Parse `b0,b1,...,b_{D-1};c1,...,cD` (optional spaces around tokens).
+    """Parse `b0,...,b_{D-1};c1,...,cD`: ASCII digits, spaces around, one final newline.
 
     Grammar only; feasibility is checked separately by validate().
     """
@@ -95,36 +83,24 @@ def parse_array(text: str) -> IntersectionArray:
             )
     b = _parse_side(left, "b")
     c = _parse_side(right, "c")
-    if len(b) != len(c):
-        raise ArrayFormatError(
-            f"unequal sequence lengths: {len(b)} vs {len(c)} in {text!r}"
-        )
-    if c[0] != 1:
-        raise ArrayFormatError(f"c_1 must equal 1, got {c[0]}")
     try:
-        return IntersectionArray(tuple(b), tuple(c))
-    except ValueError as exc:  # positivity etc., re-labelled as a format error
+        return IntersectionArray(b, c)
+    except ValueError as exc:  # a shape rule, re-labelled as a format error
         raise ArrayFormatError(str(exc)) from exc
 
 
 def _parse_side(side: str, label: str) -> list[int]:
     values = []
     for token in side.split(","):
-        digits = token
-        if not (token.isascii() and token.isdigit()):  # not bare digits: use the grammar
-            m = _INT_TOKEN.match(token)
-            if m is None:
-                raise ArrayFormatError(f"bad token {token!r} in {label}-sequence")
-            digits = m.group(1)
+        digits = token.removesuffix("\n").strip(" ")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ArrayFormatError(f"bad token {token!r} in {label}-sequence")
         try:
-            v = int(digits)
+            values.append(int(digits))
         except ValueError as exc:  # beyond sys.get_int_max_str_digits()
             raise ArrayFormatError(
                 f"entry of {len(digits)} digits in {label}-sequence is too long to convert"
             ) from exc
-        if v <= 0:
-            raise ArrayFormatError(f"entries must be positive, got {v}")
-        values.append(v)
     return values
 
 
@@ -197,22 +173,18 @@ class ValidationReport:
         )
 
     def failure_messages(self) -> tuple[str, ...]:
-        arr = self.array
+        b, c = self.array.b, self.array.c
         out = []
         if not self.condition_i:
-            out.append(f"condition (i) fails: b = {arr.b} is not k > b_1 >= ... >= b_(D-1)")
+            out.append(f"condition (i) fails: b = {b} is not k > b_1 >= ... >= b_(D-1)")
         if not self.condition_ii:
-            out.append(f"condition (ii) fails: c = {arr.c} is not 1 = c_1 <= ... <= c_D")
+            out.append(f"condition (ii) fails: c = {c} is not 1 = c_1 <= ... <= c_D")
         if not self.condition_iii:
-            failures = self.condition_iii_failures
-            listed = failures[:_LISTED_III_PAIRS]
-            pairs = ", ".join(f"b_{i}={arr.bi(i)} < c_{j}={arr.ci(j)}" for i, j in listed)
-            if len(failures) > len(listed):
-                pairs += f", … and {len(failures) - len(listed)} more"
-            out.append(f"condition (iii) fails: {pairs}")
+            pair = lambda ij: f"b_{ij[0]}={b[ij[0]]} < c_{ij[1]}={c[ij[1] - 1]}"
+            out.append(f"condition (iii) fails: {_listed(self.condition_iii_failures, pair)}")
         if not self.integral_spheres:
-            sizes = sphere_sizes_exact(arr)
-            vals = ", ".join(f"|K_{i}| = {sizes[i]}" for i in self.non_integral_at)
+            sizes = sphere_sizes_exact(self.array)
+            vals = _listed(self.non_integral_at, lambda i: f"|K_{i}| = {sizes[i]}")
             out.append(f"non-integral sphere sizes: {vals}")
         if not self.nonnegative_a:
             idx = ", ".join(f"a_{i}" for i in self.negative_a_at)
@@ -220,6 +192,12 @@ class ValidationReport:
         if not self.handshake_even:
             out.append("handshake fails: n*k is odd, so the edge count nk/2 is not an integer")
         return tuple(out)
+
+
+def _listed(items: tuple, render) -> str:
+    """render(item) for the first _LISTED items, then how many more there are."""
+    more = f", … and {len(items) - _LISTED} more" if len(items) > _LISTED else ""
+    return ", ".join(map(render, items[:_LISTED])) + more
 
 
 def validate(arr: IntersectionArray) -> ValidationReport:
@@ -315,4 +293,4 @@ def derive_from(report: ValidationReport) -> DerivedParams:
 
 def is_cocktail_party(arr: IntersectionArray) -> bool:
     """True iff b_1 = 1 (D >= 2): the cocktail-party graphs K_{m x 2}."""
-    return arr.D >= 2 and arr.bi(1) == 1
+    return arr.D >= 2 and arr.b[1] == 1

@@ -130,18 +130,15 @@ def _embedded() -> tuple[CatalogEntry, ...]:
     )
 
 
-def catalog_list(include_env: bool = True) -> tuple[CatalogEntry, ...]:
+def catalog_list() -> tuple[CatalogEntry, ...]:
     """All embedded rows, the extras flagged supplementary, plus env entries."""
-    entries = _embedded()
-    if include_env:
-        entries += tuple(_supplementary_from_env())
-    return entries
+    return _embedded() + tuple(_supplementary_from_env())
 
 
-def lookup(name: str, include_env: bool = True) -> CatalogEntry | None:
+def lookup(name: str) -> CatalogEntry | None:
     """Find an entry by slug or (case-insensitive) display name."""
     slug, want = slugify(name), name.strip().lower()
-    for entry in catalog_list(include_env=include_env):
+    for entry in catalog_list():
         if entry.slug == slug or entry.name.lower() == want:
             return entry
     return None

@@ -110,7 +110,7 @@ def _record(
     record["k_effective"] = profile.k_effective
     record["resistance_cap"] = {"bound": cap, "holds": cap_holds}
     record["tail_bound"] = _fields(tail, "j", "lhs", "rhs", "holds")
-    if params.D >= 2 and arr.bi(1) >= 2:
+    if params.D >= 2 and arr.b[1] >= 2:
         record["step_inequalities"] = [
             _fields(s, "kind", "i", "phi_i", "bound", "holds") for s in step_inequalities(profile)
         ]
@@ -270,9 +270,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.action != "list":
-        _err(f"unknown catalog action {args.action!r}")
-        return 2
     entries = catalog_list()
     widths = (
         max(len(e.slug) for e in entries),

@@ -135,11 +135,8 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
     expected_c: list[int | None] = [None] * (diameter + 1)
     claimed = g.claimed_array
     if claimed is not None and claimed.D == diameter:
-        for i in range(diameter):
-            expected_b[i] = claimed.bi(i)
-        expected_c[0] = 0
-        for i in range(1, diameter + 1):
-            expected_c[i] = claimed.ci(i)
+        expected_b[:diameter] = claimed.b
+        expected_c[:] = (0, *claimed.c)
     violations: list[Violation] = []
 
     n, edges = g.n, g.edges
@@ -187,7 +184,7 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
 # constructions
 
 def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> LabeledGraph:
-    """Build a graph from `u v` lines (0-based); '#' comments and blanks allowed.
+    """Build a graph from `u v` lines of ASCII digits (0-based); '#' comments and blanks allowed.
 
     A vertex index of MAX_VERTICES or more is refused on its line, and
     so is the line whose edge takes (largest index + 1) * (edges so far)
@@ -202,12 +199,12 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(f"line {lineno}: vertex indices must be ASCII digits, got {raw!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-integer vertex in {raw!r}") from exc
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: negative vertex index")
+        except ValueError as exc:  # beyond sys.get_int_max_str_digits()
+            raise ValueError(f"line {lineno}: vertex index too long to convert") from exc
         if max(u, v) >= MAX_VERTICES:
             raise ValueError(
                 f"line {lineno}: vertex {max(u, v)} is beyond the cap of "
@@ -276,9 +273,8 @@ def hypercube_graph(d: int) -> LabeledGraph:
         raise ValueError("hypercube needs dimension >= 2")
     n = 1 << d
     edges = [(u, u ^ (1 << bit)) for u in range(n) for bit in range(d) if u < u ^ (1 << bit)]
-    b = ",".join(str(d - i) for i in range(d))
-    c = ",".join(str(i) for i in range(1, d + 1))
-    return LabeledGraph(n, edges, f"hypercube({d})", parse_array(f"{b};{c}"))
+    claimed = IntersectionArray(range(d, 0, -1), range(1, d + 1))
+    return LabeledGraph(n, edges, f"hypercube({d})", claimed)
 
 
 # Vertex sets are built once, at import: construct runs on every oracle call.

@@ -36,11 +36,6 @@ def _numerators(params: DerivedParams) -> list[tuple[int, int]]:
     return out
 
 
-def compute_potentials_recursive(params: DerivedParams) -> tuple[Fraction, ...]:
-    """phi_0 = n-1, then phi_i = (c_i*phi_{i-1} - k)/b_i for 1 <= i <= D-1."""
-    return tuple(Fraction(p, b_prod) for p, b_prod in _numerators(params))
-
-
 def compute_potentials_explicit(params: DerivedParams) -> tuple[Fraction, ...]:
     """Closed form: phi_i = k * sum_{t=i+1}^{D} (b_{i+1}...b_{t-1})/(c_{i+1}...c_t).
 
@@ -66,24 +61,24 @@ def telescoping_terms(params: DerivedParams, i: int) -> tuple[Fraction, ...]:
     term; conditions (i)/(ii) make every paired group >= 0 and the trailing
     term > 0, which is the positivity (strict-decrease) argument.
     """
-    arr = params.array
-    D = arr.D
+    b, c = params.array.b, params.array.c
+    D = len(b)
     if not 1 <= i <= D - 1:
         raise IndexError(f"telescoping index {i} out of range [1, {D - 1}]")
     # A_m = (b_i...b_{i+m-1})/(c_i...c_{i+m}), B_m shifted one step right
     groups = []
-    a_num, a_den = 1, arr.ci(i)
-    b_num, b_den = 1, arr.ci(i + 1)
+    a_num, a_den = 1, c[i - 1]
+    b_num, b_den = 1, c[i]
     for m in range(D - i):
         if m > 0:
-            a_num *= arr.bi(i + m - 1)
-            a_den *= arr.ci(i + m)
-            b_num *= arr.bi(i + m)
-            b_den *= arr.ci(i + m + 1)
+            a_num *= b[i + m - 1]
+            a_den *= c[i + m - 1]
+            b_num *= b[i + m]
+            b_den *= c[i + m]
         groups.append(Fraction(a_num, a_den) - Fraction(b_num, b_den))
-    trail_num = a_num * arr.bi(D - 1)
+    trail_num = a_num * b[D - 1]
     # a brings c_i..c_{D-1} at m = D-i-1; one more factor c_D completes it
-    trail_den = a_den * arr.ci(D)
+    trail_den = a_den * c[D - 1]
     groups.append(Fraction(trail_num, trail_den))
     return tuple(groups)
 
@@ -102,10 +97,6 @@ class PotentialProfile:
     resistances: tuple[Fraction, ...]
     ratio: Fraction  # rho = (phi_1 + ... + phi_{D-1}) / phi_0
     k_effective: Fraction  # r_D / r_1 = 1 + rho
-
-    @property
-    def D(self) -> int:
-        return self.params.D
 
     def phi_sum(self, start: int) -> Fraction:
         """phi_start + ... + phi_{D-1} (0 for an empty sum), built as one Fraction.
@@ -192,21 +183,19 @@ def step_inequalities(profile: PotentialProfile) -> tuple[StepBound, ...]:
     initial_drop:    phi_1 < phi_0 / b_1
     Requires D >= 2 and b_1 >= 2.
     """
-    arr = profile.params.array
-    if arr.D < 2:
+    b, c = profile.params.array.b, profile.params.array.c
+    if len(b) < 2:
         raise ValueError("step inequalities need D >= 2")
-    b1 = arr.bi(1)
+    b1 = b[1]
     if b1 < 2:
         raise ValueError("step inequalities need b_1 >= 2")
     alpha = Fraction(b1 - 1, b1)
     out: list[StepBound] = []
-    for i in range(1, arr.D):
+    for i in range(1, len(b)):
         prev = profile.phi[i - 1]
         here = profile.phi[i]
-        out.append(
-            StepBound("recursion_ratio", i, here, Fraction(arr.ci(i), arr.bi(i)) * prev)
-        )
-        if arr.bi(i) > arr.ci(i):
+        out.append(StepBound("recursion_ratio", i, here, Fraction(c[i - 1], b[i]) * prev))
+        if b[i] > c[i - 1]:
             out.append(StepBound("head_contraction", i, here, alpha * prev))
         if i == 1:
             out.append(StepBound("initial_drop", i, here, prev / b1))

@@ -202,18 +202,16 @@ class UnimodalityStep:
         return self.ratio > 1 if self.rising else self.ratio < 1
 
 
-def f_unimodality(b1: int, hi: int | None = None) -> tuple[UnimodalityStep, ...]:
-    """Check f rises up to i = b1 and falls after it, over i in [1, hi].
+def f_unimodality(b1: int) -> tuple[UnimodalityStep, ...]:
+    """Check f rises up to i = b1 and falls after it, over i in [1, 3*b1].
 
     f(i+1)/f(i) > 1 must hold for i <= b1-1 and < 1 for i >= b1; the peak
     of f therefore sits at i = b1.
     """
     if b1 < 2:
         raise ValueError("f unimodality is defined for b1 >= 2")
-    if hi is None:
-        hi = 3 * b1
     out = []
-    for i in range(1, hi + 1):
+    for i in range(1, 3 * b1 + 1):
         out.append(UnimodalityStep(i=i, ratio=f_ratio(b1, i), rising=i <= b1 - 1))
     return tuple(out)
 

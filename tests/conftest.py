@@ -10,11 +10,16 @@ exhaustively true.
 
 from __future__ import annotations
 
+import os
 from itertools import product
 
 import pytest
 
 from drg import IntersectionArray, catalog_list, validate
+
+# The suite runs on the embedded catalog; a test that wants a DRG_CATALOG
+# file sets the variable itself.
+os.environ.pop("DRG_CATALOG", None)
 
 
 def _monotone_b(bs: tuple[int, ...]) -> bool:
@@ -48,7 +53,7 @@ def small_feasible_arrays() -> list[IntersectionArray]:
 def corpus() -> list[IntersectionArray]:
     arrays = small_feasible_arrays()
     seen = {(a.b, a.c) for a in arrays}
-    for entry in catalog_list(include_env=False):
+    for entry in catalog_list():
         key = (entry.array.b, entry.array.c)
         if key not in seen:
             seen.add(key)
@@ -58,4 +63,4 @@ def corpus() -> list[IntersectionArray]:
 
 @pytest.fixture(scope="session")
 def paper_rows():
-    return [e for e in catalog_list(include_env=False) if not e.supplementary]
+    return [e for e in catalog_list() if not e.supplementary]

@@ -12,7 +12,6 @@ from drg import (
     CaseId,
     check_resistance_cap,
     compute_potentials_explicit,
-    compute_potentials_recursive,
     compute_profile,
     construct,
     cross_validate,
@@ -126,7 +125,7 @@ def test_criterion_4_property_suite(corpus):
         label = str(arr)
         params = derive(arr)
         profile = compute_profile(params)
-        if compute_potentials_recursive(params) != compute_potentials_explicit(params):
+        if profile.phi != compute_potentials_explicit(params):
             failures.append(f"{label}: recursion != closed form")
         if profile.phi[0] != params.n - 1:
             failures.append(f"{label}: phi_0 != n-1")
@@ -143,7 +142,7 @@ def test_criterion_4_property_suite(corpus):
             failures.append(f"{label}: tail bound fails")
         if not profile.ratio < 2:
             failures.append(f"{label}: rho >= 2")
-        if arr.D >= 2 and arr.bi(1) >= 2:
+        if arr.D >= 2 and arr.b[1] >= 2:
             if not all(s.holds for s in step_inequalities(profile)):
                 failures.append(f"{label}: step inequality fails")
     _criterion(
@@ -180,7 +179,7 @@ def test_criterion_5_proof_trace_integrity(paper_rows):
         if optimal.verdict != expected_verdict or not optimal.verdict:
             problems.append(f"{e.name}: verdict disagrees with direct computation")
 
-    for e in catalog_list(include_env=False):
+    for e in catalog_list():
         if not e.supplementary:
             continue
         profile = compute_profile(derive(e.array))
@@ -201,7 +200,7 @@ def test_criterion_5_proof_trace_integrity(paper_rows):
 def test_criterion_6_f_unimodality():
     bad = []
     for b1 in range(2, 13):
-        for step in f_unimodality(b1, hi=3 * b1):
+        for step in f_unimodality(b1):
             if not step.holds:
                 bad.append((b1, step.i))
     _criterion(

@@ -34,7 +34,6 @@ from drg import (
     ValidationReport,
     catalog_list,
     compute_potentials_explicit,
-    compute_potentials_recursive,
     compute_profile,
     f_value,
     format_array,
@@ -81,7 +80,7 @@ def _corpus_arrays() -> list[IntersectionArray]:
     which prove_k3 refuses.  Members with k < 3 pin the provers' refusal.
     """
     out = small_feasible_arrays()
-    out += [entry.array for entry in catalog_list(include_env=False)]
+    out += [entry.array for entry in catalog_list()]
     out += [_hamming(d, q) for d in range(1, 61) for q in (2, 3, 7)]
     out += [_hamming(4, 500), _hamming(3, 1002)]
     out += [_johnson(v, e) for e in range(2, 41) for v in (2 * e, 2 * e + 3)]
@@ -100,7 +99,7 @@ def feasible_arrays() -> list[IntersectionArray]:
 
 
 def _named_or_parsed(text: str) -> IntersectionArray:
-    entry = lookup(text, include_env=False)
+    entry = lookup(text)
     return entry.array if entry else parse_array(text)
 
 
@@ -197,7 +196,7 @@ def test_trace_digests_match(pinned, feasible, perturbed):
 def sphere_sizes_reference(arr: IntersectionArray) -> tuple[Fraction, ...]:
     sizes = [Fraction(1)]
     for i in range(arr.D):
-        sizes.append(sizes[-1] * arr.bi(i) / arr.ci(i + 1))
+        sizes.append(sizes[-1] * arr.b[i] / arr.c[i])
     return tuple(sizes)
 
 
@@ -205,22 +204,22 @@ def validate_reference(arr: IntersectionArray) -> ValidationReport:
     D = arr.D
     k = arr.k
     cond_i = all(
-        arr.bi(i) > arr.bi(i + 1) if i == 0 else arr.bi(i) >= arr.bi(i + 1)
+        arr.b[i] > arr.b[i + 1] if i == 0 else arr.b[i] >= arr.b[i + 1]
         for i in range(D - 1)
     )
-    cond_ii = all(arr.ci(i) <= arr.ci(i + 1) for i in range(1, D))
+    cond_ii = all(arr.c[i - 1] <= arr.c[i] for i in range(1, D))
     iii_failures = tuple(
         (i, j)
         for i in range(D)
         for j in range(1, D + 1)
-        if i + j <= D and arr.bi(i) < arr.ci(j)
+        if i + j <= D and arr.b[i] < arr.c[j - 1]
     )
     sizes = sphere_sizes_reference(arr)
     non_integral = tuple(i for i, s in enumerate(sizes) if s.denominator != 1)
     neg_a = tuple(
         i
         for i in range(1, D + 1)
-        if (k - (arr.bi(i) if i < D else 0) - arr.ci(i)) < 0
+        if (k - (arr.b[i] if i < D else 0) - arr.c[i - 1]) < 0
     )
     if non_integral:
         handshake = True
@@ -239,7 +238,7 @@ def validate_reference(arr: IntersectionArray) -> ValidationReport:
         negative_a_at=neg_a,
         handshake_even=handshake,
         k_ge_3=k >= 3,
-        b1_ge_2=D >= 2 and arr.bi(1) >= 2,
+        b1_ge_2=D >= 2 and arr.b[1] >= 2,
     )
 
 
@@ -248,8 +247,8 @@ def derive_reference(report: ValidationReport) -> DerivedParams:
     D = arr.D
     k = arr.k
     sizes = tuple(int(s) for s in sphere_sizes_reference(arr))
-    a = tuple(k - (arr.bi(i) if i < D else 0) - arr.ci(i) for i in range(1, D + 1))
-    j = next((i for i in range(1, D) if arr.ci(i) >= arr.bi(i)), D)
+    a = tuple(k - (arr.b[i] if i < D else 0) - arr.c[i - 1] for i in range(1, D + 1))
+    j = next((i for i in range(1, D) if arr.c[i - 1] >= arr.b[i]), D)
     return DerivedParams(array=arr, k=k, n=sum(sizes), a=a, sphere_sizes=sizes, j=j)
 
 
@@ -257,7 +256,7 @@ def potentials_recursive_reference(params: DerivedParams) -> tuple[Fraction, ...
     arr = params.array
     phi = [Fraction(params.n - 1)]
     for i in range(1, arr.D):
-        phi.append((arr.ci(i) * phi[-1] - params.k) / arr.bi(i))
+        phi.append((arr.c[i - 1] * phi[-1] - params.k) / arr.b[i])
     return tuple(phi)
 
 
@@ -269,8 +268,8 @@ def potentials_explicit_reference(params: DerivedParams) -> tuple[Fraction, ...]
         num = den = 1
         for t in range(i + 1, arr.D + 1):
             if t > i + 1:
-                num *= arr.bi(t - 1)
-            den *= arr.ci(t)
+                num *= arr.b[t - 1]
+            den *= arr.c[t - 1]
             total += Fraction(num, den)
         out.append(params.k * total)
     return tuple(out)
@@ -327,7 +326,6 @@ def test_derive_and_profile_match_reference(feasible, perturbed):
         assert _same(profile, profile_reference(params))
         for start in range(params.D + 1):
             assert _same(profile.phi_sum(start), sum(profile.phi[start:], Fraction(0)))
-        assert _same(compute_potentials_recursive(params), potentials_recursive_reference(params))
         assert _same(compute_potentials_explicit(params), potentials_explicit_reference(params))
 
 

@@ -133,16 +133,6 @@ def test_constructor_rejects_bad_structure():
         IntersectionArray((), ())
 
 
-def test_mathematical_indexing():
-    arr = parse_array("4,3,2;1,2,4")
-    assert arr.bi(0) == 4 and arr.bi(2) == 2
-    assert arr.ci(1) == 1 and arr.ci(3) == 4
-    with pytest.raises(IndexError):
-        arr.bi(3)
-    with pytest.raises(IndexError):
-        arr.ci(0)
-
-
 def test_format_round_trip(corpus):
     for arr in corpus:
         assert parse_array(format_array(arr)) == arr
@@ -188,6 +178,15 @@ def test_condition_iii_message_lists_at_most_ten_pairs(text, count, more):
     assert len(rep.condition_iii_failures) == count  # the report keeps every pair
     pairs = [f"b_{i}={b[i]} < c_{j}={c[j - 1]}" for i, j in rep.condition_iii_failures[:10]]
     assert "condition (iii) fails: " + ", ".join(pairs) + more in rep.failure_messages()
+
+
+@pytest.mark.parametrize("D, more", [(11, ""), (12, ", … and 1 more")])
+def test_sphere_size_message_lists_at_most_ten_sizes(D, more):
+    # |K_i| = 3/2^(i-1) is non-integral for 2 <= i <= D
+    rep = validate(parse_array("3" + ",1" * (D - 1) + ";1" + ",2" * (D - 1)))
+    assert rep.non_integral_at == tuple(range(2, D + 1))  # the report keeps every index
+    sizes = ", ".join(f"|K_{i}| = 3/{2 ** (i - 1)}" for i in range(2, 12))
+    assert "non-integral sphere sizes: " + sizes + more in rep.failure_messages()
 
 
 def test_validate_handshake_failure():
@@ -266,7 +265,7 @@ def test_corpus_sphere_recurrence_and_handshake(corpus):
         assert sum(sizes) == p.n
         assert sizes[0] == 1 and sizes[1] == p.k
         for i in range(arr.D):
-            assert arr.ci(i + 1) * sizes[i + 1] == arr.bi(i) * sizes[i]
+            assert arr.c[i] * sizes[i + 1] == arr.b[i] * sizes[i]
         assert (p.n * p.k) % 2 == 0
 
 
@@ -275,9 +274,9 @@ def test_corpus_split_index_properties(corpus):
         p = derive(arr)
         assert 1 <= p.j <= arr.D
         for i in range(1, p.j):
-            assert arr.ci(i) < arr.bi(i)
+            assert arr.c[i - 1] < arr.b[i]
         if p.j <= arr.D - 1:
-            assert arr.ci(p.j) >= arr.bi(p.j)
+            assert arr.c[p.j - 1] >= arr.b[p.j]
 
 
 def test_corpus_nonnegative_a(corpus):

@@ -14,7 +14,7 @@ from drg.tables import VALENCY_34_MEMBERSHIP, VALENCY_34_TABLE
 
 
 def test_catalog_sizes():
-    entries = catalog_list(include_env=False)
+    entries = catalog_list()
     assert len([e for e in entries if not e.supplementary]) == 23
     assert len([e for e in entries if e.supplementary]) == 3
 
@@ -73,13 +73,13 @@ def test_lookup_variants():
 
 
 def test_slugs_are_unique():
-    entries = catalog_list(include_env=False)
+    entries = catalog_list()
     slugs = [e.slug for e in entries]
     assert len(slugs) == len(set(slugs))
 
 
 def test_constructible_entries_match_registry():
-    for e in catalog_list(include_env=False):
+    for e in catalog_list():
         if e.constructible is None:
             continue
         name, _, param = e.constructible.partition(":")
@@ -136,8 +136,8 @@ def test_env_supplementary_rejects_bad_lines(tmp_path, monkeypatch):
 
 def test_repeated_catalog_list_calls_are_equal():
     catalog._embedded.cache_clear()
-    first = catalog_list(include_env=False)
-    second = catalog_list(include_env=False)
+    first = catalog_list()
+    second = catalog_list()
     assert len(first) == 26
     assert first == second
 
@@ -170,6 +170,6 @@ def test_embedded_rows_are_verified_again_after_cache_clear(monkeypatch):
     catalog._embedded.cache_clear()
     try:
         with pytest.raises(ValueError, match="stored ratio 0.5"):
-            catalog_list(include_env=False)
+            catalog_list()
     finally:
         catalog._embedded.cache_clear()

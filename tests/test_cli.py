@@ -470,6 +470,15 @@ def test_oracle_refuses_an_oversized_vertex_index(capsys, tmp_path):
     assert err == f"error: line 2: vertex {10**12} is beyond the cap of 1024 vertices\n"
 
 
+@pytest.mark.parametrize("line", ("0 1_0", "+0 1", "0 \u0663"))
+def test_oracle_refuses_an_edge_token_that_is_not_ascii_digits(capsys, tmp_path, line):
+    path = tmp_path / "edges.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "oracle", "--graph-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 1: vertex indices must be ASCII digits, got {line!r}\n"
+
+
 def test_hypercube_at_the_default_cap():
     assert graphs.MAX_VERTICES == 1024
     assert graphs.construct("hypercube", 10).n == 1024

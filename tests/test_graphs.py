@@ -151,6 +151,8 @@ def test_parse_edge_list_errors():
         parse_edge_list("")
     with pytest.raises(ValueError):
         parse_edge_list("-1 2\n")
+    with pytest.raises(ValueError, match="line 2: vertex index too long to convert"):
+        parse_edge_list("0 1\n0 " + "1" * 5000 + "\n")
 
 
 def test_verify_accepts_observed_array_without_claim():
@@ -173,10 +175,10 @@ def reference_verify(g):
     claimed = g.claimed_array
     if claimed is not None and claimed.D == diameter:
         for i in range(diameter):
-            expected_b[i] = claimed.bi(i)
+            expected_b[i] = claimed.b[i]
         expected_c[0] = 0
         for i in range(1, diameter + 1):
-            expected_c[i] = claimed.ci(i)
+            expected_c[i] = claimed.c[i - 1]
     violations = []
     for x in range(g.n):
         row = dist[x]

@@ -9,7 +9,6 @@ import pytest
 from drg import (
     check_resistance_cap,
     compute_potentials_explicit,
-    compute_potentials_recursive,
     compute_profile,
     derive,
     parse_array,
@@ -26,22 +25,22 @@ def profile_of(text: str):
 
 
 def test_recursion_cube():
-    phi = compute_potentials_recursive(derive(parse_array("3,2,1;1,2,3")))
+    phi = profile_of("3,2,1;1,2,3").phi
     assert phi == (7, 2, 1)
 
 
 def test_recursion_complete_graph():
-    phi = compute_potentials_recursive(derive(parse_array("3;1")))
+    phi = profile_of("3;1").phi
     assert phi == (3,)
 
 
 def test_recursion_heawood():
-    phi = compute_potentials_recursive(derive(parse_array("3,2,2;1,1,3")))
+    phi = profile_of("3,2,2;1,1,3").phi
     assert phi == (13, 5, 1)
 
 
 def test_recursion_dodecahedron():
-    phi = compute_potentials_recursive(derive(parse_array("3,2,1,1,1;1,1,1,2,3")))
+    phi = profile_of("3,2,1,1,1;1,1,1,2,3").phi
     assert phi == (19, 8, 5, 2, 1)
 
 
@@ -60,13 +59,13 @@ def test_explicit_petersen():
 def test_recursion_equals_explicit_on_corpus(corpus):
     for arr in corpus:
         p = derive(arr)
-        assert compute_potentials_recursive(p) == compute_potentials_explicit(p)
+        assert compute_profile(p).phi == compute_potentials_explicit(p)
 
 
 def test_phi0_is_n_minus_1_on_corpus(corpus):
     for arr in corpus:
         p = derive(arr)
-        assert compute_potentials_recursive(p)[0] == p.n - 1
+        assert compute_profile(p).phi[0] == p.n - 1
 
 
 def test_telescoping_cube():
@@ -93,7 +92,7 @@ def test_telescoping_structure_on_corpus(corpus):
         if arr.D < 2:
             continue
         p = derive(arr)
-        phi = compute_potentials_recursive(p)
+        phi = compute_profile(p).phi
         for i in range(1, arr.D):
             terms = telescoping_terms(p, i)
             assert all(t >= 0 for t in terms[:-1])
@@ -103,7 +102,7 @@ def test_telescoping_structure_on_corpus(corpus):
 
 def test_strict_decrease_and_positivity_on_corpus(corpus):
     for arr in corpus:
-        phi = compute_potentials_recursive(derive(arr))
+        phi = compute_profile(derive(arr)).phi
         assert phi[-1] > 0
         for i in range(arr.D - 1):
             assert phi[i] > phi[i + 1]
@@ -213,7 +212,7 @@ def test_step_inequalities_preconditions():
 
 def test_step_inequalities_on_corpus(corpus):
     for arr in corpus:
-        if arr.D < 2 or arr.bi(1) < 2:
+        if arr.D < 2 or arr.b[1] < 2:
             continue
         assert all(s.holds for s in step_inequalities(compute_profile(derive(arr))))
 
