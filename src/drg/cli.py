@@ -8,17 +8,18 @@ validation failure (the report is still printed).
 
 validate and analyze build one record per array (`_record`), a dict that
 keeps exact `Fraction` and `BoundTrace` values.  `--json` prints it with
-`json.dumps` and a hook that writes each rational as {"num", "den"}
-strings; the text form is rendered from the same dict by `_text_lines`.
+`_to_json`, which writes what `json.dumps(record, indent=2)` would, each
+rational as {"num", "den"} strings; the text form is rendered from the
+same dict by `_text_lines`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .arrays import (
     ArrayFormatError,
@@ -79,11 +80,13 @@ def _fields(obj, *names: str) -> dict:
 
 def _record(
     arr: IntersectionArray, entry: CatalogEntry | None, analyze: bool, prove: str | None
-) -> dict:
-    """The report on one array, with Fraction and BoundTrace values left as they are.
+) -> tuple[dict, str | None]:
+    """The report on one array and the rendered text of its proof trace.
 
-    Keys are in JSON output order.  The analysis keys (from "derived" on)
-    are present only when `analyze` is set and the validation passed.
+    The record keeps Fraction and BoundTrace values as they are; the text
+    is None when there is no trace.  Keys are in JSON output order.  The
+    analysis keys (from "derived" on) are present only when `analyze` is
+    set and the validation passed.
     """
     report = validate(arr)
     validation = _fields(report, *(key for key, _ in _CHECKS), "k_ge_3", "b1_ge_2", "passed")
@@ -94,7 +97,7 @@ def _record(
         "validation": validation,
     }
     if not (analyze and report.passed):
-        return record
+        return record, None
 
     params = derive_from(report)
     profile = compute_profile(params)
@@ -117,20 +120,21 @@ def _record(
     else:
         record["step_inequalities"] = None
     record["trace"] = None
+    text = None
     if prove:
         prover = prove_k3 if prove == "k3" else prove_optimal
         try:
             trace = prover(profile)
-            trace.render()  # str() refuses an integer of more than 4300 digits
+            text = trace.render()  # str() refuses an integer of more than 4300 digits
         except ValueError as exc:
             record["trace_note"] = str(exc)
         else:
             record["trace"] = trace
-    return record
+    return record, text
 
 
 def _json_default(x):
-    """json.dumps hook: a rational as {"num", "den"} strings, a trace as a dict."""
+    """A rational as {"num", "den"} strings, a trace as a dict; TypeError otherwise."""
     if isinstance(x, Fraction):
         return {"num": str(x.numerator), "den": str(x.denominator)}
     if isinstance(x, BoundTrace):
@@ -144,8 +148,41 @@ def _json_default(x):
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _text_lines(record: dict, prove: str | None):
-    """The lines of a record's text form."""
+def _to_json(x, ind: str = "\n") -> str:
+    """`json.dumps(x, indent=2, default=_json_default)`, written directly.
+
+    `ind` is the newline and indentation that precede x's closing bracket.
+    An int past the interpreter's digit limit raises ValueError.
+    """
+    t = type(x)
+    if t is Fraction:
+        return f'{{{ind}  "num": "{x.numerator}",{ind}  "den": "{x.denominator}"{ind}}}'
+    if t is int:
+        return int.__repr__(x)
+    if t is str:
+        return _json_str(x)
+    if t is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = ind + "  "
+        items = [f"{_json_str(k)}: {_to_json(v, inner)}" for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + ind + "}"
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = ind + "  "
+        return "[" + inner + ("," + inner).join([_to_json(v, inner) for v in x]) + ind + "]"
+    if isinstance(x, str):
+        return _json_str(x)
+    return _to_json(_json_default(x), ind)
+
+
+def _text_lines(record: dict, prove: str | None, trace_text: str | None):
+    """The lines of a record's text form; `trace_text` is the rendered trace."""
 
     def mark(ok: bool, yes: str = "ok") -> str:
         return yes if ok else "FAIL"
@@ -195,9 +232,9 @@ def _text_lines(record: dict, prove: str | None):
                 f"  {s['kind']}[{s['i']}]: {approx_str(s['phi_i'])} < {approx_str(s['bound'])} "
                 f"[{mark(s['holds'], 'OK')}]"
             )
-    if record["trace"] is not None:
+    if trace_text is not None:
         yield f"proof trace ({prove}):"
-        for line in record["trace"].render().splitlines():
+        for line in trace_text.splitlines():
             yield f"  {line}"
     elif "trace_note" in record:
         yield f"proof trace: unavailable ({record['trace_note']})"
@@ -211,11 +248,11 @@ def _report(args, analyze: bool) -> int:
         return 2
     prove = args.prove if analyze else None
     try:  # str() refuses an integer of more than 4300 digits
-        record = _record(arr, entry, analyze, prove)
+        record, trace_text = _record(arr, entry, analyze, prove)
         if args.json:
-            out = json.dumps(record, indent=2, default=_json_default)
+            out = _to_json(record)
         else:
-            out = "\n".join(_text_lines(record, prove))
+            out = "\n".join(_text_lines(record, prove, trace_text))
     except ValueError as exc:
         _err(f"the report cannot be printed: {exc}")
         return 2

@@ -14,12 +14,12 @@ def decimal_str(x: Fraction, places: int = 6) -> str:
     """Fixed-point decimal string, rounded half-even, computed exactly."""
     if places < 0:
         raise ValueError("places must be >= 0")
-    sign = "-" if x < 0 else ""
-    y = -x if x < 0 else x
+    num, den = x.numerator, x.denominator
+    sign = "-" if num < 0 else ""
     scale = 10**places
-    q, r = divmod(y.numerator * scale, y.denominator)
+    q, r = divmod(abs(num) * scale, den)
     # round half to even on the remainder
-    if 2 * r > y.denominator or (2 * r == y.denominator and q % 2 == 1):
+    if 2 * r > den or (2 * r == den and q % 2 == 1):
         q += 1
     if places == 0:
         return f"{sign}{q}"

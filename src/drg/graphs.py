@@ -124,9 +124,10 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
     x differ by at most one), so the check is O(n * m).  Violations are
     listed in (x, y) order, c_i before b_i.
     """
-    if not g.is_connected():
+    first = g.distances_from(0)
+    if -1 in first:
         raise ValueError("graph is disconnected")
-    dist = g.all_distances()
+    dist = [first, *map(g.distances_from, range(1, g.n))]
     diameter = max(max(row) for row in dist)
     if diameter == 0:
         raise ValueError("graph has a single vertex")

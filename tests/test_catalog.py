@@ -109,6 +109,29 @@ def test_decimal_rendering_half_even():
     assert decimal_places("0.5") == 1
 
 
+def _decimal_str_reference(x: Fraction, places: int) -> str:
+    """decimal_str as first written: the sign and magnitude taken on the Fraction."""
+    sign = "-" if x < 0 else ""
+    y = -x if x < 0 else x
+    scale = 10**places
+    q, r = divmod(y.numerator * scale, y.denominator)
+    if 2 * r > y.denominator or (2 * r == y.denominator and q % 2 == 1):
+        q += 1
+    if places == 0:
+        return f"{sign}{q}"
+    whole, frac = divmod(q, scale)
+    return f"{sign}{whole}.{frac:0{places}d}"
+
+
+def test_decimal_str_matches_the_fraction_reference():
+    values = {Fraction(p, q) for p in range(-80, 81) for q in range(1, 81)}
+    for x in values:
+        for places in range(9):
+            assert decimal_str(x, places) == _decimal_str_reference(x, places), (x, places)
+    with pytest.raises(ValueError, match="places must be >= 0"):
+        decimal_str(Fraction(1, 3), -1)
+
+
 def test_env_supplementary_catalog(tmp_path, monkeypatch):
     path = tmp_path / "extra.txt"
     path.write_text(

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from drg import arrays, cli, graphs, oracle
+from drg import arrays, cli, compute_profile, derive, format_array, graphs, oracle, parse_array
 from drg.cli import main
-from drg.proofs import K3_MAX_B1
+from drg.proofs import K3_MAX_B1, BoundTrace, prove_k3
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -614,3 +616,80 @@ def test_edge_list_refused_on_the_line_past_the_work_cap():
     with pytest.raises(ValueError) as exc:
         graphs.parse_edge_list("\n".join(lines + [extra, "junk"]))
     assert str(exc.value) == "line 5121: n*m = 1024*5121 is beyond the work cap of 5242880"
+
+
+# ----------------------------------------------------------------------
+# the JSON writer writes what json.dumps(indent=2) would
+
+
+def _dumps(record) -> str:
+    """The reference: the standard library's encoder with the writer's hook."""
+    return json.dumps(record, indent=2, default=cli._json_default)
+
+
+@pytest.mark.parametrize(
+    "analyze, prove", ((False, None), (True, None), (True, "k3"), (True, "optimal")),
+    ids=("validate", "analyze", "k3", "optimal"),
+)
+def test_to_json_matches_json_dumps_on_the_corpus(corpus, analyze, prove):
+    for arr in corpus:
+        record, _ = cli._record(arr, None, analyze, prove)
+        assert cli._to_json(record) == _dumps(record), format_array(arr)
+
+
+class _Colour(str, Enum):
+    RED = "réd"
+
+
+def test_to_json_matches_json_dumps_on_a_synthetic_record():
+    trace = prove_k3(compute_profile(derive(parse_array("3,2,1;1,2,3"))))
+    record = {
+        "text": 'naïve — ∞ "quoted" \\ \n\t\x00 \U0001d11e',
+        "enum": _Colour.RED,
+        "empty_dict": {},
+        "empty_list": [],
+        "nested": ((1, (2, Fraction(-3, 4))), [(), {}], {"k": [None]}),
+        "none": None,
+        "flags": [True, False],
+        "ints": [0, -7, 10**4299 - 1],
+        "fractions": [Fraction(0), Fraction(-10**40, 3)],
+        "trace": trace,
+        "ümläut key": "ü",
+    }
+    assert cli._to_json(record) == _dumps(record)
+    assert cli._to_json([]) == _dumps([]) and cli._to_json({}) == _dumps({})
+
+
+@pytest.mark.parametrize(
+    "value", (10**4300, -(10**4300), Fraction(10**4300, 7)), ids=("int", "negative", "fraction")
+)
+def test_to_json_refuses_an_int_past_the_digit_limit_like_json_dumps(value):
+    record = {"a": [1, {"b": value}]}
+    with pytest.raises(ValueError):
+        _dumps(record)
+    with pytest.raises(ValueError):
+        cli._to_json(record)
+
+
+def test_to_json_refuses_a_float():
+    with pytest.raises(TypeError, match="float is not JSON serializable"):
+        cli._to_json({"ratio": [0.5]})
+
+
+# ----------------------------------------------------------------------
+# each proof trace is rendered once
+
+
+@pytest.mark.parametrize("as_json", (False, True), ids=("text", "json"))
+def test_analyze_renders_the_trace_once(monkeypatch, capsys, as_json):
+    calls = []
+    render = BoundTrace.render
+
+    def counted(self):
+        calls.append(self)
+        return render(self)
+
+    monkeypatch.setattr(BoundTrace, "render", counted)
+    code, out, _ = run(capsys, "analyze", "3,2,1;1,2,3", "--prove", "k3", *(["--json"] * as_json))
+    assert code == 0 and len(calls) == 1
+    assert ('"verdict": true' if as_json else "  verdict: OK") in out

@@ -145,8 +145,8 @@ def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
     monkeypatch.setattr(LabeledGraph, "distances_from", counted)
     g = construct("petersen")
     assert cross_validate(g).ok
-    # one BFS per vertex for the distance matrix, plus the two connectivity checks
-    assert len(calls) <= g.n + 2
+    # one BFS per vertex for the distance matrix, plus the certificate's connectivity check
+    assert len(calls) <= g.n + 1
 
 
 # ----------------------------------------------------------------------
