@@ -123,7 +123,7 @@ def test_claimed_array_mismatch_is_violation():
 def test_disconnected_graph_rejected():
     g = LabeledGraph(4, [(0, 1), (2, 3)])
     assert not g.is_connected()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^graph is disconnected$"):
         verify_drg(g)
 
 
