@@ -40,8 +40,6 @@ from .potentials import (
     compute_profile,
     step_inequalities,
     tail_sum_check,
-    telescoping_difference,
-    telescoping_terms,
 )
 from .proofs import (
     BIGGS_SMITH_RATIO,
@@ -49,8 +47,6 @@ from .proofs import (
     CaseId,
     TraceStep,
     classify_case,
-    f_unimodality,
-    f_value,
     prove_k3,
     prove_optimal,
 )
@@ -80,8 +76,6 @@ __all__ = [
     "construct",
     "cross_validate",
     "derive",
-    "f_unimodality",
-    "f_value",
     "format_array",
     "is_cocktail_party",
     "kirchhoff_certifies",
@@ -95,8 +89,6 @@ __all__ = [
     "slugify",
     "step_inequalities",
     "tail_sum_check",
-    "telescoping_difference",
-    "telescoping_terms",
     "validate",
     "verify_drg",
 ]

@@ -2,9 +2,10 @@
 
 Entries are self-verifying: loading recomputes the vertex count and the
 ratio from the stored array and refuses to serve data that disagrees
-with the stored rendering.  The embedded rows are built and checked once
-per process, on first use; the DRG_CATALOG file is read again on every
-call, so an edited file (or a bad one) shows at once.
+with the stored rendering, or an n or ratio too long to print.  The
+embedded rows are built and checked once per process, on first use; the
+DRG_CATALOG file is read again on every call, so an edited file (or a
+bad one) shows at once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrays import IntersectionArray, derive, parse_array
-from .fmt import decimal_places, decimal_str
+from .fmt import decimal_places, decimal_str, frac_str
 from .potentials import compute_profile
 from .tables import BIGGS_SMITH_NAME, EXTRA_TABLE, VALENCY_34_TABLE
 
@@ -75,6 +76,10 @@ def _build_entry(
             f"catalog entry {name!r}: stored vertex count {vertices} "
             f"but the array gives n = {params.n}"
         )
+    try:  # `drg table` and `drg catalog list` print both; str() stops at 4300 digits
+        str(params.n), frac_str(profile.ratio)
+    except ValueError:
+        raise ValueError(f"catalog entry {name!r}: n or rho is too long to print") from None
     entry = CatalogEntry(
         name=name,
         slug=slugify(name),

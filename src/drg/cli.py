@@ -414,6 +414,14 @@ def cmd_oracle(args) -> int:
 # ----------------------------------------------------------------------
 # batch
 
+def _or_too_long(render) -> str:
+    """render(), or a note when str() refuses an integer of more than 4300 digits."""
+    try:
+        return render()
+    except ValueError:
+        return "too long to print"
+
+
 def cmd_batch(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
@@ -438,7 +446,7 @@ def cmd_batch(args) -> int:
         report = validate(arr)
         if not report.passed:
             invalid += 1
-            reasons = "; ".join(report.failure_messages())
+            reasons = _or_too_long(lambda: "; ".join(report.failure_messages()))
             print(f"line {lineno}: {label}: INVALID ({reasons})")
             continue
         valid += 1
@@ -448,10 +456,10 @@ def cmd_batch(args) -> int:
         below_opt += lt_opt
         below_2 += lt_2
         if not lt_opt:
-            extremal_entries.append(f"{label} (rho = {frac_str(rho)})")
+            extremal_entries.append(f"{label} (rho = {_or_too_long(lambda: frac_str(rho))})")
         yn = lambda flag: "yes" if flag else "NO"
         print(
-            f"line {lineno}: {label}: valid rho={approx_str(rho)} "
+            f"line {lineno}: {label}: valid rho={_or_too_long(lambda: approx_str(rho))} "
             f"[rho<{opt_dec} {yn(lt_opt)}] [rho<{k3} {yn(lt_2)}]"
         )
     print(

@@ -80,9 +80,6 @@ class LabeledGraph:
                     queue.append(w)
         return dist
 
-    def all_distances(self) -> list[list[int]]:
-        return [self.distances_from(v) for v in range(self.n)]
-
     def is_connected(self) -> bool:
         return all(d >= 0 for d in self.distances_from(0))
 

@@ -84,6 +84,11 @@ def kirchhoff_certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) ->
     """
     if not g.is_connected():
         raise ValueError("graph is disconnected")
+    return _certifies(g, scaled, scale)
+
+
+def _certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) -> bool:
+    """kirchhoff_certifies on a graph already known to be connected."""
     n = g.n
     # n rows equal to the n columns: square and symmetric
     if len(scaled) != n or [list(col) for col in zip(*scaled)] != scaled:
@@ -162,7 +167,7 @@ def cross_validate(g: LabeledGraph) -> CrossValidation:
     scale = math.lcm(*(r.denominator for r in resistances))
     per_class = [0] + [r.numerator * (scale // r.denominator) for r in resistances]
     scaled = [list(map(per_class.__getitem__, row)) for row in report.distances]
-    if kirchhoff_certifies(g, scaled, scale):
+    if _certifies(g, scaled, scale):  # verify_drg has refused a disconnected g
         mismatches = {}
     else:
         mismatches = _solver_mismatches(g, report.distances, resistances)

@@ -54,40 +54,6 @@ def compute_potentials_explicit(params: DerivedParams) -> tuple[Fraction, ...]:
     return tuple(reversed(out))
 
 
-def telescoping_terms(params: DerivedParams, i: int) -> tuple[Fraction, ...]:
-    """Grouped terms of the telescoped expansion of phi_{i-1} - phi_i.
-
-    Returns the D-i paired differences followed by the trailing product
-    term; conditions (i)/(ii) make every paired group >= 0 and the trailing
-    term > 0, which is the positivity (strict-decrease) argument.
-    """
-    b, c = params.array.b, params.array.c
-    D = len(b)
-    if not 1 <= i <= D - 1:
-        raise IndexError(f"telescoping index {i} out of range [1, {D - 1}]")
-    # A_m = (b_i...b_{i+m-1})/(c_i...c_{i+m}), B_m shifted one step right
-    groups = []
-    a_num, a_den = 1, c[i - 1]
-    b_num, b_den = 1, c[i]
-    for m in range(D - i):
-        if m > 0:
-            a_num *= b[i + m - 1]
-            a_den *= c[i + m - 1]
-            b_num *= b[i + m]
-            b_den *= c[i + m]
-        groups.append(Fraction(a_num, a_den) - Fraction(b_num, b_den))
-    trail_num = a_num * b[D - 1]
-    # a brings c_i..c_{D-1} at m = D-i-1; one more factor c_D completes it
-    trail_den = a_den * c[D - 1]
-    groups.append(Fraction(trail_num, trail_den))
-    return tuple(groups)
-
-
-def telescoping_difference(params: DerivedParams, i: int) -> Fraction:
-    """phi_{i-1} - phi_i evaluated through the telescoped expansion."""
-    return params.k * sum(telescoping_terms(params, i), Fraction(0))
-
-
 @dataclass(frozen=True)
 class PotentialProfile:
     """Potentials and everything derived from them for one array."""

@@ -176,44 +176,14 @@ _QUADRANGLE_NOTE = (
 
 
 # ----------------------------------------------------------------------
-# unimodality of the tail-weight function f
-
-def f_value(b1: int, i: int) -> Fraction:
-    """f(i) = (i - 1/2) * ((b1-1)/b1)^i / b1, the tail-term weight."""
-    if b1 < 2:
-        raise ValueError("f is defined for b1 >= 2")
-    alpha = Fraction(b1 - 1, b1)
-    return (i - Fraction(1, 2)) * alpha**i / b1
-
+# the tail-weight function f(i) = (i - 1/2) * ((b1-1)/b1)^i / b1
 
 def f_ratio(b1: int, i: int) -> Fraction:
-    """f(i+1)/f(i) = ((2i+1)(b1-1))/((2i-1)b1), with no power of alpha."""
-    return Fraction((2 * i + 1) * (b1 - 1), (2 * i - 1) * b1)
+    """f(i+1)/f(i) = ((2i+1)(b1-1))/((2i-1)b1), with no power of alpha.
 
-
-@dataclass(frozen=True)
-class UnimodalityStep:
-    i: int
-    ratio: Fraction  # f(i+1) / f(i)
-    rising: bool  # expected direction: rising for i <= b1-1, falling after
-
-    @property
-    def holds(self) -> bool:
-        return self.ratio > 1 if self.rising else self.ratio < 1
-
-
-def f_unimodality(b1: int) -> tuple[UnimodalityStep, ...]:
-    """Check f rises up to i = b1 and falls after it, over i in [1, 3*b1].
-
-    f(i+1)/f(i) > 1 must hold for i <= b1-1 and < 1 for i >= b1; the peak
-    of f therefore sits at i = b1.
+    It is > 1 for i <= b1-1 and < 1 for i >= b1, so f peaks at i = b1.
     """
-    if b1 < 2:
-        raise ValueError("f unimodality is defined for b1 >= 2")
-    out = []
-    for i in range(1, 3 * b1 + 1):
-        out.append(UnimodalityStep(i=i, ratio=f_ratio(b1, i), rising=i <= b1 - 1))
-    return tuple(out)
+    return Fraction((2 * i + 1) * (b1 - 1), (2 * i - 1) * b1)
 
 
 # ----------------------------------------------------------------------

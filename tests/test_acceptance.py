@@ -16,18 +16,18 @@ from drg import (
     construct,
     cross_validate,
     derive,
-    f_unimodality,
     parse_array,
     prove_k3,
     prove_optimal,
     registry_names,
     step_inequalities,
     tail_sum_check,
-    telescoping_terms,
     verify_drg,
 )
 from drg.catalog import catalog_list
 from drg.fmt import decimal_places, decimal_str
+from drg.proofs import f_ratio
+from test_potentials import telescoped_groups
 
 OPTIMAL = Fraction(93, 100)
 
@@ -133,7 +133,7 @@ def test_criterion_4_property_suite(corpus):
             if not profile.phi[i] > profile.phi[i + 1] > 0:
                 failures.append(f"{label}: not strictly decreasing at {i}")
         for i in range(1, arr.D):
-            terms = telescoping_terms(params, i)
+            terms = telescoped_groups(params, i)
             if any(t < 0 for t in terms[:-1]) or terms[-1] <= 0:
                 failures.append(f"{label}: telescoped group negative at {i}")
         if not check_resistance_cap(profile)[1]:
@@ -200,9 +200,10 @@ def test_criterion_5_proof_trace_integrity(paper_rows):
 def test_criterion_6_f_unimodality():
     bad = []
     for b1 in range(2, 13):
-        for step in f_unimodality(b1):
-            if not step.holds:
-                bad.append((b1, step.i))
+        for i in range(1, 3 * b1 + 1):
+            ratio = f_ratio(b1, i)
+            if not (ratio > 1 if i < b1 else ratio < 1):
+                bad.append((b1, i))
     _criterion(
         6,
         "f rises up to b_1 and falls through 3*b_1, for b_1 in 2..12",

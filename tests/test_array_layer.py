@@ -35,7 +35,6 @@ from drg import (
     catalog_list,
     compute_potentials_explicit,
     compute_profile,
-    f_value,
     format_array,
     lookup,
     parse_array,
@@ -327,6 +326,11 @@ def test_derive_and_profile_match_reference(feasible, perturbed):
         for start in range(params.D + 1):
             assert _same(profile.phi_sum(start), sum(profile.phi[start:], Fraction(0)))
         assert _same(compute_potentials_explicit(params), potentials_explicit_reference(params))
+
+
+def f_value(b1: int, i: int) -> Fraction:
+    """The tail weight f(i) = (i - 1/2) * ((b1-1)/b1)^i / b1."""
+    return (i - Fraction(1, 2)) * Fraction(b1 - 1, b1) ** i / b1
 
 
 @pytest.mark.parametrize("b1", range(2, 41))

@@ -334,6 +334,46 @@ def test_batch_array_above_the_diameter_cap_is_parse_error(monkeypatch, tmp_path
     assert "2 entries, 1 valid, 1 invalid" in out
 
 
+# Feasible, with q = 10^2200: rho's denominator has about 4,400 digits,
+# more than str() converts.
+_Q = 10**2200
+_UNPRINTABLE_RHO = f"{_Q + 8},{_Q + 1},{_Q - 3};1,1,1"
+
+
+def test_batch_reports_numbers_too_long_to_print_and_goes_on(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "huge.txt"
+    # W fails only on a non-integral sphere size of about 4,400 digits
+    path.write_text(f"X | {_UNPRINTABLE_RHO}\nW | {_Q},{_Q - 1};1,7\nCube | 3,2,1;1,2,3\n")
+    code, out, _ = run(capsys, "batch", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "line 1: X: valid rho=too long to print [rho<0.93 yes] [rho<2 yes]",
+        "line 2: W: INVALID (too long to print)",
+    ]
+    assert lines[3:] == [
+        "batch summary: 3 entries, 2 valid, 1 invalid",
+        "  rho < 93/100: 2",
+        "  rho < 2: 2",
+    ]
+    # with a target of 0 every valid line is listed as extremal, with its rho
+    monkeypatch.setattr(cli, "TARGET_OPTIMAL", Fraction(0))
+    code, out, _ = run(capsys, "batch", str(path))
+    assert out.splitlines()[-1] == (
+        "  extremal entries (rho >= 0/1): X (rho = too long to print); Cube (rho = 3/7)"
+    )
+
+
+@pytest.mark.parametrize("argv", (("table", "--extras"), ("catalog", "list")))
+def test_env_catalog_entry_too_long_to_print_exit_2(tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"X | {_UNPRINTABLE_RHO}\n")
+    monkeypatch.setenv("DRG_CATALOG", str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:1: catalog entry 'X': n or rho is too long to print\n"
+
+
 def test_parser_reused_after_argparse_rejection(monkeypatch, capsys):
     monkeypatch.delenv("DRG_CATALOG", raising=False)
     with pytest.raises(SystemExit) as exc:

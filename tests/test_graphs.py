@@ -168,7 +168,7 @@ def test_verify_accepts_observed_array_without_claim():
 
 def reference_verify(g):
     """(violations, observed array) by scanning y's neighborhood twice per pair (x, y)."""
-    dist = g.all_distances()
+    dist = [g.distances_from(v) for v in range(g.n)]
     diameter = max(max(row) for row in dist)
     expected_b = [None] * (diameter + 1)
     expected_c = [None] * (diameter + 1)

@@ -145,8 +145,8 @@ def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
     monkeypatch.setattr(LabeledGraph, "distances_from", counted)
     g = construct("petersen")
     assert cross_validate(g).ok
-    # one BFS per vertex for the distance matrix, plus the certificate's connectivity check
-    assert len(calls) <= g.n + 1
+    # one BFS per vertex for the distance matrix, which also shows g is connected
+    assert len(calls) == g.n
 
 
 # ----------------------------------------------------------------------
@@ -211,8 +211,13 @@ def test_certificate_needs_symmetry_and_a_zero_diagonal():
     shifted = [[x + 1 for x in row] for row in scaled]
     assert not kirchhoff_certifies(g, shifted, scale)  # symmetric, diagonal 1
     assert not kirchhoff_certifies(g, scaled[:-1], scale)
-    with pytest.raises(ValueError):
-        kirchhoff_certifies(LabeledGraph(4, [(0, 1), (2, 3)]), [[0] * 4] * 4, 1)
+
+
+def test_certificate_refuses_a_disconnected_graph():
+    # no candidate passes on a disconnected graph; the public check says why
+    g = LabeledGraph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        kirchhoff_certifies(g, [[0] * 4] * 4, 1)
 
 
 def test_certificate_scale_must_match():
@@ -225,7 +230,7 @@ def test_certificate_scale_must_match():
 def reference_mismatches(g, resistances):
     """Every pair u < v with a solved resistance other than r_{d(u,v)}, by class."""
     rmat = resistance_matrix(g)
-    distances = g.all_distances()
+    distances = [g.distances_from(v) for v in range(g.n)]
     return [
         tuple(
             (u, v, rmat[u][v])

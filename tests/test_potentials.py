@@ -14,8 +14,6 @@ from drg import (
     parse_array,
     step_inequalities,
     tail_sum_check,
-    telescoping_difference,
-    telescoping_terms,
     validate,
 )
 
@@ -68,23 +66,38 @@ def test_phi0_is_n_minus_1_on_corpus(corpus):
         assert compute_profile(p).phi[0] == p.n - 1
 
 
+def telescoped_groups(params, i):
+    """Grouped terms of the telescoped expansion of (phi_{i-1} - phi_i)/k, 1 <= i <= D-1.
+
+    With A_m = (b_i...b_{i+m-1})/(c_i...c_{i+m}) and B_m the same shifted
+    one index right, the groups are A_m - B_m for 0 <= m < D-i, followed by
+    the trailing term A_{D-i-1} * b_{D-1}/c_D.  Conditions (i)/(ii) make
+    every group >= 0 and the trailing term > 0: the strict-decrease lemma.
+    """
+    b, c = params.array.b, params.array.c
+    D = len(b)
+    a_num, a_den = 1, c[i - 1]
+    b_num, b_den = 1, c[i]
+    groups = []
+    for m in range(D - i):
+        if m > 0:
+            a_num *= b[i + m - 1]
+            a_den *= c[i + m - 1]
+            b_num *= b[i + m]
+            b_den *= c[i + m]
+        groups.append(Fraction(a_num, a_den) - Fraction(b_num, b_den))
+    return (*groups, Fraction(a_num * b[D - 1], a_den * c[D - 1]))
+
+
 def test_telescoping_cube():
     p = derive(parse_array("3,2,1;1,2,3"))
-    assert telescoping_difference(p, 1) == 5  # phi_0 - phi_1 = 7 - 2
-    assert telescoping_difference(p, 2) == 1  # phi_1 - phi_2 = 2 - 1
+    assert p.k * sum(telescoped_groups(p, 1)) == 5  # phi_0 - phi_1 = 7 - 2
+    assert p.k * sum(telescoped_groups(p, 2)) == 1  # phi_1 - phi_2 = 2 - 1
 
 
 def test_telescoping_heawood():
     p = derive(parse_array("3,2,2;1,1,3"))
-    assert telescoping_difference(p, 2) == 4  # 5 - 1
-
-
-def test_telescoping_index_range():
-    p = derive(parse_array("3,2,1;1,2,3"))
-    with pytest.raises(IndexError):
-        telescoping_terms(p, 0)
-    with pytest.raises(IndexError):
-        telescoping_terms(p, 3)
+    assert p.k * sum(telescoped_groups(p, 2)) == 4  # 5 - 1
 
 
 def test_telescoping_structure_on_corpus(corpus):
@@ -94,7 +107,7 @@ def test_telescoping_structure_on_corpus(corpus):
         p = derive(arr)
         phi = compute_profile(p).phi
         for i in range(1, arr.D):
-            terms = telescoping_terms(p, i)
+            terms = telescoped_groups(p, i)
             assert all(t >= 0 for t in terms[:-1])
             assert terms[-1] > 0
             assert p.k * sum(terms) == phi[i - 1] - phi[i]

@@ -12,13 +12,12 @@ from drg import (
     classify_case,
     compute_profile,
     derive,
-    f_unimodality,
-    f_value,
     parse_array,
     prove_k3,
     prove_optimal,
 )
-from drg.proofs import K3_MAX_B1, _deep_head
+from drg.proofs import K3_MAX_B1, _deep_head, f_ratio
+from test_array_layer import f_value
 
 OPTIMAL = Fraction(93, 100)
 
@@ -37,24 +36,12 @@ def steps_by_label(trace):
 # ----------------------------------------------------------------------
 # f unimodality
 
-def test_f_value_small():
-    assert f_value(2, 1) == Fraction(1, 8)  # (1/2) * (1/2) / 2
-
-
-def test_f_rejects_b1_below_2():
-    with pytest.raises(ValueError):
-        f_value(1, 3)
-    with pytest.raises(ValueError):
-        f_unimodality(1)
-
-
 @pytest.mark.parametrize("b1", range(2, 13))
 def test_f_unimodality_rises_then_falls(b1):
-    steps = f_unimodality(b1)
-    assert len(steps) == 3 * b1
-    for s in steps:
-        assert s.rising == (s.i <= b1 - 1)
-        assert s.holds, (b1, s.i, s.ratio)
+    for i in range(1, b1):
+        assert f_ratio(b1, i) > 1, (b1, i)
+    for i in range(b1, 3 * b1 + 1):
+        assert f_ratio(b1, i) < 1, (b1, i)
 
 
 def test_f_peak_at_b1():
