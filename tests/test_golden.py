@@ -2,7 +2,8 @@
 
 Each case runs `drg.cli.main(argv)` in-process from inside tests/golden
 (so file arguments are the relative paths under inputs/) with
-DRG_CATALOG unset, and compares against tests/golden/<case>.json.
+DRG_CATALOG unset, unless ENVIRONMENTS gives the case its own variables,
+and compares against tests/golden/<case>.json.
 To regenerate after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -99,25 +100,40 @@ def _cases() -> dict[str, list[str]]:
     cases["oracle_all"] = ["oracle", "--all"]
     cases["oracle_graph_file_fail"] = ["oracle", "--graph-file", "inputs/path3.txt"]
     cases["batch_mixed"] = ["batch", "inputs/batch_mixed.txt"]
+    # refusals: exit 2 and one `error:` line on stderr
+    cases["oracle_unknown_name"] = ["oracle", "nope"]
+    cases["oracle_name_and_all"] = ["oracle", "petersen", "--all"]
+    cases["oracle_graph_file_missing"] = ["oracle", "--graph-file", "missing.txt"]
+    cases["batch_missing"] = ["batch", "missing.txt"]
+    cases["table_extras_env_catalog"] = ["table", "--extras"]
+    cases["catalog_list_env_catalog"] = ["catalog", "list"]
     return cases
 
 
 CASES = _cases()
 
+ENV_CATALOG = {"DRG_CATALOG": "inputs/env_catalog.txt"}
+ENVIRONMENTS = {"table_extras_env_catalog": ENV_CATALOG, "catalog_list_env_catalog": ENV_CATALOG}
 
-def run_case(argv: list[str]) -> dict:
+
+def run_case(argv: list[str], env: dict[str, str] | None = None) -> dict:
+    """The case's result; `env`, the variables it ran with, is recorded when given."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
-    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    result = {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    return result if env is None else {"env": env, **result}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, monkeypatch):
     monkeypatch.delenv("DRG_CATALOG", raising=False)
+    env = ENVIRONMENTS.get(case)
+    for key, value in (env or {}).items():
+        monkeypatch.setenv(key, value)
     monkeypatch.chdir(GOLDEN)
     expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
-    assert run_case(CASES[case]) == expected
+    assert run_case(CASES[case], env) == expected
 
 
 def test_cold_process_matches_golden():
@@ -140,11 +156,14 @@ def test_cold_process_matches_golden():
 
 
 def regenerate() -> None:
-    os.environ.pop("DRG_CATALOG", None)
     os.chdir(GOLDEN)
     for case, argv in CASES.items():
-        text = json.dumps(run_case(argv), indent=1, ensure_ascii=False) + "\n"
+        os.environ.pop("DRG_CATALOG", None)
+        env = ENVIRONMENTS.get(case)
+        os.environ.update(env or {})
+        text = json.dumps(run_case(argv, env), indent=1, ensure_ascii=False) + "\n"
         (GOLDEN / f"{case}.json").write_text(text, encoding="utf-8")
+    os.environ.pop("DRG_CATALOG", None)
 
 
 if __name__ == "__main__":
