@@ -2,10 +2,10 @@
 
 Entries are self-verifying: loading recomputes the vertex count and the
 ratio from the stored array and refuses to serve data that disagrees
-with the stored rendering, or an n or ratio too long to print.  The
-embedded rows are built and checked once per process, on first use; the
-DRG_CATALOG file is read again on every call, so an edited file (or a
-bad one) shows at once.
+with the stored rendering, an n or ratio too long to print, or a slug
+that an earlier entry has.  The embedded rows are built and checked
+once per process, on first use; the DRG_CATALOG file is read again on
+every call, so an edited file (or a bad one) shows at once.
 """
 
 from __future__ import annotations
@@ -117,11 +117,18 @@ def _supplementary_from_env() -> list[CatalogEntry]:
     except (OSError, UnicodeDecodeError) as exc:
         raise CatalogError(f"{path}: cannot read {ENV_SUPPLEMENTARY}: {exc}") from exc
     out = []
+    # lookup returns the first entry with a slug, so a second one is unreachable
+    owners = {e.slug: f"the built-in entry {e.name!r}" for e in _embedded()}
     for lineno, name, array_text in named_array_lines(lines):
         try:
-            out.append(_build_entry(name, None, array_text, None, None, True))
+            entry = _build_entry(name, None, array_text, None, None, True)
+            if entry.slug in owners:
+                taken = f"slug {entry.slug!r} is taken by {owners[entry.slug]}"
+                raise ValueError(f"catalog entry {name!r}: {taken}")
         except ValueError as exc:
             raise CatalogError(f"{path}:{lineno}: {exc}") from exc
+        owners[entry.slug] = f"{name!r} on line {lineno}"
+        out.append(entry)
     return out
 
 

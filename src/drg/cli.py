@@ -3,8 +3,11 @@
 Subcommands: validate, analyze, table, oracle, batch, catalog.
 Exit codes: 0 success, 1 failed checks, 2 unparseable input, an unknown
 name, conflicting oracle selectors, a graph above graphs.MAX_VERTICES
-vertices or graphs.MAX_WORK = n*m or a report too long to print, 3
-validation failure (the report is still printed).
+vertices or graphs.MAX_WORK = n*m, a bad DRG_CATALOG file or a report
+too long to print, 3 validation failure (the report is still printed),
+141 when stdout closes early.  A command refuses input by raising
+_Refusal or CatalogError; `main` alone turns either into exit code 2
+and an `error:` line on stderr.
 
 validate and analyze build one record per array (`_record`), a dict that
 keeps exact `Fraction` and `BoundTrace` values.  `--json` prints it with
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
@@ -43,19 +47,20 @@ from .potentials import (
 from .proofs import TARGET_K3, TARGET_OPTIMAL, BoundTrace, prove_k3, prove_optimal
 
 
-def _err(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
+class _Refusal(Exception):
+    """Bad input: `main` prints `error: <message>` on stderr and returns 2."""
 
 
 def _resolve(target: str) -> tuple[IntersectionArray, CatalogEntry | None]:
     """An argument with a ';' is array text; anything else is a catalog name."""
     if ";" in target:
-        return parse_array(target), None
+        try:
+            return parse_array(target), None
+        except ArrayFormatError as exc:
+            raise _Refusal(str(exc)) from exc
     entry = lookup(target)
     if entry is None:
-        raise LookupError(
-            f"unknown catalog name {target!r} (try `drg catalog list`)"
-        )
+        raise _Refusal(f"unknown catalog name {target!r} (try `drg catalog list`)")
     return entry.array, entry
 
 
@@ -113,7 +118,7 @@ def _record(
     record["k_effective"] = profile.k_effective
     record["resistance_cap"] = {"bound": cap, "holds": cap_holds}
     record["tail_bound"] = _fields(tail, "j", "lhs", "rhs", "holds")
-    if params.D >= 2 and arr.b[1] >= 2:
+    if report.b1_ge_2:
         record["step_inequalities"] = [
             _fields(s, "kind", "i", "phi_i", "bound", "holds") for s in step_inequalities(profile)
         ]
@@ -240,50 +245,43 @@ def _text_lines(record: dict, prove: str | None, trace_text: str | None):
         yield f"proof trace: unavailable ({record['trace_note']})"
 
 
-def _report(args, analyze: bool) -> int:
-    try:
-        arr, entry = _resolve(args.target)
-    except (ArrayFormatError, LookupError) as exc:
-        _err(str(exc))
-        return 2
-    prove = args.prove if analyze else None
+def _report(args) -> int:
+    """validate or analyze, as `args.analyze` says."""
+    arr, entry = _resolve(args.target)
     try:  # str() refuses an integer of more than 4300 digits
-        record, trace_text = _record(arr, entry, analyze, prove)
+        record, trace_text = _record(arr, entry, args.analyze, args.prove)
         if args.json:
             out = _to_json(record)
         else:
-            out = "\n".join(_text_lines(record, prove, trace_text))
+            out = "\n".join(_text_lines(record, args.prove, trace_text))
     except ValueError as exc:
-        _err(f"the report cannot be printed: {exc}")
-        return 2
+        raise _Refusal(f"the report cannot be printed: {exc}") from exc
     print(out)
     return 0 if record["validation"]["passed"] else 3
-
-
-def cmd_validate(args) -> int:
-    return _report(args, analyze=False)
-
-
-def cmd_analyze(args) -> int:
-    return _report(args, analyze=True)
 
 
 # ----------------------------------------------------------------------
 # table / catalog
 
+def _print_columns(rows: list[tuple[str, ...]], right: int | None = None) -> None:
+    """Print rows in columns two spaces apart; column number `right` is right-aligned."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        cells = (
+            cell.rjust(w) if col == right else cell.ljust(w)
+            for col, (cell, w) in enumerate(zip(row, widths))
+        )
+        print("  ".join(cells).rstrip())
+
+
 def cmd_table(args) -> int:
-    entries = [
-        e
-        for e in catalog_list()
-        if not e.supplementary or (args.extras and e.paper_ratio is None)
-    ]
-    rows = []
-    for e in entries:
+    rows = [("Name", "Vertices", "Intersection array", "rho", "rho (6 dp)", "")]
+    for e in catalog_list():
+        if e.supplementary and not args.extras:
+            continue
         marks = []
         if e.extremal:
             marks.append("extremal")
-        if not e.ratio_matches_stored():
-            marks.append(f"MISMATCH(stored {e.paper_ratio})")
         if e.supplementary:
             marks.append("supplementary")
         rows.append(
@@ -296,35 +294,20 @@ def cmd_table(args) -> int:
                 " ".join(marks),
             )
         )
-    headers = ("Name", "Vertices", "Intersection array", "rho", "rho (6 dp)", "")
-    widths = [
-        max(len(headers[col]), *(len(r[col]) for r in rows)) for col in range(6)
-    ]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    for r in rows:
-        print("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
+    _print_columns(rows)
     return 0
 
 
 def cmd_catalog(args) -> int:
-    entries = catalog_list()
-    widths = (
-        max(len(e.slug) for e in entries),
-        max(len(e.name) for e in entries),
-        max(len(str(e.vertices)) for e in entries),
-        max(len(format_array(e.array)) for e in entries),
-    )
-    for e in entries:
+    rows = []
+    for e in catalog_list():
         note = "supplementary" if e.supplementary else "table row"
         if e.extremal:
             note += ", extremal"
         if e.constructible:
             note += f", constructible ({e.constructible})"
-        print(
-            f"{e.slug.ljust(widths[0])}  {e.name.ljust(widths[1])}  "
-            f"{str(e.vertices).rjust(widths[2])}  "
-            f"{format_array(e.array).ljust(widths[3])}  {note}"
-        )
+        rows.append((e.slug, e.name, str(e.vertices), format_array(e.array), note))
+    _print_columns(rows, right=2)
     return 0
 
 
@@ -369,44 +352,34 @@ def cmd_oracle(args) -> int:
     selectors = (("NAME", args.name), ("--all", args.all), ("--graph-file", args.graph_file))
     given = [flag for flag, value in selectors if value]
     if not given:
-        _err("oracle needs a construction name, --all, or --graph-file")
-        return 2
+        raise _Refusal("oracle needs a construction name, --all, or --graph-file")
     if len(given) > 1:
-        _err(f"oracle takes one of NAME, --all and --graph-file; got {' and '.join(given)}")
-        return 2
+        raise _Refusal(
+            f"oracle takes one of NAME, --all and --graph-file; got {' and '.join(given)}"
+        )
     if args.param is not None and not args.name:  # only the three families take a parameter
-        _err(f"--param applies to one construction; it cannot be combined with {given[0]}")
-        return 2
+        raise _Refusal(
+            f"--param applies to one construction; it cannot be combined with {given[0]}"
+        )
 
     if args.graph_file:
         try:
             with open(args.graph_file, encoding="utf-8") as fh:
                 g = parse_edge_list(fh.read(), name=args.graph_file)
         except OSError as exc:
-            _err(f"cannot read graph file: {exc}")
-            return 2
+            raise _Refusal(f"cannot read graph file: {exc}") from exc
         except ValueError as exc:
-            _err(str(exc))
-            return 2
+            raise _Refusal(str(exc)) from exc
         return 0 if _oracle_one(g) else 1
 
-    if args.all:
-        names = registry_names()
-    elif args.name in registry_names():
-        names = (args.name,)
-    else:
-        _err(f"unknown construction {args.name!r}; known: {', '.join(registry_names())}")
-        return 2
-
+    names = registry_names() if args.all else (args.name,)
     passed = 0
     for name in names:
         try:
             g = construct(name, args.param)
         except ValueError as exc:
-            _err(str(exc))
-            return 2
-        if _oracle_one(g):
-            passed += 1
+            raise _Refusal(str(exc)) from exc
+        passed += _oracle_one(g)
     print(f"oracle summary: {passed}/{len(names)} PASS")
     return 0 if passed == len(names) else 1
 
@@ -427,8 +400,7 @@ def cmd_batch(args) -> int:
         with open(args.file, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        _err(f"cannot read batch file: {exc}")
-        return 2
+        raise _Refusal(f"cannot read batch file: {exc}") from exc
 
     # the ratio targets as printed: 93/100, 0.93 and 2
     opt, opt_dec = frac_str(TARGET_OPTIMAL), decimal_str(TARGET_OPTIMAL, 2)
@@ -490,13 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the feasibility conditions")
     p.add_argument("target", help="array text like '3,2,1;1,2,3' or a catalog name")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=_report, analyze=False, prove=None)
 
     p = sub.add_parser("analyze", help="full exact analysis of one array")
     p.add_argument("target", help="array text or catalog name")
     p.add_argument("--prove", choices=("k3", "optimal"))
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=_report, analyze=True)
 
     p = sub.add_parser("table", help="recompute the embedded valency-3/4 table")
     p.add_argument("--extras", action="store_true", help="include supplementary rows")
@@ -524,13 +496,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CatalogError as exc:
-        _err(str(exc))
+    except (CatalogError, _Refusal) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """The `drg` command; 141 = 128 + SIGPIPE when stdout closes early, as under `| head`."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the interpreter flushes stdout again at exit: to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -374,7 +374,7 @@ def construct(name: str, param: int | None = None) -> LabeledGraph:
     try:
         builder, default, size = REGISTRY[name]
     except KeyError:
-        raise ValueError(f"unknown construction {name!r}") from None
+        raise ValueError(f"unknown construction {name!r}; known: {', '.join(REGISTRY)}") from None
     if size is None:
         if param is not None:
             raise ValueError(f"construction {name!r} takes no parameter")

@@ -44,6 +44,11 @@ def resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
     """
     if not g.is_connected():
         raise ValueError("graph is disconnected")
+    return _resistance_matrix(g)
+
+
+def _resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
+    """resistance_matrix on a graph already known to be connected."""
     n = g.n
     grounded = [row[1:] for row in _laplacian(g)[1:]]
     identity = [[int(r == c) for c in range(1, n)] for r in range(1, n)]
@@ -190,7 +195,7 @@ def _solver_mismatches(
     g: LabeledGraph, distances: list[list[int]], resistances: tuple[Fraction, ...]
 ) -> dict[int, list[tuple[int, int, Fraction]]]:
     """Every pair u < v whose solved resistance is not r_{d(u,v)}, by distance."""
-    rmat = resistance_matrix(g)
+    rmat = _resistance_matrix(g)  # verify_drg has refused a disconnected g
     found: dict[int, list[tuple[int, int, Fraction]]] = {}
     for u, v in combinations(range(g.n), 2):
         d = distances[u][v]

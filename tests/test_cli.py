@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -372,6 +375,47 @@ def test_env_catalog_entry_too_long_to_print_exit_2(tmp_path, monkeypatch, capsy
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {path}:1: catalog entry 'X': n or rho is too long to print\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    (
+        (
+            "Cube | 4,3,2,1;1,2,3,4\n",
+            "1: catalog entry 'Cube': slug 'cube' is taken by the built-in entry 'Cube'",
+        ),
+        (
+            "my cube graph | 3,2,1;1,2,3\nmy cube | 3,2;1,1\n",
+            "2: catalog entry 'my cube': slug 'my-cube' is taken by 'my cube graph' on line 1",
+        ),
+    ),
+    ids=("built-in", "earlier-line"),
+)
+def test_env_catalog_slug_taken_exit_2(tmp_path, monkeypatch, capsys, text, error):
+    # lookup returns the first entry with a slug: a second one could never be reached
+    path = tmp_path / "taken.txt"
+    path.write_text(text)
+    monkeypatch.setenv("DRG_CATALOG", str(path))
+    for argv in (("catalog", "list"), ("analyze", "my-cube")):
+        assert run(capsys, *argv) == (2, "", f"error: {path}:{error}\n")
+
+
+@pytest.mark.parametrize("argv", (("oracle", "--all"), ("table",)))
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    env = {key: value for key, value in os.environ.items() if key != "DRG_CATALOG"}
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "drg.cli", *argv],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the interpreter has started
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_parser_reused_after_argparse_rejection(monkeypatch, capsys):

@@ -134,6 +134,13 @@ def test_hypercube_adjacent_resistance_matches_formula(d):
     assert resistance_matrix(g)[0][1] == profile.resistances[0]
 
 
+def wrong_r1(params):
+    """The formula's profile with r_1 moved by 1/1000, so the certificate fails."""
+    profile = compute_profile(params)
+    rs = (profile.resistances[0] + Fraction(1, 1000), *profile.resistances[1:])
+    return dataclasses.replace(profile, resistances=rs)
+
+
 def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
     calls = []
     bfs = LabeledGraph.distances_from
@@ -144,9 +151,13 @@ def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
 
     monkeypatch.setattr(LabeledGraph, "distances_from", counted)
     g = construct("petersen")
-    assert cross_validate(g).ok
-    # one BFS per vertex for the distance matrix, which also shows g is connected
-    assert len(calls) == g.n
+    # certified, and solved for the mismatches that the wrong r_1 leaves
+    for formula, ok in ((compute_profile, True), (wrong_r1, False)):
+        monkeypatch.setattr(oracle, "compute_profile", formula)
+        calls.clear()
+        assert cross_validate(g).ok is ok
+        # one BFS per vertex for the distance matrix, which also shows g is connected
+        assert len(calls) == g.n
 
 
 # ----------------------------------------------------------------------
@@ -279,9 +290,9 @@ def test_wrong_formula_mismatches_on_k4_are_every_pair(monkeypatch):
 @pytest.mark.parametrize("name, param", [(name, None) for name in registry_names()] + [("hypercube", 6)])
 def test_cross_validate_never_solves_when_certified(monkeypatch, name, param):
     def refuse(g):
-        raise AssertionError("resistance_matrix called")
+        raise AssertionError("the solver was called")
 
-    monkeypatch.setattr(oracle, "resistance_matrix", refuse)
+    monkeypatch.setattr(oracle, "_resistance_matrix", refuse)
     result = cross_validate(construct(name, param))
     assert result.ok
     n = len(result.drg_report.distances)
