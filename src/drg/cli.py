@@ -504,8 +504,10 @@ def main(argv: list[str] | None = None) -> int:
 def entrypoint() -> None:
     """The `drg` command; 141 = 128 + SIGPIPE when stdout closes early, as under `| head`."""
     try:
-        code = main()
-        sys.stdout.flush()
+        try:
+            code = main()
+        finally:  # also when argparse exits, after --help
+            sys.stdout.flush()
     except BrokenPipeError:  # the interpreter flushes stdout again at exit: to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141

@@ -400,13 +400,18 @@ def test_env_catalog_slug_taken_exit_2(tmp_path, monkeypatch, capsys, text, erro
         assert run(capsys, *argv) == (2, "", f"error: {path}:{error}\n")
 
 
-@pytest.mark.parametrize("argv", (("oracle", "--all"), ("table",)))
-def test_closed_stdout_exits_141_without_a_traceback(argv):
-    env = {key: value for key, value in os.environ.items() if key != "DRG_CATALOG"}
+@pytest.mark.parametrize(
+    "python_flags, argv",
+    ((["-u"], ("oracle", "--all")), ([], ("table",)), ([], ("--help",))),
+    ids=("write-in-main", "flush-at-exit", "argparse-exit"),
+)
+def test_closed_stdout_exits_141_without_a_traceback(python_flags, argv):
+    unset = ("DRG_CATALOG", "PYTHONUNBUFFERED")
+    env = {key: value for key, value in os.environ.items() if key not in unset}
     src = str(Path(__file__).parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "drg.cli", *argv],
+        [sys.executable, *python_flags, "-m", "drg.cli", *argv],
         stdin=subprocess.DEVNULL,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
