@@ -13,7 +13,9 @@ validate and analyze build one record per array (`_record`), a dict that
 keeps exact `Fraction` and `BoundTrace` values.  `--json` prints it with
 `_to_json`, which writes what `json.dumps(record, indent=2)` would, each
 rational as {"num", "den"} strings; the text form is rendered from the
-same dict by `_text_lines`.
+same dict by `_text_lines`.  The ratio bounds are the rows of
+`proofs.BOUNDS`: `--prove` takes their names, and batch marks and counts
+each target.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from .potentials import (
     step_inequalities,
     tail_sum_check,
 )
-from .proofs import TARGET_K3, TARGET_OPTIMAL, BoundTrace, prove_k3, prove_optimal
+from . import proofs
+from .proofs import BoundTrace
 
 
 class _Refusal(Exception):
@@ -127,9 +130,9 @@ def _record(
     record["trace"] = None
     text = None
     if prove:
-        prover = prove_k3 if prove == "k3" else prove_optimal
+        bound = next(b for b in proofs.BOUNDS if b.name == prove)
         try:
-            trace = prover(profile)
+            trace = bound.prove(profile)
             text = trace.render()  # str() refuses an integer of more than 4300 digits
         except ValueError as exc:
             record["trace_note"] = str(exc)
@@ -366,7 +369,7 @@ def cmd_oracle(args) -> int:
         try:
             with open(args.graph_file, encoding="utf-8") as fh:
                 g = parse_edge_list(fh.read(), name=args.graph_file)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _Refusal(f"cannot read graph file: {exc}") from exc
         except ValueError as exc:
             raise _Refusal(str(exc)) from exc
@@ -402,10 +405,11 @@ def cmd_batch(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise _Refusal(f"cannot read batch file: {exc}") from exc
 
-    # the ratio targets as printed: 93/100, 0.93 and 2
-    opt, opt_dec = frac_str(TARGET_OPTIMAL), decimal_str(TARGET_OPTIMAL, 2)
-    k3 = decimal_str(TARGET_K3, 0)
-    total = valid = invalid = below_opt = below_2 = 0
+    bounds = proofs.BOUNDS
+    # each target in a line's marks, as a decimal with no trailing zeros: 0.93, 2
+    marks = [decimal_str(b.target).rstrip("0").rstrip(".") for b in bounds]
+    below = [0] * len(bounds)  # how many valid lines meet each target
+    total = valid = invalid = 0
     extremal_entries: list[str] = []
     for lineno, label, array_text in named_array_lines(lines):
         total += 1
@@ -423,26 +427,23 @@ def cmd_batch(args) -> int:
             continue
         valid += 1
         rho = compute_profile(derive_from(report)).ratio
-        lt_opt = rho < TARGET_OPTIMAL
-        lt_2 = rho < TARGET_K3
-        below_opt += lt_opt
-        below_2 += lt_2
-        if not lt_opt:
+        holds = [rho < b.target for b in bounds]
+        below = [n + h for n, h in zip(below, holds)]
+        if not holds[0]:
             extremal_entries.append(f"{label} (rho = {_or_too_long(lambda: frac_str(rho))})")
-        yn = lambda flag: "yes" if flag else "NO"
         print(
             f"line {lineno}: {label}: valid rho={_or_too_long(lambda: approx_str(rho))} "
-            f"[rho<{opt_dec} {yn(lt_opt)}] [rho<{k3} {yn(lt_2)}]"
+            + " ".join(f"[rho<{mark} {'yes' if h else 'NO'}]" for mark, h in zip(marks, holds))
         )
     print(
         f"batch summary: {total} entr{'y' if total == 1 else 'ies'}, "
         f"{valid} valid, {invalid} invalid"
     )
-    print(f"  rho < {opt}: {below_opt}")
-    print(f"  rho < {k3}: {below_2}")
+    for b, n in zip(bounds, below):
+        print(f"  rho < {b.target}: {n}")
     if extremal_entries:
-        print(f"  extremal entries (rho >= {opt}): " + "; ".join(extremal_entries))
-    return 0 if below_2 == valid else 1
+        print(f"  extremal entries (rho >= {bounds[0].target}): " + "; ".join(extremal_entries))
+    return 0 if below[-1] == valid else 1
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full exact analysis of one array")
     p.add_argument("target", help="array text or catalog name")
-    p.add_argument("--prove", choices=("k3", "optimal"))
+    p.add_argument("--prove", choices=sorted(b.name for b in proofs.BOUNDS))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_report, analyze=True)
 

@@ -8,15 +8,19 @@ Two ratio targets are traced for rho = (phi_1 + ... + phi_{D-1})/phi_0:
   array), by a case analysis over the array shape (gives the optimal
   constant r_D <= (1 + 94/101)*r_1).
 
+`BOUNDS` is the one table of these bounds (name, target, prover); the
+CLI takes its `--prove` choices, its dispatch and its batch counts from it.
+
 Each trace records every intermediate inequality with both sides
 evaluated exactly, so a reader can audit the whole chain.
 
-A chain is put together from shared pieces.  `_trace` builds every
-BoundTrace with alpha = (b_1-1)/b_1 (None when D = 1 or b_1 = 1); only the
-deep case-3 subcases give alpha2 = (b_1-2)/(b_1-1) instead.  An optimal
-chain ends in `_target_gap` (value < 93/100), most of them through
-`_cap_ending` (rho < cap <= value).  `_deep_head` gives the case-3
-deep-head sum and its geometric limit for both deep subcases.
+A chain is put together from shared pieces.  `_prove` starts every
+prover.  `_trace` builds every BoundTrace with alpha = (b_1-1)/b_1 (None
+when D = 1 or b_1 = 1); only the deep case-3 subcases give alpha2 =
+(b_1-2)/(b_1-1) instead.  An optimal chain ends in `_target_gap` (value <
+93/100), most of them through `_cap_ending` (rho < cap <= value).
+`_deep_head` gives the case-3 deep-head sum and its geometric limit for
+both deep subcases.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from .fmt import approx_str
 from .potentials import PotentialProfile
 from .tables import BIGGS_SMITH_NAME, VALENCY_34_MEMBERSHIP
 
-TARGET_K3 = Fraction(2)
-TARGET_OPTIMAL = Fraction(93, 100)
 BIGGS_SMITH_RATIO = Fraction(94, 101)
 
 # prove_k3 refuses b_1 above this before raising anything to a power, so its
@@ -126,11 +128,32 @@ class BoundTrace:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class RatioBound:
+    """The bound rho < target, traced by the function of this module named `prover`."""
+
+    name: str
+    target: Fraction
+    prover: str
+
+    def prove(self, profile: PotentialProfile) -> BoundTrace:
+        # looked up at call time, so a wrapper later set on the module is what runs
+        return globals()[self.prover](profile)
+
+
+# Tightest target first: `drg batch` lists a line as extremal when it misses
+# the first target and fails the run when it misses the last.
+BOUNDS = (
+    RatioBound("optimal", Fraction(93, 100), "prove_optimal"),
+    RatioBound("k3", Fraction(2), "prove_k3"),
+)
+_OPTIMAL, _K3 = BOUNDS
+
 _step = TraceStep  # a short name for the many steps below; it converts both sides to Fraction
 
 
 def _trace(
-    profile: PotentialProfile, case_id: CaseId, steps, target: Fraction = TARGET_OPTIMAL, **fields
+    profile: PotentialProfile, case_id: CaseId, steps, target: Fraction = _OPTIMAL.target, **fields
 ) -> BoundTrace:
     """A trace for `profile`; verdict rho < target and alpha (b_1-1)/b_1 unless given."""
     rho = profile.ratio
@@ -143,7 +166,7 @@ def _trace(
 
 def _target_gap(label: str, lhs: Fraction, relation: str, value: Fraction) -> list[TraceStep]:
     """lhs relation value, then value < 93/100: the last two steps of an optimal chain."""
-    return [_step(label, lhs, relation, value), _step("target_gap", value, "<", TARGET_OPTIMAL)]
+    return [_step(label, lhs, relation, value), _step("target_gap", value, "<", _OPTIMAL.target)]
 
 
 def _cap_ending(
@@ -157,7 +180,7 @@ def _direct(
     profile: PotentialProfile,
     case_id: CaseId,
     note: str,
-    target: Fraction = TARGET_OPTIMAL,
+    target: Fraction = _OPTIMAL.target,
     **fields,
 ) -> BoundTrace:
     """The one-step trace rho < target, checked on the exact ratio alone."""
@@ -173,6 +196,16 @@ _DIRECT_NOTES = {
 _QUADRANGLE_NOTE = (
     "quadrangle presence inferred from c_2/b_2 > 1/2 (sufficient condition only)"
 )
+
+
+def _prove(profile: PotentialProfile, target: Fraction, chain) -> BoundTrace:
+    """Refuse k < 3, settle the _DIRECT_NOTES shapes directly, else chain(profile, case)."""
+    if profile.params.k < 3:
+        raise ValueError("the ratio bounds assume valency k >= 3")
+    case = classify_case(profile.params)
+    if case in _DIRECT_NOTES:
+        return _direct(profile, case, _DIRECT_NOTES[case], target)
+    return chain(profile, case)
 
 
 # ----------------------------------------------------------------------
@@ -224,14 +257,12 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
     whose weight never exceeds the peak of f, itself below 1.
     Raises ValueError for k < 3 or b_1 > K3_MAX_B1.
     """
+    return _prove(profile, _K3.target, _k3_chain)
+
+
+def _k3_chain(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     params = profile.params
     rho = profile.ratio
-    if params.k < 3:
-        raise ValueError("the ratio bounds assume valency k >= 3")
-    case = classify_case(params)
-    if case in _DIRECT_NOTES:
-        return _direct(profile, case, _DIRECT_NOTES[case], TARGET_K3)
-
     b1 = params.array.b[1]
     if b1 > K3_MAX_B1:
         raise ValueError(
@@ -258,10 +289,10 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
         _step("tail_peak", tail, "<=", peak_tail),
         _step("peak_drop", peak_tail, "<=", Fraction(2 * b1 - 1, 2 * b1)),
         _step("peak_lt_1", Fraction(2 * b1 - 1, 2 * b1), "<", 1),
-        _step("total_lt_target", Fraction(2 * bottom + tail_num, 2 * bottom), "<", TARGET_K3),
-        _step("rho_lt_target", rho, "<", TARGET_K3),
+        _step("total_lt_target", Fraction(2 * bottom + tail_num, 2 * bottom), "<", _K3.target),
+        _step("rho_lt_target", rho, "<", _K3.target),
     )
-    return _trace(profile, case, steps, TARGET_K3)
+    return _trace(profile, case, steps, _K3.target)
 
 
 # ----------------------------------------------------------------------
@@ -269,21 +300,18 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
 
 def prove_optimal(profile: PotentialProfile) -> BoundTrace:
     """Audit the per-case chain for rho < 93/100 (94/101 only for Biggs-Smith)."""
-    params = profile.params
-    if params.k < 3:
-        raise ValueError("the ratio bounds assume valency k >= 3")
-    case = classify_case(params)
-    if case in _DIRECT_NOTES:
-        return _direct(profile, case, _DIRECT_NOTES[case])
-    builder = {
+    return _prove(profile, _OPTIMAL.target, _optimal_chain)
+
+
+def _optimal_chain(profile: PotentialProfile, case: CaseId) -> BoundTrace:
+    return {
         CaseId.CASE1_D2: _optimal_case1,
         CaseId.CASE2_SMALL_VALENCY: _optimal_case2,
         CaseId.CASE3_C2_EQ_1: _optimal_case3,
         CaseId.CASE4_J3: _optimal_case4,
         CaseId.CASE5_QUADRANGLE: _optimal_case5,
         CaseId.CASE6_TERWILLIGER: _optimal_case6,
-    }[case]
-    return builder(profile)
+    }[case](profile)
 
 
 def _optimal_case1(profile: PotentialProfile) -> BoundTrace:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,9 +13,20 @@ from pathlib import Path
 
 import pytest
 
-from drg import arrays, cli, compute_profile, derive, format_array, graphs, oracle, parse_array
+from drg import (
+    arrays,
+    catalog_list,
+    cli,
+    compute_profile,
+    derive,
+    format_array,
+    graphs,
+    oracle,
+    parse_array,
+    proofs,
+)
 from drg.cli import main
-from drg.proofs import K3_MAX_B1, BoundTrace, prove_k3
+from drg.proofs import K3_MAX_B1, BoundTrace, CaseId, TraceStep, prove_k3
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -359,12 +371,52 @@ def test_batch_reports_numbers_too_long_to_print_and_goes_on(tmp_path, monkeypat
         "  rho < 93/100: 2",
         "  rho < 2: 2",
     ]
-    # with a target of 0 every valid line is listed as extremal, with its rho
-    monkeypatch.setattr(cli, "TARGET_OPTIMAL", Fraction(0))
+    # with a tightest target of 0 every valid line is listed as extremal, with its rho
+    tightest, *rest = proofs.BOUNDS
+    zero = dataclasses.replace(tightest, target=Fraction(0))
+    monkeypatch.setattr(proofs, "BOUNDS", (zero, *rest))
     code, out, _ = run(capsys, "batch", str(path))
     assert out.splitlines()[-1] == (
-        "  extremal entries (rho >= 0/1): X (rho = too long to print); Cube (rho = 3/7)"
+        "  extremal entries (rho >= 0): X (rho = too long to print); Cube (rho = 3/7)"
     )
+
+
+def test_a_bound_added_to_the_table_reaches_analyze_and_batch(
+    tmp_path, monkeypatch, capsys, request
+):
+    def prove_stub(profile):
+        step = TraceStep("rho_lt_target", profile.ratio, "<", Fraction(1))
+        return BoundTrace(CaseId.UNCLASSIFIED, Fraction(1), profile.ratio, (step,), step.holds)
+
+    tightest, loosest = proofs.BOUNDS
+    stub = proofs.RatioBound("stub", Fraction(1), "prove_stub")
+    monkeypatch.setattr(proofs, "prove_stub", prove_stub, raising=False)
+    monkeypatch.setattr(proofs, "BOUNDS", (tightest, stub, loosest))
+    cli.build_parser.cache_clear()  # the --prove choices are read when the parser is built
+    request.addfinalizer(cli.build_parser.cache_clear)
+
+    code, out, _ = run(capsys, "analyze", "cube", "--prove", "stub")
+    assert code == 0
+    assert out.split("proof trace (stub):\n", 1)[1] == (
+        "  case: UNCLASSIFIED\n"
+        "  target: rho < 1/1 (≈ 1.000000)\n"
+        "  rho_lt_target: 3/7 (≈ 0.428571) < 1/1 (≈ 1.000000) [OK]\n"
+        "  verdict: OK\n"
+    )
+    path = tmp_path / "arrays.txt"
+    path.write_text("Cube | 3,2,1;1,2,3\nBiggs-Smith | 3,2,2,2,1,1,1;1,1,1,1,1,1,3\n")
+    code, out, _ = run(capsys, "batch", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "line 1: Cube: valid rho=3/7 (≈ 0.428571) [rho<0.93 yes] [rho<1 yes] [rho<2 yes]",
+        "line 2: Biggs-Smith: valid rho=94/101 (≈ 0.930693) "
+        "[rho<0.93 NO] [rho<1 yes] [rho<2 yes]",
+        "batch summary: 2 entries, 2 valid, 0 invalid",
+        "  rho < 93/100: 1",
+        "  rho < 1: 2",
+        "  rho < 2: 2",
+        "  extremal entries (rho >= 93/100): Biggs-Smith (rho = 94/101)",
+    ]
 
 
 @pytest.mark.parametrize("argv", (("table", "--extras"), ("catalog", "list")))
@@ -428,7 +480,10 @@ def test_parser_reused_after_argparse_rejection(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "petersen", "--prove", "bogus"])
     assert exc.value.code == 2
-    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the wording of the choices after this line differs between Python versions
+    assert err.startswith("usage: drg analyze [-h] [--prove {k3,optimal}] [--json] target\n")
+    assert "invalid choice: 'bogus'" in err
     expected = json.loads((GOLDEN / "analyze_by_name.json").read_text(encoding="utf-8"))
     assert expected["argv"] == ["analyze", "petersen"]
     code, out, err = run(capsys, *expected["argv"])
@@ -717,13 +772,26 @@ def _dumps(record) -> str:
 
 
 @pytest.mark.parametrize(
-    "analyze, prove", ((False, None), (True, None), (True, "k3"), (True, "optimal")),
-    ids=("validate", "analyze", "k3", "optimal"),
+    "analyze, prove",
+    (
+        pytest.param(False, None, id="validate"),
+        pytest.param(True, None, id="analyze"),
+        *(pytest.param(True, bound.name, id=bound.name) for bound in proofs.BOUNDS),
+    ),
 )
-def test_to_json_matches_json_dumps_on_the_corpus(corpus, analyze, prove):
+def test_to_json_matches_json_dumps_on_the_corpus(corpus, capsys, analyze, prove):
     for arr in corpus:
         record, _ = cli._record(arr, None, analyze, prove)
         assert cli._to_json(record) == _dumps(record), format_array(arr)
+    # each catalog entry by its slug, as `drg validate|analyze SLUG [--prove P] --json`
+    # prints it: its record, name included, as canonical JSON of itself
+    argv = ["analyze", "--prove", prove] if prove else ["analyze" if analyze else "validate"]
+    for entry in catalog_list():
+        record, _ = cli._record(entry.array, entry, analyze, prove)
+        code, out, err = run(capsys, *argv, entry.slug, "--json")
+        assert (code, err) == (0, ""), entry.slug
+        assert out == _dumps(record) + "\n", entry.slug
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", entry.slug
 
 
 class _Colour(str, Enum):

@@ -104,6 +104,7 @@ def _cases() -> dict[str, list[str]]:
     cases["oracle_unknown_name"] = ["oracle", "nope"]
     cases["oracle_name_and_all"] = ["oracle", "petersen", "--all"]
     cases["oracle_graph_file_missing"] = ["oracle", "--graph-file", "missing.txt"]
+    cases["oracle_graph_file_latin1"] = ["oracle", "--graph-file", "inputs/latin1_path3.txt"]
     cases["batch_missing"] = ["batch", "missing.txt"]
     cases["table_extras_env_catalog"] = ["table", "--extras"]
     cases["catalog_list_env_catalog"] = ["catalog", "list"]
