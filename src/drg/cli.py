@@ -54,6 +54,24 @@ class _Refusal(Exception):
     """Bad input: `main` prints `error: <message>` on stderr and returns 2."""
 
 
+def _read_text(path: str, what: str) -> str:
+    """The file at `path` decoded as UTF-8; `what` names it in a refusal.
+
+    A file that is not UTF-8 is refused as `path:line`, the line of its
+    first bad byte.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise _Refusal(f"cannot read {what}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise _Refusal(f"{path}:{line}: cannot read {what}: {exc}") from exc
+
+
 def _resolve(target: str) -> tuple[IntersectionArray, CatalogEntry | None]:
     """An argument with a ';' is array text; anything else is a catalog name."""
     if ";" in target:
@@ -366,11 +384,9 @@ def cmd_oracle(args) -> int:
         )
 
     if args.graph_file:
+        text = _read_text(args.graph_file, "graph file")
         try:
-            with open(args.graph_file, encoding="utf-8") as fh:
-                g = parse_edge_list(fh.read(), name=args.graph_file)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise _Refusal(f"cannot read graph file: {exc}") from exc
+            g = parse_edge_list(text, name=args.graph_file)
         except ValueError as exc:
             raise _Refusal(str(exc)) from exc
         return 0 if _oracle_one(g) else 1
@@ -399,11 +415,7 @@ def _or_too_long(render) -> str:
 
 
 def cmd_batch(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _Refusal(f"cannot read batch file: {exc}") from exc
+    lines = _read_text(args.file, "batch file").splitlines()
 
     bounds = proofs.BOUNDS
     # each target in a line's marks, as a decimal with no trailing zeros: 0.93, 2

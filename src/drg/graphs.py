@@ -2,8 +2,10 @@
 
 The registry holds small named graphs (plus three parameterized
 families), each carrying the intersection array it is expected to
-realize.  verify_drg checks distance-regularity from scratch by BFS, so
-a registry entry's claim is never trusted, always re-derived.
+realize.  verify_drg checks distance-regularity from scratch, by one
+BFS per vertex over neighbourhood bitmasks (_bfs, also behind
+distances_from), so a registry entry's claim is never trusted, always
+re-derived.
 
 The fixed graphs come from three constructions: LCF notation (_lcf), a
 graph on a set system with an adjacency rule (_graph_on) and a
@@ -18,16 +20,17 @@ or n x n matrix exists.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from .arrays import IntersectionArray, parse_array
 
 # The most vertices a constructed or parsed graph may have, and the most
-# work n * m: verify_drg and the oracle's check are O(n * m).  GH(3,3),
-# with 728 vertices, fits; so does the 10-cube, the largest graph at
-# both caps at once (n * m = 1024 * 5120).
+# work n * m: verify_drg and the oracle's check each count every
+# (vertex, neighbour) incidence once per base vertex, word-parallel on
+# n-bit masks and packed rows.  GH(3,3), with 728 vertices, fits; so
+# does the 10-cube, the largest graph at both caps at once
+# (n * m = 1024 * 5120).
 MAX_VERTICES = 1024
 MAX_WORK = 1024 * 5120
 
@@ -69,16 +72,7 @@ class LabeledGraph:
 
     def distances_from(self, source: int) -> list[int]:
         """BFS distances; -1 marks unreachable vertices."""
-        dist = [-1] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
+        return _bfs(_neighbour_masks(self), source)[0]
 
     def is_connected(self) -> bool:
         return all(d >= 0 for d in self.distances_from(0))
@@ -108,6 +102,44 @@ class DistancePartitionReport:
     distances: list[list[int]]  # distances[u][v], from one BFS per vertex
 
 
+def _neighbour_masks(g: LabeledGraph) -> list[int]:
+    """Each vertex's neighbourhood as an int with bit w set for each neighbour w."""
+    bit = [1 << v for v in range(g.n)]
+    return [sum(map(bit.__getitem__, nb)) for nb in g.adjacency]
+
+
+def _bfs(masks: list[int], source: int) -> tuple[list[int], list[int], list[int]]:
+    """BFS from source over neighbourhood bitmasks, one distance layer at a time.
+
+    Returns (dist, down, up): dist[y] = d(source, y), or -1 when y is
+    unreachable, and down[y] and up[y] count y's neighbours at distance
+    dist[y] - 1 and dist[y] + 1 (both 0 for an unreachable y).  A
+    neighbour of a vertex in layer i lies in layer i-1, i or i+1, so the
+    neighbours not yet seen while layer i is scanned are exactly those
+    in layer i+1.
+    """
+    n = len(masks)
+    dist, down, up = [-1] * n, [0] * n, [0] * n
+    prev, layer = 0, 1 << source
+    unseen = ((1 << n) - 1) ^ layer
+    i = 0
+    while layer:
+        ahead_all = 0
+        rest = layer
+        while rest:
+            y = rest.bit_length() - 1
+            rest ^= 1 << y
+            nb = masks[y]
+            ahead = nb & unseen
+            dist[y] = i
+            down[y] = (nb & prev).bit_count()
+            up[y] = ahead.bit_count()
+            ahead_all |= ahead
+        unseen ^= ahead_all
+        prev, layer, i = layer, ahead_all, i + 1
+    return dist, down, up
+
+
 def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
     """Check distance-regularity by counting neighbors over every vertex pair.
 
@@ -116,20 +148,29 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
     (resp. b_i).  If a claimed array is attached, its values are the
     expected constants; otherwise the first observed count is.
 
-    For each base x one pass over the edges counts every vertex's down
-    and up neighbors at once (an edge joins vertices whose distances from
-    x differ by at most one), so the check is O(n * m).  Violations are
-    listed in (x, y) order, c_i before b_i.
+    Each vertex's neighbourhood is an int bitmask, built once per call,
+    and one BFS per base x (_bfs) counts every y's down and up
+    neighbours as the popcounts of N(y) & (layer i-1) and N(y) & (not
+    yet seen), so a base costs n steps, each a few operations on n-bit
+    ints, where a pass over the m edges used to be.  Every count is an
+    exact integer.  A base whose counts equal the expected rows passes
+    by one list comparison; only a base whose rows differ, which
+    includes one that meets a value still unset, is scanned y by y.
+    That keeps the first-observed rule and the order of the violations:
+    (x, y) order, c_i before b_i.
     """
-    first = g.distances_from(0)
-    if -1 in first:
+    masks = _neighbour_masks(g)
+    first = _bfs(masks, 0)
+    if -1 in first[0]:
         raise ValueError("graph is disconnected")
-    dist = [first, *map(g.distances_from, range(1, g.n))]
-    diameter = max(max(row) for row in dist)
+    counted = [first, *(_bfs(masks, x) for x in range(1, g.n))]
+    dist = [row for row, _, _ in counted]
+    diameter = max(map(max, dist))
     if diameter == 0:
         raise ValueError("graph has a single vertex")
 
-    expected_b: list[int | None] = [None] * (diameter + 1)
+    # b at the diameter is 0 and never counted: nothing is at distance diameter + 1
+    expected_b: list[int | None] = [None] * diameter + [0]
     expected_c: list[int | None] = [None] * (diameter + 1)
     claimed = g.claimed_array
     if claimed is not None and claimed.D == diameter:
@@ -137,25 +178,20 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
         expected_c[:] = (0, *claimed.c)
     violations: list[Violation] = []
 
-    n, edges = g.n, g.edges
-    for x in range(n):
-        row = dist[x]
-        down = [0] * n
-        up = [0] * n
-        for u, v in edges:
-            du, dv = row[u], row[v]
-            if du < dv:
-                down[v] += 1
-                up[u] += 1
-            elif dv < du:
-                down[u] += 1
-                up[v] += 1
+    for x, (row, down, up) in enumerate(counted):
+        # An unset value (None) equals no count, so rows that match leave
+        # the scan below nothing to set or report.
+        if (
+            list(map(expected_c.__getitem__, row)) == down
+            and list(map(expected_b.__getitem__, row)) == up
+        ):
+            continue
         for y, i in enumerate(row):
             if expected_c[i] is None:
                 expected_c[i] = down[y]
             elif expected_c[i] != down[y]:
                 violations.append(Violation(x, y, f"c{i}", expected_c[i], down[y]))
-            if i < diameter:  # nothing is at distance diameter + 1
+            if i < diameter:
                 if expected_b[i] is None:
                     expected_b[i] = up[y]
                 elif expected_b[i] != up[y]:

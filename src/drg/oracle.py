@@ -3,10 +3,11 @@
 cross_validate builds the candidate resistance matrix from the
 potential-based formula r_j = 2*(phi_0+...+phi_{j-1})/(nk), one value
 per distance class, and certifies it exactly with Kirchhoff's law
-(kirchhoff_certifies), in O(n * m) integer operations.  Only when the
-certificate fails does it solve for the resistances by fraction-free
-integer elimination on the grounded Laplacian (resistance_matrix), the
-O(n^3) diagnostic that lists every mismatching pair.
+(kirchhoff_certifies), in O(n + m) operations on rows packed into one
+integer each.  Only when the certificate fails does it solve for the
+resistances by fraction-free integer elimination on the grounded
+Laplacian (resistance_matrix), the O(n^3) diagnostic that lists every
+mismatching pair.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from operator import sub
 
 from . import linalg
 from .arrays import derive
@@ -70,7 +70,31 @@ def kirchhoff_certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) ->
         deg(u) * S[u] - sum(S[w] for w ~ u) + 2 * scale * e_u
 
     (row u of L S + 2 scale I, L = D - A the Laplacian) is constant.
-    The cost is O(n * m) integer additions.
+
+    Each row of S is packed into one integer with a w-bit field per
+    vertex, P[u] = sum over v of (S[u][v] - low) * 2^(w v), low the least
+    entry of S, so row u of L S + 2 scale I is the integer
+
+        K_u = deg(u) * P[u] - sum(P[w] for w ~ u) + (2 scale << w u)
+
+    exactly, with no bias left, as its coefficients sum to
+    deg(u) - deg(u) = 0.  The row is constant iff K_u equals k_0 * ones,
+    ones = 1 + 2^w + ... + 2^(w (n-1)) and k_0 its entry at vertex 0.
+    That is O(n + m) operations on n * w-bit integers, with no list of
+    n entries built per row.
+
+    Width.  Put spread = max S - min S.  Leaving out the 2 scale term,
+    the entry k_v of row u combines column v of S with coefficients
+    that sum to 0 and whose positive ones sum to deg(u), so it lies
+    within deg(u) * spread of 0; the 2 scale term moves at most one of
+    k_v and k_0.  Hence |k_v - k_0| <= 2 * maxdeg * spread + 2 |scale|
+    = bound, and w is the least multiple of 8 with 2^(w-1) > bound, so
+    a biased entry (at most spread) fits in its field.  Now
+    K_u - k_0 * ones = sum_v d_v 2^(w v) with d_v = k_v - k_0 and
+    |d_v| < 2^(w-1).  Were some d_v nonzero, take the least such v: the
+    sum is d_v 2^(w v) plus a multiple of 2^(w (v+1)), which is zero only
+    if 2^w divides d_v, impossible for 0 < |d_v| < 2^w.  So
+    K_u = k_0 * ones iff every d_v = 0, that is iff row u is constant.
 
     Proof.  Let R be the resistance matrix and L+ the pseudoinverse of L,
     with d = diag(L+).  Then R = d 1^T + 1 d^T - 2 L+, and since L 1 = 0
@@ -100,12 +124,19 @@ def _certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) -> bool:
         return False
     if any(scaled[u][u] for u in range(n)):
         return False
-    for u, row in enumerate(scaled):
-        kirchhoff = [len(g.adjacency[u]) * x for x in row]
-        for w in g.adjacency[u]:
-            kirchhoff = list(map(sub, kirchhoff, scaled[w]))
-        kirchhoff[u] += 2 * scale
-        if kirchhoff.count(kirchhoff[0]) != n:
+    low = min(map(min, scaled))
+    spread = max(map(max, scaled)) - low
+    bound = 2 * max(map(len, g.adjacency)) * spread + 2 * abs(scale)
+    size = bound.bit_length() // 8 + 1  # bytes per field: 2^(w-1) > bound, w = 8 * size
+    field = {x: (x - low).to_bytes(size, "little") for x in set().union(*scaled)}
+    packed = [int.from_bytes(b"".join(map(field.__getitem__, row)), "little") for row in scaled]
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * n, "little")
+    first = scaled[0]  # column 0, as S is symmetric
+    for u, nb in enumerate(g.adjacency):
+        kirchhoff = len(nb) * packed[u] - sum(map(packed.__getitem__, nb))
+        kirchhoff += (2 * scale) << (8 * size * u)
+        k0 = len(nb) * first[u] - sum(map(first.__getitem__, nb)) + (2 * scale if u == 0 else 0)
+        if kirchhoff != k0 * ones:
             return False
     return True
 

@@ -305,6 +305,19 @@ def test_batch_non_utf8_exit_2(tmp_path, capsys):
     assert "cannot read batch file" in err
 
 
+@pytest.mark.parametrize("argv, what", ((("batch",), "batch file"), (("oracle", "--graph-file"), "graph file")))
+@pytest.mark.parametrize("good_lines", (2, 20000), ids=("line_3", "beyond_a_read_buffer"))
+def test_non_utf8_file_names_path_and_line(tmp_path, capsys, argv, what, good_lines):
+    # the line of the first bad byte counts every newline before it, also
+    # past the first block that a buffered text read would decode
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 1\n" * good_lines + b"# caf\xe9\n1 2\n\xe9\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}:{good_lines + 1}: cannot read {what}: ")
+    assert err.endswith(f"in position {4 * good_lines + 5}: invalid continuation byte\n")
+
+
 @pytest.mark.parametrize("cmd", ("analyze", "validate"))
 @pytest.mark.parametrize(
     "text", ("9" * 5000 + ";1", "3;" + "9" * 5000), ids=("long_b", "long_c")

@@ -106,6 +106,7 @@ def _cases() -> dict[str, list[str]]:
     cases["oracle_graph_file_missing"] = ["oracle", "--graph-file", "missing.txt"]
     cases["oracle_graph_file_latin1"] = ["oracle", "--graph-file", "inputs/latin1_path3.txt"]
     cases["batch_missing"] = ["batch", "missing.txt"]
+    cases["batch_latin1"] = ["batch", "inputs/latin1_path3.txt"]
     cases["table_extras_env_catalog"] = ["table", "--extras"]
     cases["catalog_list_env_catalog"] = ["catalog", "list"]
     return cases

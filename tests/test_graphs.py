@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from drg import (
     registry_names,
     verify_drg,
 )
-from drg.graphs import Violation
+from drg.graphs import DistancePartitionReport, Violation
 
 
 def test_registry_has_expected_size():
@@ -245,3 +246,162 @@ def test_verify_drg_matches_the_per_pair_scan(g):
     assert report.violations == violations
     assert report.observed_array == observed
     assert report.is_drg == (not violations)
+
+
+# ----------------------------------------------------------------------
+# verify_drg against the edge-loop version that the bitset BFS replaced
+
+
+def deque_bfs(g, source):
+    """BFS distances by a FIFO queue over the adjacency lists; -1 marks unreachable."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def edge_loop_verify(g):
+    """The report from a deque BFS per vertex and one pass over the edges per base."""
+    first = deque_bfs(g, 0)
+    if -1 in first:
+        raise ValueError("graph is disconnected")
+    dist = [first, *(deque_bfs(g, x) for x in range(1, g.n))]
+    diameter = max(max(row) for row in dist)
+    if diameter == 0:
+        raise ValueError("graph has a single vertex")
+    expected_b = [None] * (diameter + 1)
+    expected_c = [None] * (diameter + 1)
+    claimed = g.claimed_array
+    if claimed is not None and claimed.D == diameter:
+        expected_b[:diameter] = claimed.b
+        expected_c[:] = (0, *claimed.c)
+    violations = []
+    for x in range(g.n):
+        row = dist[x]
+        down = [0] * g.n
+        up = [0] * g.n
+        for u, v in g.edges:
+            du, dv = row[u], row[v]
+            if du < dv:
+                down[v] += 1
+                up[u] += 1
+            elif dv < du:
+                down[u] += 1
+                up[v] += 1
+        for y, i in enumerate(row):
+            if expected_c[i] is None:
+                expected_c[i] = down[y]
+            elif expected_c[i] != down[y]:
+                violations.append(Violation(x, y, f"c{i}", expected_c[i], down[y]))
+            if i < diameter:
+                if expected_b[i] is None:
+                    expected_b[i] = up[y]
+                elif expected_b[i] != up[y]:
+                    violations.append(Violation(x, y, f"b{i}", expected_b[i], up[y]))
+    if claimed is not None and claimed.D != diameter:
+        violations.append(Violation(0, 0, "diameter", claimed.D, diameter))
+    observed = None
+    if not violations:
+        observed = IntersectionArray(tuple(expected_b[:diameter]), tuple(expected_c[1:]))
+    return DistancePartitionReport(
+        is_drg=not violations,
+        observed_array=observed,
+        violations=tuple(violations),
+        diameter=diameter,
+        distances=dist,
+    )
+
+
+def seeded_relabelling(g, seed, claimed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    label = f"{g.name}-seed{seed}-{'claimed' if claimed else 'unclaimed'}"
+    return LabeledGraph(g.n, edges, name=label, claimed_array=claimed)
+
+
+def one_edge_moved(g, seed, claimed):
+    """g with one edge (u, v) replaced by (u, w), w a non-neighbour of u."""
+    rng = random.Random(seed)
+    edges = list(g.edges)
+    while True:
+        u, v = edges.pop(rng.randrange(len(edges)))
+        free = [w for w in range(g.n) if w != u and w not in g.adjacency[u]]
+        if free:
+            break
+        edges = list(g.edges)
+    edges.append((u, rng.choice(free)))
+    label = f"{g.name}-moved-{'claimed' if claimed else 'unclaimed'}"
+    return LabeledGraph(g.n, edges, name=label, claimed_array=claimed)
+
+
+def _edge_loop_cases():
+    registry = [construct(name) for name in registry_names()]
+    cases = list(registry)
+    for seed, g in enumerate(registry, start=1):
+        cases.append(seeded_relabelling(g, seed, g.claimed_array))
+        cases.append(seeded_relabelling(g, seed + 100, None))
+    cases += [construct("hypercube", d) for d in range(4, 9)]
+    for seed, g in enumerate(registry, start=1):
+        if g.name.startswith("complete"):
+            continue  # no non-edge to move an edge to
+        cases.append(one_edge_moved(g, seed, g.claimed_array))
+        cases.append(one_edge_moved(g, seed, None))
+    # each graph claiming its successor's array: another diameter, or the same one
+    for g, other in zip(registry, registry[1:] + registry[:1]):
+        cases.append(
+            LabeledGraph(g.n, g.edges, name=f"{g.name}-claims-{other.name}",
+                         claimed_array=other.claimed_array)
+        )
+    return cases
+
+
+def _report_or_refusal(verify, g):
+    try:
+        return verify(g)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("g", _edge_loop_cases(), ids=lambda g: g.name)
+def test_verify_drg_matches_the_edge_loop(g):
+    # field for field: is_drg, observed_array, violations in order, diameter, distances
+    assert _report_or_refusal(verify_drg, g) == _report_or_refusal(edge_loop_verify, g)
+
+
+def test_damaged_cases_report_violations():
+    # the equivalence above covers the fallback scan, not only the fast path
+    damaged = [g for g in _edge_loop_cases() if "moved" in g.name or "claims" in g.name]
+    assert damaged and all(not edge_loop_verify(g).is_drg for g in damaged)
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (LabeledGraph(4, [(0, 1), (2, 3)]), "graph is disconnected"),
+        (LabeledGraph(5, [(1, 2), (2, 3), (3, 4)]), "graph is disconnected"),
+        (LabeledGraph(1, []), "graph has a single vertex"),
+    ],
+    ids=("two-edges", "isolated-0", "single-vertex"),
+)
+def test_verify_drg_refusals_match_the_edge_loop(g, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        edge_loop_verify(g)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_drg(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [construct(name) for name in registry_names()]
+    + [LabeledGraph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]), LabeledGraph(1, [])],
+    ids=lambda g: g.name or f"n{g.n}",
+)
+def test_distances_from_matches_a_queue_bfs(g):
+    assert [g.distances_from(v) for v in range(g.n)] == [deque_bfs(g, v) for v in range(g.n)]

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 
 import pytest
 
@@ -21,7 +23,7 @@ from drg import (
     resistance_matrix,
     verify_drg,
 )
-from drg import oracle
+from drg import graphs, oracle
 
 
 def test_complete_graph_resistance():
@@ -142,14 +144,15 @@ def wrong_r1(params):
 
 
 def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
+    # graphs._bfs is the module's one BFS: verify_drg and distances_from both call it
     calls = []
-    bfs = LabeledGraph.distances_from
+    bfs = graphs._bfs
 
-    def counted(self, source):
+    def counted(masks, source):
         calls.append(source)
-        return bfs(self, source)
+        return bfs(masks, source)
 
-    monkeypatch.setattr(LabeledGraph, "distances_from", counted)
+    monkeypatch.setattr(graphs, "_bfs", counted)
     g = construct("petersen")
     # certified, and solved for the mismatches that the wrong r_1 leaves
     for formula, ok in ((compute_profile, True), (wrong_r1, False)):
@@ -158,6 +161,7 @@ def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
         assert cross_validate(g).ok is ok
         # one BFS per vertex for the distance matrix, which also shows g is connected
         assert len(calls) == g.n
+        assert sorted(calls) == list(range(g.n))
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +240,113 @@ def test_certificate_scale_must_match():
     scaled, scale, _ = scaled_candidate(g)
     assert not kirchhoff_certifies(g, scaled, 2 * scale)
     assert kirchhoff_certifies(g, [[3 * x for x in row] for row in scaled], 3 * scale)
+
+
+# ----------------------------------------------------------------------
+# the packed certificate against the row-by-row rule it replaced
+
+
+def row_by_row_certifies(g, scaled, scale):
+    """Each row of L S + 2 scale I built as a list of n integers, then tested for constancy."""
+    n = g.n
+    if len(scaled) != n or [list(col) for col in zip(*scaled)] != scaled:
+        return False
+    if any(scaled[u][u] for u in range(n)):
+        return False
+    for u, row in enumerate(scaled):
+        kirchhoff = [len(g.adjacency[u]) * x for x in row]
+        for w in g.adjacency[u]:
+            kirchhoff = list(map(sub, kirchhoff, scaled[w]))
+        kirchhoff[u] += 2 * scale
+        if kirchhoff.count(kirchhoff[0]) != n:
+            return False
+    return True
+
+
+def field_bits(g, scaled, scale):
+    """The packed certificate's field width w, by the rule in kirchhoff_certifies."""
+    spread = max(map(max, scaled)) - min(map(min, scaled))
+    bound = 2 * max(map(len, g.adjacency)) * spread + 2 * abs(scale)
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+def both_certificates(g, scaled, scale):
+    """(packed, row by row); the public check refuses a disconnected g for both."""
+    return kirchhoff_certifies(g, scaled, scale), row_by_row_certifies(g, scaled, scale)
+
+
+@pytest.mark.parametrize("name, param", CERTIFIED)
+def test_packed_certificate_matches_the_row_rule(name, param):
+    g = construct(name, param)
+    scaled, scale, _ = scaled_candidate(g)
+    assert both_certificates(g, scaled, scale) == (True, True)
+    report = verify_drg(g)
+    rs = wrong_r1(derive(report.observed_array)).resistances
+    wrong_scale = math.lcm(*(r.denominator for r in rs))
+    per_class = [0] + [int(r * wrong_scale) for r in rs]
+    wrong = [[per_class[d] for d in row] for row in report.distances]
+    assert both_certificates(g, wrong, wrong_scale) == (False, False)
+
+
+@pytest.mark.parametrize("name", ("petersen", "hypercube", "heawood", "complete", "cocktail_party"))
+def test_packed_certificate_matches_the_row_rule_on_perturbed_matrices(name):
+    g = construct(name)
+    scaled, scale, _ = scaled_candidate(g)
+    w = field_bits(g, scaled, scale)
+    rng = random.Random(name)
+    for step in (1, -1, 2 ** (w - 1), -(2 ** (w - 1)), 2**w, 1 - 2 ** (w - 1)):
+        u, v = rng.sample(range(g.n), 2)
+        for pairs in (((u, v),), ((u, v), (v, u))):  # one entry, then the symmetric pair
+            moved = [list(row) for row in scaled]
+            for a, b in pairs:
+                moved[a][b] += step
+            assert both_certificates(g, moved, scale) == (False, False), (step, pairs)
+        moved = [list(row) for row in scaled]
+        moved[u][u] += step
+        assert both_certificates(g, moved, scale) == (False, False), (step, "diagonal")
+    # every row of L S + 2 scale I moved by the same amount at field 0 and field 1
+    for step in (2 ** (w - 1), 2**w):
+        moved = [list(row) for row in scaled]
+        for u in range(1, g.n):
+            moved[u][0] += step
+            moved[0][u] += step
+        assert both_certificates(g, moved, scale) == (False, False), step
+
+
+def test_packed_certificate_matches_the_row_rule_on_random_matrices():
+    rng = random.Random(14)
+    for name in ("petersen", "hypercube", "complete", "coxeter"):
+        g = construct(name)
+        for span in (1, 3, 2**40):
+            for _ in range(20):
+                s = [[0] * g.n for _ in range(g.n)]
+                for u, v in combinations(range(g.n), 2):
+                    s[u][v] = s[v][u] = rng.randint(-span, span)
+                for scale in (1, 7, -3):
+                    assert both_certificates(g, s, scale) == (False, False)
+
+
+def test_packed_certificate_on_asymmetric_diagonal_and_negative_input():
+    g = construct("petersen")
+    scaled, scale, _ = scaled_candidate(g)
+    asymmetric = [list(row) for row in scaled]
+    asymmetric[0][1] += 5
+    assert both_certificates(g, asymmetric, scale) == (False, False)
+    diagonal = [[x + (u == v) for v, x in enumerate(row)] for u, row in enumerate(scaled)]
+    assert both_certificates(g, diagonal, scale) == (False, False)
+    # -S with scale -N still gives constant rows of L S + 2 scale I: both rules accept it
+    negated = [[-x for x in row] for row in scaled]
+    assert both_certificates(g, negated, -scale) == (True, True)
+    assert both_certificates(g, negated, scale) == (False, False)
+    # every off-diagonal entry shifted below zero
+    shifted = [[x - 10**6 * (u != v) for v, x in enumerate(row)] for u, row in enumerate(scaled)]
+    assert both_certificates(g, shifted, scale) == (False, False)
+    # a single edge: R = [[0, 1], [1, 0]], scaled by N = 1 and by N = 5
+    edge = LabeledGraph(2, [(0, 1)])
+    assert both_certificates(edge, [[0, 1], [1, 0]], 1) == (True, True)
+    assert both_certificates(edge, [[0, 5], [5, 0]], 5) == (True, True)
+    assert both_certificates(edge, [[0, -1], [-1, 0]], 1) == (False, False)
+    assert both_certificates(LabeledGraph(1, []), [[0]], 1) == (True, True)
 
 
 def reference_mismatches(g, resistances):
