@@ -306,10 +306,10 @@ def test_batch_non_utf8_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, what", ((("batch",), "batch file"), (("oracle", "--graph-file"), "graph file")))
-@pytest.mark.parametrize("good_lines", (2, 20000), ids=("line_3", "beyond_a_read_buffer"))
+@pytest.mark.parametrize("good_lines", (2, 20000), ids=("line_3", "line_20001"))
 def test_non_utf8_file_names_path_and_line(tmp_path, capsys, argv, what, good_lines):
-    # the line of the first bad byte counts every newline before it, also
-    # past the first block that a buffered text read would decode
+    # the line of the first bad byte counts every newline before it; a
+    # second bad byte further on does not move it
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"0 1\n" * good_lines + b"# caf\xe9\n1 2\n\xe9\n")
     code, out, err = run(capsys, *argv, str(path))
