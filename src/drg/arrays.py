@@ -13,14 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd
 
 # parse_array refuses an array of larger diameter before converting an entry:
-# validate() lists up to D^2/2 pairs for an array failing condition (iii).
+# validate() counts up to D^2/2 pairs for an array failing condition (iii).
 MAX_DIAMETER = 1024
 
-# failure_messages() lists this many condition-(iii) pairs or sphere sizes, then a count.
+# validate() keeps this many condition-(iii) pairs, and failure_messages()
+# lists this many pairs or sphere sizes, then how many more there are.
 _LISTED = 10
 
 
@@ -146,6 +147,8 @@ class ValidationReport:
 
     `passed` covers the feasibility checks only; k >= 3 and b_1 >= 2 are
     informational flags (arrays may be analyzed without them).
+    condition_iii_failures holds the first _LISTED failing pairs (i, j)
+    in (i, j) order and condition_iii_count how many there are in all.
     """
 
     array: IntersectionArray
@@ -153,6 +156,7 @@ class ValidationReport:
     condition_ii: bool
     condition_iii: bool
     condition_iii_failures: tuple[tuple[int, int], ...]
+    condition_iii_count: int
     integral_spheres: bool
     non_integral_at: tuple[int, ...]
     nonnegative_a: bool
@@ -181,10 +185,12 @@ class ValidationReport:
             out.append(f"condition (ii) fails: c = {c} is not 1 = c_1 <= ... <= c_D")
         if not self.condition_iii:
             pair = lambda ij: f"b_{ij[0]}={b[ij[0]]} < c_{ij[1]}={c[ij[1] - 1]}"
-            out.append(f"condition (iii) fails: {_listed(self.condition_iii_failures, pair)}")
+            pairs = _listed(self.condition_iii_failures, pair, self.condition_iii_count)
+            out.append(f"condition (iii) fails: {pairs}")
         if not self.integral_spheres:
             sizes = sphere_sizes_exact(self.array)
-            vals = _listed(self.non_integral_at, lambda i: f"|K_{i}| = {sizes[i]}")
+            at = self.non_integral_at
+            vals = _listed(at, lambda i: f"|K_{i}| = {sizes[i]}", len(at))
             out.append(f"non-integral sphere sizes: {vals}")
         if not self.nonnegative_a:
             idx = ", ".join(f"a_{i}" for i in self.negative_a_at)
@@ -194,9 +200,9 @@ class ValidationReport:
         return tuple(out)
 
 
-def _listed(items: tuple, render) -> str:
-    """render(item) for the first _LISTED items, then how many more there are."""
-    more = f", … and {len(items) - _LISTED} more" if len(items) > _LISTED else ""
+def _listed(items: tuple, render, total: int) -> str:
+    """render(item) for the first _LISTED items, then how many more of `total` there are."""
+    more = f", … and {total - _LISTED} more" if total > _LISTED else ""
     return ", ".join(map(render, items[:_LISTED])) + more
 
 
@@ -210,15 +216,13 @@ def validate(arr: IntersectionArray) -> ValidationReport:
     cond_ii = all(x <= y for x, y in zip(c, c[1:]))
 
     # (iii) b_i >= c_j for i + j <= D: row i can fail only if the largest of
-    # c_1..c_{D-i} exceeds b_i, so only such rows are scanned pair by pair
+    # c_1..c_{D-i} exceeds b_i, so only such rows are counted, and scanned
+    # pair by pair until _LISTED pairs are found
     c_max = list(accumulate(c, max))  # c_max[m - 1] = max(c_1, ..., c_m)
-    iii_failures = tuple(
-        (i, j)
-        for i in range(D)
-        if c_max[D - i - 1] > b[i]
-        for j in range(1, D - i + 1)
-        if b[i] < c[j - 1]
-    )
+    rows = [i for i in range(D) if c_max[D - i - 1] > b[i]]
+    iii_count = sum(sum(map(b[i].__lt__, c[: D - i])) for i in rows)
+    pairs = ((i, j) for i in rows for j in range(1, D - i + 1) if b[i] < c[j - 1])
+    iii_failures = tuple(islice(pairs, _LISTED))
 
     sizes = _sphere_pairs(b, c)
     non_integral = tuple(i for i, (_, den) in enumerate(sizes) if den != 1)
@@ -234,8 +238,9 @@ def validate(arr: IntersectionArray) -> ValidationReport:
         array=arr,
         condition_i=cond_i,
         condition_ii=cond_ii,
-        condition_iii=not iii_failures,
+        condition_iii=not iii_count,
         condition_iii_failures=iii_failures,
+        condition_iii_count=iii_count,
         integral_spheres=not non_integral,
         non_integral_at=non_integral,
         nonnegative_a=not neg_a,

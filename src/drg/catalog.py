@@ -107,15 +107,32 @@ def named_array_lines(lines: list[str]) -> Iterator[tuple[int, str, str]]:
             yield (lineno, name, array_text) if bar else (lineno, line, line)
 
 
+def read_utf8(path: str, what: str) -> str:
+    """The file at `path` decoded as UTF-8; `what` names it in a refusal.
+
+    open() raises OSError as it does.  A file that is not UTF-8 raises
+    ValueError `path:line: cannot read <what>: ...`, the line of its
+    first bad byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: cannot read {what}: {exc}") from exc
+
+
 def _supplementary_from_env() -> list[CatalogEntry]:
     path = os.environ.get(ENV_SUPPLEMENTARY)
     if not path:
         return []
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        lines = read_utf8(path, ENV_SUPPLEMENTARY).splitlines()
+    except OSError as exc:
         raise CatalogError(f"{path}: cannot read {ENV_SUPPLEMENTARY}: {exc}") from exc
+    except ValueError as exc:
+        raise CatalogError(str(exc)) from exc
     out = []
     # lookup returns the first entry with a slug, so a second one is unreachable
     owners = {e.slug: f"the built-in entry {e.name!r}" for e in _embedded()}

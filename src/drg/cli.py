@@ -35,7 +35,14 @@ from .arrays import (
     parse_array,
     validate,
 )
-from .catalog import CatalogEntry, CatalogError, catalog_list, lookup, named_array_lines
+from .catalog import (
+    CatalogEntry,
+    CatalogError,
+    catalog_list,
+    lookup,
+    named_array_lines,
+    read_utf8,
+)
 from .fmt import approx_str, decimal_str, frac_str
 from .graphs import construct, parse_edge_list, registry_names
 from .oracle import NotDistanceRegular, cross_validate
@@ -55,21 +62,13 @@ class _Refusal(Exception):
 
 
 def _read_text(path: str, what: str) -> str:
-    """The file at `path` decoded as UTF-8; `what` names it in a refusal.
-
-    A file that is not UTF-8 is refused as `path:line`, the line of its
-    first bad byte.
-    """
+    """catalog.read_utf8(path, what), each of its errors raised as a _Refusal."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        return read_utf8(path, what)
     except OSError as exc:
         raise _Refusal(f"cannot read {what}: {exc}") from exc
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise _Refusal(f"{path}:{line}: cannot read {what}: {exc}") from exc
+    except ValueError as exc:
+        raise _Refusal(str(exc)) from exc
 
 
 def _resolve(target: str) -> tuple[IntersectionArray, CatalogEntry | None]:

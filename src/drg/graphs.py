@@ -2,10 +2,12 @@
 
 The registry holds small named graphs (plus three parameterized
 families), each carrying the intersection array it is expected to
-realize.  verify_drg checks distance-regularity from scratch, by one
-BFS per vertex over neighbourhood bitmasks (_bfs, also behind
-distances_from), so a registry entry's claim is never trusted, always
-re-derived.
+realize.  verify_drg checks distance-regularity from scratch, so a
+registry entry's claim is never trusted, always re-derived: one BFS from
+all sources at once on packed rows (_certify) makes every count and
+accepts when each is constant, and only a graph it does not accept is
+scanned by one BFS per vertex over neighbourhood bitmasks (_bfs, also
+behind distances_from) to list its violations.
 
 The fixed graphs come from three constructions: LCF notation (_lcf), a
 graph on a set system with an adjacency rule (_graph_on) and a
@@ -13,24 +15,25 @@ bipartite incidence graph with a relation (_incidence).
 
 No graph above MAX_VERTICES vertices or MAX_WORK = n * m is built:
 construct checks a family's n and m from its parameter and
-parse_edge_list checks every line as it reads it, before any edge list
-or n x n matrix exists.
+parse_edge_list checks the caps on the whole text, or line by line for
+text that fails a check, before any edge list or n x n matrix exists.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, count
 
 from .arrays import IntersectionArray, parse_array
 
 # The most vertices a constructed or parsed graph may have, and the most
-# work n * m: verify_drg and the oracle's check each count every
-# (vertex, neighbour) incidence once per base vertex, word-parallel on
-# n-bit masks and packed rows.  GH(3,3), with 728 vertices, fits; so
-# does the 10-cube, the largest graph at both caps at once
-# (n * m = 1024 * 5120).
+# work n * m: verify_drg adds a packed row of n fields for every
+# (vertex, neighbour) incidence once per distance level, and the oracle's
+# check once.  GH(3,3), with 728 vertices, fits; so does the 10-cube, the
+# largest graph at both caps at once (n * m = 1024 * 5120).
 MAX_VERTICES = 1024
 MAX_WORK = 1024 * 5120
 
@@ -99,7 +102,7 @@ class DistancePartitionReport:
     observed_array: IntersectionArray | None
     violations: tuple[Violation, ...]
     diameter: int
-    distances: list[list[int]]  # distances[u][v], from one BFS per vertex
+    distances: list[list[int]]  # distances[u][v]
 
 
 def _neighbour_masks(g: LabeledGraph) -> list[int]:
@@ -140,6 +143,98 @@ def _bfs(masks: list[int], source: int) -> tuple[list[int], list[int], list[int]
     return dist, down, up
 
 
+def _unpack16(row: int, n: int) -> list[int]:
+    """The n 16-bit fields of a packed row, least significant first, on either byte order."""
+    fields = array("H", row.to_bytes(2 * n, "little"))
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields.tolist()
+
+
+def _certify(g: LabeledGraph) -> tuple[list[list[int]], list[int], list[int]] | None:
+    """(distances, b, c) when every count verify_drg makes is constant, else None.
+
+    One BFS from all sources at once, a level at a time, on packed rows:
+    row A_i[x] is an int with a w-bit field per vertex y, 1 when
+    d(x, y) = i and 0 otherwise.  Each level takes one sum per vertex,
+
+        T_x = sum(A_i[w] for w ~ x),  field y of T_x = |N(x) & S_i(y)|,
+
+    so the whole run is O(n * D) Python steps on n*w-bit ints, where a
+    BFS per base is O(n^2).  For y with d(x, y) = i + 1 that field is
+    c_{i+1}(y, x), the neighbours of x one step nearer to y, and it is
+    at least 1 (the first step of a shortest path from x to y); for
+    d(x, y) > i + 1 it is 0.  So the next row is the nonzero fields of
+    T_x among the vertices not yet seen,
+
+        A_{i+1}[x] = ((T_x + half) >> (w - 1)) & unseen_x,
+
+    half holding 2^(w-1) - 1 in every field.  For y with d(x, y) = i - 1
+    the field is b_{i-1}(y, x).  Both checks are one comparison per
+    (x, i):
+
+        T_x & mask(A_{i+1}[x] | A_{i-1}[x]) == c_{i+1} A_{i+1}[x] + b_{i-1} A_{i-1}[x],
+
+    mask(A) = (A << w) - A filling each 1-field with ones.  Over the
+    levels i = 0..D this covers every ordered pair (y, x), base y and
+    target x: c_j at level j - 1 and b_j (j < D) at level j + 1.  The
+    constants are those of base 0 and the first y of each class, as
+    the first-observed rule takes them.
+
+    Width.  w = 8 when n <= 128, else 16 (n <= MAX_VERTICES).  Every
+    degree, count and distance is then at most n - 1 < 2^(w-1): a field
+    of T_x + half stays below 2^w, so no carry crosses a field, and it
+    reaches 2^(w-1) exactly when the count is nonzero.  The distance
+    rows add 1 per level at which y is still unseen and are unpacked
+    once, at the end.
+
+    None also when the graph is disconnected, when base 0 runs out of
+    vertices before another base does, or when n = 1.
+    """
+    n = g.n
+    size = 1 if n <= 128 else 2  # bytes per field
+    width = 8 * size
+    shift = width - 1
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * n, "little")
+    half = ones * ((1 << shift) - 1)
+    low = (1 << width) - 1  # field 0, which holds base 0's counts
+    level = [1 << (width * x) for x in range(n)]  # A_0[x] = {x}
+    behind = [0] * n
+    unseen = [ones ^ row for row in level]
+    dist = unseen  # field y of dist[x] adds 1 for each i >= 0 with d(x, y) > i
+    first = [0]  # base 0's first y at each distance
+    b: list[int] = []
+    c: list[int] = []
+    adjacency = g.adjacency
+    for i in count():
+        sums = [sum(map(level.__getitem__, nb)) for nb in adjacency]
+        ahead = [((t + half) >> shift) & u for t, u in zip(sums, unseen)]
+        if ahead[0]:
+            first.append(((ahead[0] & -ahead[0]).bit_length() - 1) // width)
+        elif any(ahead):
+            return None
+        c_next = sums[first[i + 1]] & low if ahead[0] else 0
+        b_prev = sums[first[i - 1]] & low if i else 0
+        if any(
+            t & (((s := a | p) << width) - s) != c_next * a + b_prev * p
+            for t, a, p in zip(sums, ahead, behind)
+        ):
+            return None
+        if i:
+            b.append(b_prev)
+        if not ahead[0]:
+            break
+        c.append(c_next)
+        unseen = [u ^ a for u, a in zip(unseen, ahead)]
+        dist = list(map(operator.add, dist, unseen))
+        behind, level = level, ahead
+    if not c or any(unseen):
+        return None
+    if size == 1:
+        return [list(row.to_bytes(n, "little")) for row in dist], b, c
+    return [_unpack16(row, n) for row in dist], b, c
+
+
 def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
     """Check distance-regularity by counting neighbors over every vertex pair.
 
@@ -148,16 +243,44 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
     (resp. b_i).  If a claimed array is attached, its values are the
     expected constants; otherwise the first observed count is.
 
-    Each vertex's neighbourhood is an int bitmask, built once per call,
-    and one BFS per base x (_bfs) counts every y's down and up
-    neighbours as the popcounts of N(y) & (layer i-1) and N(y) & (not
-    yet seen), so a base costs n steps, each a few operations on n-bit
-    ints, where a pass over the m edges used to be.  Every count is an
-    exact integer.  A base whose counts equal the expected rows passes
-    by one list comparison; only a base whose rows differ, which
-    includes one that meets a value still unset, is scanned y by y.
-    That keeps the first-observed rule and the order of the violations:
-    (x, y) order, c_i before b_i.
+    _certify makes every count at once, level by level on packed rows,
+    and accepts when each is constant.  A claim of another diameter then
+    adds its one violation.  Only a graph that _certify does not accept,
+    or whose claim of the right diameter differs from the counts, is
+    scanned base by base (_diagnose) to list its violations in order.
+    """
+    certified = _certify(g)
+    if certified is None:
+        return _diagnose(g)
+    dist, b, c = certified
+    observed = IntersectionArray(b, c)
+    claimed = g.claimed_array
+    if claimed is None or claimed == observed:
+        violations = ()
+    elif claimed.D == len(b):
+        return _diagnose(g)
+    else:
+        violations = (Violation(0, 0, "diameter", claimed.D, len(b)),)
+        observed = None
+    return DistancePartitionReport(
+        is_drg=not violations,
+        observed_array=observed,
+        violations=violations,
+        diameter=len(b),
+        distances=dist,
+    )
+
+
+def _diagnose(g: LabeledGraph) -> DistancePartitionReport:
+    """verify_drg by one BFS per base x, listing every violation.
+
+    Each vertex's neighbourhood is an int bitmask and _bfs counts every
+    y's down and up neighbours as the popcounts of N(y) & (layer i-1)
+    and N(y) & (not yet seen).  A base whose counts equal the expected
+    rows passes by one list comparison; only a base whose rows differ,
+    which includes one that meets a value still unset, is scanned y by
+    y.  That keeps the first-observed rule and the order of the
+    violations: (x, y) order, c_i before b_i.
     """
     masks = _neighbour_masks(g)
     first = _bfs(masks, 0)
@@ -223,7 +346,41 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
     A vertex index of MAX_VERTICES or more is refused on its line, and
     so is the line whose edge takes (largest index + 1) * (edges so far)
     above MAX_WORK.
+
+    The whole text is checked at once: every line has 0 or 2 tokens,
+    the tokens together are ASCII digits, and the caps hold for the
+    final largest index and edge count, which pass on every line when
+    they pass at the end, as both only grow.  Text that fails is read
+    line by line (_edges_by_line) for the refusal of its first bad line.
     """
+    top, edges = _edges_at_once(text) or _edges_by_line(text)
+    arr = parse_array(claimed) if claimed else None
+    return LabeledGraph(top + 1, edges, name=name, claimed_array=arr)
+
+
+def _edges_at_once(text: str) -> tuple[int, zip] | None:
+    """(largest index, edges) when the whole text passes every check at once, else None."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = list(map(str.split, lines))
+    tokens = list(chain.from_iterable(rows))
+    digits = "".join(tokens)
+    if not (set(map(len, rows)) <= {0, 2} and digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        numbers = list(map(int, tokens))
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        return None
+    top = max(numbers)
+    if top >= MAX_VERTICES or (top + 1) * (len(numbers) // 2) > MAX_WORK:
+        return None
+    pairs = iter(numbers)
+    return top, zip(pairs, pairs)
+
+
+def _edges_by_line(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """(largest index, edges) of an edge list, or the refusal of its first bad line."""
     edges = []
     top = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -253,8 +410,7 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
             )
     if not edges:
         raise ValueError("edge list is empty")
-    arr = parse_array(claimed) if claimed else None
-    return LabeledGraph(top + 1, edges, name=name, claimed_array=arr)
+    return top, edges
 
 
 def _lcf(pattern: list[int], repeats: int, name: str, claimed: str) -> LabeledGraph:

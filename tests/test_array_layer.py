@@ -230,7 +230,8 @@ def validate_reference(arr: IntersectionArray) -> ValidationReport:
         condition_i=cond_i,
         condition_ii=cond_ii,
         condition_iii=not iii_failures,
-        condition_iii_failures=iii_failures,
+        condition_iii_failures=iii_failures[:10],
+        condition_iii_count=len(iii_failures),
         integral_spheres=not non_integral,
         non_integral_at=non_integral,
         nonnegative_a=not neg_a,

@@ -175,8 +175,9 @@ def test_validate_condition_iii_failure():
 def test_condition_iii_message_lists_at_most_ten_pairs(text, count, more):
     rep = validate(parse_array(text))
     b, c = rep.array.b, rep.array.c
-    assert len(rep.condition_iii_failures) == count  # the report keeps every pair
-    pairs = [f"b_{i}={b[i]} < c_{j}={c[j - 1]}" for i, j in rep.condition_iii_failures[:10]]
+    # the report keeps the first ten pairs and counts them all
+    assert (rep.condition_iii_count, len(rep.condition_iii_failures)) == (count, 10)
+    pairs = [f"b_{i}={b[i]} < c_{j}={c[j - 1]}" for i, j in rep.condition_iii_failures]
     assert "condition (iii) fails: " + ", ".join(pairs) + more in rep.failure_messages()
 
 

@@ -294,7 +294,7 @@ def test_non_utf8_env_catalog_exit_2(tmp_path, monkeypatch, capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert str(path) in err
+    assert err.startswith(f"error: {path}:1: cannot read DRG_CATALOG: ")
 
 
 def test_batch_non_utf8_exit_2(tmp_path, capsys):

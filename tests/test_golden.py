@@ -109,13 +109,18 @@ def _cases() -> dict[str, list[str]]:
     cases["batch_latin1"] = ["batch", "inputs/latin1_path3.txt"]
     cases["table_extras_env_catalog"] = ["table", "--extras"]
     cases["catalog_list_env_catalog"] = ["catalog", "list"]
+    cases["catalog_list_latin1_env_catalog"] = ["catalog", "list"]
     return cases
 
 
 CASES = _cases()
 
 ENV_CATALOG = {"DRG_CATALOG": "inputs/env_catalog.txt"}
-ENVIRONMENTS = {"table_extras_env_catalog": ENV_CATALOG, "catalog_list_env_catalog": ENV_CATALOG}
+ENVIRONMENTS = {
+    "table_extras_env_catalog": ENV_CATALOG,
+    "catalog_list_env_catalog": ENV_CATALOG,
+    "catalog_list_latin1_env_catalog": {"DRG_CATALOG": "inputs/latin1_catalog.txt"},
+}
 
 
 def run_case(argv: list[str], env: dict[str, str] | None = None) -> dict:

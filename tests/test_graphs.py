@@ -18,7 +18,7 @@ from drg import (
     registry_names,
     verify_drg,
 )
-from drg.graphs import DistancePartitionReport, Violation
+from drg.graphs import MAX_VERTICES, MAX_WORK, DistancePartitionReport, Violation
 
 
 def test_registry_has_expected_size():
@@ -359,7 +359,37 @@ def _edge_loop_cases():
             LabeledGraph(g.n, g.edges, name=f"{g.name}-claims-{other.name}",
                          claimed_array=other.claimed_array)
         )
-    return cases
+    return cases + _kernel_edge_cases()
+
+
+def cycle(n, claimed=None):
+    return LabeledGraph(n, [(i, (i + 1) % n) for i in range(n)], name=f"C{n}", claimed_array=claimed)
+
+
+def _kernel_edge_cases():
+    """Graphs at the edges of verify_drg's packed-row kernel."""
+    dodecahedron = construct("dodecahedron")
+    return [
+        # 8-bit fields up to n = 128, so degree 127; 16-bit from n = 129, degree 128
+        construct("complete", 128),
+        construct("complete", 129),
+        # D = 127 and 128 around the switch, and D = 200 past one byte
+        cycle(255),
+        cycle(256),
+        cycle(257),
+        cycle(400),
+        # the complement of C_7: every c_i and b_0 constant, so only b_1 = b_{D-1}
+        # breaks, at the kernel's last level
+        LabeledGraph(7, [(i, (i + s) % 7) for i in range(7) for s in (2, 3)], name="co-C7"),
+        # a claim right except for b_{D-1}, and one right except for c_D
+        LabeledGraph(dodecahedron.n, dodecahedron.edges, name="dodecahedron-claims-b4=2",
+                     claimed_array=parse_array("3,2,1,1,2;1,1,1,2,3")),
+        relabelled(construct("hypercube", 5), parse_array("5,4,3,2,1;1,2,3,4,4")),
+        # a claim of the wrong diameter on a graph the kernel certifies
+        cycle(9, parse_array("2,1,1;1,1,2")),
+        # 16-bit distance rows that the kernel certifies, with a wrong diameter
+        cycle(300, parse_array("2;1")),
+    ]
 
 
 def _report_or_refusal(verify, g):
@@ -375,14 +405,26 @@ def test_verify_drg_matches_the_edge_loop(g):
     assert _report_or_refusal(verify_drg, g) == _report_or_refusal(edge_loop_verify, g)
 
 
+def test_kernel_edge_cases_break_where_they_say():
+    kinds = {g.name: {v.kind for v in verify_drg(g).violations} for g in _kernel_edge_cases()}
+    assert kinds["co-C7"] == {"b1"}
+    assert kinds["dodecahedron-claims-b4=2"] == {"b4"}
+    assert kinds["C9"] == kinds["C300"] == {"diameter"}
+    assert verify_drg(cycle(400)).diameter == 200
+
+
 @pytest.mark.parametrize(
     "g, message",
     [
         (LabeledGraph(4, [(0, 1), (2, 3)]), "graph is disconnected"),
         (LabeledGraph(5, [(1, 2), (2, 3), (3, 4)]), "graph is disconnected"),
         (LabeledGraph(1, []), "graph has a single vertex"),
+        # every count constant, so only the kernel's unseen rows show it disconnected
+        (LabeledGraph(10, [(i, (i + 1) % 5 + 5 * (i >= 5)) for i in range(10)]),
+         "graph is disconnected"),
+        (LabeledGraph(3, []), "graph is disconnected"),
     ],
-    ids=("two-edges", "isolated-0", "single-vertex"),
+    ids=("two-edges", "isolated-0", "single-vertex", "two-pentagons", "no-edges"),
 )
 def test_verify_drg_refusals_match_the_edge_loop(g, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -399,3 +441,100 @@ def test_verify_drg_refusals_match_the_edge_loop(g, message):
 )
 def test_distances_from_matches_a_queue_bfs(g):
     assert [g.distances_from(v) for v in range(g.n)] == [deque_bfs(g, v) for v in range(g.n)]
+
+
+# ----------------------------------------------------------------------
+# parse_edge_list against the per-line reader that its bulk path skips
+
+
+def per_line_parse_edge_list(text, name="", claimed=None):
+    """The reader before the bulk path: every check on every line, in order."""
+    edges = []
+    top = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(f"line {lineno}: vertex indices must be ASCII digits, got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: vertex index too long to convert") from exc
+        if max(u, v) >= MAX_VERTICES:
+            raise ValueError(
+                f"line {lineno}: vertex {max(u, v)} is beyond the cap of "
+                f"{MAX_VERTICES} vertices"
+            )
+        edges.append((u, v))
+        top = max(top, u, v)
+        if (top + 1) * len(edges) > MAX_WORK:
+            raise ValueError(
+                f"line {lineno}: n*m = {top + 1}*{len(edges)} is beyond the "
+                f"work cap of {MAX_WORK}"
+            )
+    if not edges:
+        raise ValueError("edge list is empty")
+    arr = parse_array(claimed) if claimed else None
+    return LabeledGraph(top + 1, edges, name=name, claimed_array=arr)
+
+
+def _graph_or_refusal(read, text):
+    try:
+        g = read(text, name="g", claimed="2;1")
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return g.n, g.edges, g.name, g.claimed_array
+
+
+_CUBE_10 = "".join(f"{u} {v}\n" for u, v in construct("hypercube", 10).edges)
+
+EDGE_TEXTS = {
+    # line breaks that str.splitlines knows, and whitespace inside a line
+    "crlf": "0 1\r\n1 2\r\n",
+    "vt": "0 1\x0b1 2",
+    "ff": "0 1\x0c1 2",
+    "fs": "0 1\x1c1 2\x1d2 3\x1e3 0",
+    "nel": "0 1\x851 2",
+    "line-separator": "0 1\u20281 2\u2029",
+    "tabs": "0\t1\n\t1 \t 2\t\n",
+    "blank-lines": "\n\n0 1\n\n\n1 2\n\n",
+    "comments": "# a triangle\n0 1 # first\n1 2#second\n#\n2 0 # 5 6\n",
+    "comment-only-line-number": "# c\n0 1\n1 2 3 # three\n",
+    # tokens that are not ASCII digits
+    "plus": "0 1\n+1 2\n",
+    "underscore": "0 1\n1_0 2\n",
+    "arabic-indic": "0 1\n\u0661 2\n",
+    "superscript": "0 1\n\u00b2 1\n",
+    "fullwidth": "0 1\n\uff11 2\n",
+    "minus": "-1 2\n",
+    "one-token": "0 1\n2\n",
+    "three-tokens": "0 1\n1 2 3\n",
+    "too-long": "0 1\n0 " + "1" * 5000 + "\n",
+    "too-long-zeros": "0 1\n0 " + "0" * 5000 + "1\n",
+    # the vertex cap
+    "index-1023": "0 1023\n",
+    "index-1024": "0 1\n0 1024\n",
+    "index-1024-late": "0 1\n1 2\n1024 3\n0 1\n",
+    # the work cap: n*m = 1024 * 5120 exactly, then one edge past it
+    "work-at-cap": _CUBE_10,
+    "work-past-cap": _CUBE_10 + "0 3\n",
+    # graphs LabeledGraph refuses
+    "loop": "0 1\n1 1\n",
+    "duplicate": "0 1\n1 0\n",
+    # no edges
+    "empty": "",
+    "blank": "\n \n\t\n",
+    "comments-only": "# nothing\n#\n",
+}
+
+
+@pytest.mark.parametrize("key", EDGE_TEXTS)
+def test_parse_edge_list_matches_the_per_line_reader(key):
+    text = EDGE_TEXTS[key]
+    assert _graph_or_refusal(parse_edge_list, text) == _graph_or_refusal(
+        per_line_parse_edge_list, text
+    )

@@ -143,25 +143,42 @@ def wrong_r1(params):
     return dataclasses.replace(profile, resistances=rs)
 
 
+def _count_traversals(monkeypatch) -> dict[str, list]:
+    """Record each graph passed to graphs._certify (all sources at once) and
+    each source passed to graphs._bfs (one source): the last argument of each."""
+    calls = {"_certify": [], "_bfs": []}
+    for name, record in calls.items():
+        original = getattr(graphs, name)
+
+        def counted(*args, original=original, record=record):
+            record.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(graphs, name, counted)
+    return calls
+
+
 def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
-    # graphs._bfs is the module's one BFS: verify_drg and distances_from both call it
-    calls = []
-    bfs = graphs._bfs
-
-    def counted(masks, source):
-        calls.append(source)
-        return bfs(masks, source)
-
-    monkeypatch.setattr(graphs, "_bfs", counted)
+    # the n BFS run at once, level by level, in one call of graphs._certify
+    calls = _count_traversals(monkeypatch)
     g = construct("petersen")
     # certified, and solved for the mismatches that the wrong r_1 leaves
     for formula, ok in ((compute_profile, True), (wrong_r1, False)):
         monkeypatch.setattr(oracle, "compute_profile", formula)
-        calls.clear()
+        for record in calls.values():
+            record.clear()
         assert cross_validate(g).ok is ok
-        # one BFS per vertex for the distance matrix, which also shows g is connected
-        assert len(calls) == g.n
-        assert sorted(calls) == list(range(g.n))
+        # one kernel run gives the distance matrix and shows g connected; no per-base BFS
+        assert calls == {"_certify": [g], "_bfs": []}
+
+
+def test_cross_validate_scans_a_non_drg_graph_base_by_base(monkeypatch):
+    calls = _count_traversals(monkeypatch)
+    g = LabeledGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], name="k4-minus-edge")
+    with pytest.raises(oracle.NotDistanceRegular):
+        cross_validate(g)
+    assert calls["_certify"] == [g]
+    assert calls["_bfs"] == list(range(g.n))
 
 
 # ----------------------------------------------------------------------
