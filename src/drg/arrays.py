@@ -220,9 +220,11 @@ def validate(arr: IntersectionArray) -> ValidationReport:
     # pair by pair until _LISTED pairs are found
     c_max = list(accumulate(c, max))  # c_max[m - 1] = max(c_1, ..., c_m)
     rows = [i for i in range(D) if c_max[D - i - 1] > b[i]]
-    iii_count = sum(sum(map(b[i].__lt__, c[: D - i])) for i in rows)
-    pairs = ((i, j) for i in rows for j in range(1, D - i + 1) if b[i] < c[j - 1])
-    iii_failures = tuple(islice(pairs, _LISTED))
+    iii_failures, iii_count = (), 0
+    if rows:
+        iii_count = sum(sum(map(b[i].__lt__, c[: D - i])) for i in rows)
+        pairs = ((i, j) for i in rows for j in range(1, D - i + 1) if b[i] < c[j - 1])
+        iii_failures = tuple(islice(pairs, _LISTED))
 
     sizes = _sphere_pairs(b, c)
     non_integral = tuple(i for i, (_, den) in enumerate(sizes) if den != 1)

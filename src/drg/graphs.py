@@ -225,7 +225,7 @@ def _certify(g: LabeledGraph) -> tuple[list[list[int]], list[int], list[int]] | 
         if not ahead[0]:
             break
         c.append(c_next)
-        unseen = [u ^ a for u, a in zip(unseen, ahead)]
+        unseen = list(map(operator.xor, unseen, ahead))
         dist = list(map(operator.add, dist, unseen))
         behind, level = level, ahead
     if not c or any(unseen):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import deque
 from itertools import combinations
 from pathlib import Path
@@ -18,6 +19,7 @@ from drg import (
     registry_names,
     verify_drg,
 )
+from drg import graphs
 from drg.graphs import MAX_VERTICES, MAX_WORK, DistancePartitionReport, Violation
 
 
@@ -373,7 +375,8 @@ def _kernel_edge_cases():
         # 8-bit fields up to n = 128, so degree 127; 16-bit from n = 129, degree 128
         construct("complete", 128),
         construct("complete", 129),
-        # D = 127 and 128 around the switch, and D = 200 past one byte
+        # 16-bit fields with n around 256 and D = 127, 128, 128, then D = 200,
+        # distances an 8-bit field's 2^7 could not hold
         cycle(255),
         cycle(256),
         cycle(257),
@@ -406,11 +409,19 @@ def test_verify_drg_matches_the_edge_loop(g):
 
 
 def test_kernel_edge_cases_break_where_they_say():
-    kinds = {g.name: {v.kind for v in verify_drg(g).violations} for g in _kernel_edge_cases()}
-    assert kinds["co-C7"] == {"b1"}
-    assert kinds["dodecahedron-claims-b4=2"] == {"b4"}
-    assert kinds["C9"] == kinds["C300"] == {"diameter"}
-    assert verify_drg(cycle(400)).diameter == 200
+    cases = {g.name: g for g in _kernel_edge_cases()}
+    for name, kinds in (("co-C7", {"b1"}), ("dodecahedron-claims-b4=2", {"b4"}), ("C9", {"diameter"})):
+        assert {v.kind for v in verify_drg(cases[name]).violations} == kinds
+
+
+def test_unpack16_reads_fields_past_one_byte_on_either_byte_order(monkeypatch):
+    values = [0, 1, 255, 256, 1023, 0x1234, 0xFF00]
+    row = sum(v << (16 * y) for y, v in enumerate(values))
+    assert graphs._unpack16(row, len(values)) == values
+    # under the other byte order each field's two bytes come out swapped,
+    # so the swap happens exactly when the machine is big-endian
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    assert graphs._unpack16(row, len(values)) == [(v >> 8) | (v & 0xFF) << 8 for v in values]
 
 
 @pytest.mark.parametrize(
