@@ -37,13 +37,6 @@ from .tables import BIGGS_SMITH_NAME, VALENCY_34_MEMBERSHIP
 
 BIGGS_SMITH_RATIO = Fraction(94, 101)
 
-# prove_k3 refuses b_1 above this before raising anything to a power, so its
-# work stays bounded (near b_1 = 10^8 a power holds billions of bits).  Its
-# trace holds ((b_1-1)/b_1)^(b_1-2)/b_1, about (b_1-1)*log10(b_1) digits:
-# past b_1 = 1371 that is over Python's 4300-digit str() limit, but J(80,40)
-# (b_1 = 1521) must still get a verdict, so the cap sits above both.
-K3_MAX_B1 = 2000
-
 _RELATIONS = {
     "<": operator.lt,
     "<=": operator.le,
@@ -254,8 +247,10 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
 
     The head phi_1..phi_{j-1} is dominated by the geometric series
     summing to 1; the tail obeys phi_j+...+phi_{D-1} <= (j-1/2) phi_{j-1},
-    whose weight never exceeds the peak of f, itself below 1.
-    Raises ValueError for k < 3 or b_1 > K3_MAX_B1.
+    whose weight f rises up to i = b_1 and falls after it, so it is at most
+    its value at m = min(j, b_1), itself below 1.  Every power in the trace
+    has an exponent of at most j <= D.
+    Raises ValueError for k < 3.
     """
     return _prove(profile, _K3.target, _k3_chain)
 
@@ -264,31 +259,25 @@ def _k3_chain(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     params = profile.params
     rho = profile.ratio
     b1 = params.array.b[1]
-    if b1 > K3_MAX_B1:
-        raise ValueError(
-            f"b_1 = {b1} is above {K3_MAX_B1}, the largest b_1 whose K = 3 trace is computed"
-        )
     j = params.j  # >= 2 whenever b_1 >= 2
+    m = min(j, b1)
     alpha = Fraction(b1 - 1, b1)
     # with alpha = (b1-1)/b1: head = (1 + ... + alpha^(j-2))/b1 = 1 - alpha^(j-1),
-    # tail = (j - 1/2) alpha^(j-2)/b1 and peak_tail is tail at j = b1
+    # tail = (j - 1/2) alpha^(j-2)/b1 and peak_tail is tail at j = m (equal when j <= b1)
     top, bottom = (b1 - 1) ** (j - 2), b1 ** (j - 1)
     head_num = bottom - top * (b1 - 1)
     tail_num = (2 * j - 1) * top
     tail = Fraction(tail_num, 2 * bottom)
-    # alpha^(b1-2) is already reduced, so this product takes gcds of small
-    # factors only; Fraction(num, den) would take one of two numbers of
-    # thousands of digits near b1 = K3_MAX_B1
-    peak_tail = Fraction(2 * b1 - 1, 2 * b1) * alpha ** (b1 - 2)
+    peak_cap = Fraction(2 * m - 1, 2 * b1)
+    peak_tail = peak_cap * alpha ** (m - 2)
 
     steps = (
         _step("head_tail_bound", rho, "<=", Fraction(2 * head_num + tail_num, 2 * bottom)),
         _step("geometric_head", Fraction(1, b1) / (1 - alpha), "==", 1),
-        _step("f_rising", f_ratio(b1, b1 - 1), ">", 1),
         _step("f_falling", f_ratio(b1, b1), "<", 1),
         _step("tail_peak", tail, "<=", peak_tail),
-        _step("peak_drop", peak_tail, "<=", Fraction(2 * b1 - 1, 2 * b1)),
-        _step("peak_lt_1", Fraction(2 * b1 - 1, 2 * b1), "<", 1),
+        _step("peak_drop", peak_tail, "<=", peak_cap),
+        _step("peak_lt_1", peak_cap, "<", 1),
         _step("total_lt_target", Fraction(2 * bottom + tail_num, 2 * bottom), "<", _K3.target),
         _step("rho_lt_target", rho, "<", _K3.target),
     )
@@ -432,8 +421,10 @@ def _ratio3_steps(profile: PotentialProfile, alpha2: Fraction) -> list[TraceStep
     b1 = arr.b[1]
     j = params.j
     chain, geo = _deep_head(b1, j, 3)
-    # the tail weight peaks at i = b1 - 1; for b1 = 3 that is below j >= 4, so j = 4 dominates
-    peak = (b1 - Fraction(3, 2)) * alpha2 ** (b1 - 4) if b1 >= 4 else Fraction(7, 2) * alpha2
+    # the tail weight rises up to i = b1 - 1 and falls after it, so it is at most its
+    # value at m = min(j, b1 - 1); for b1 = 3 the peak is below j >= 4, so j = 4 dominates
+    m = min(j, b1 - 1)
+    peak = (m - Fraction(1, 2)) * alpha2 ** (m - 3) if b1 >= 4 else Fraction(7, 2) * alpha2
     head = Fraction(1, b1) + Fraction(b1 - 1, 3 * b1)  # geo less its tail term
     steps = [
         _step("sub_cond", Fraction(arr.b[2], arr.c[1]), ">=", 3),
@@ -472,8 +463,10 @@ def _product4_steps(profile: PotentialProfile, alpha2: Fraction) -> list[TraceSt
             *_target_gap("cap_value", Fraction(21, 2) / (4 * b1), "<=", Fraction(7, 8)),
         ]
 
-    # the tail weight peaks at i = b1 - 1; for b1 <= 5 that is below j >= 5, so j = 5 dominates
-    peak = (b1 - Fraction(3, 2)) * alpha2 ** (b1 - 5) if b1 >= 6 else Fraction(9, 2) * alpha2
+    # the tail weight rises up to i = b1 - 1 and falls after it, so it is at most its
+    # value at m = min(j, b1 - 1); for b1 <= 5 the peak is below j >= 5, so j = 5 dominates
+    m = min(j, b1 - 1)
+    peak = (m - Fraction(1, 2)) * alpha2 ** (m - 4) if b1 >= 6 else Fraction(9, 2) * alpha2
     head = Fraction(3, 2 * b1) + Fraction(b1 - 1, 4 * b1)  # the geometric limit less its tail term
     bound = head + peak / (4 * b1)
     steps += [

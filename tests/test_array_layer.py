@@ -18,11 +18,9 @@
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -120,17 +118,6 @@ def perturbed_arrays(count: int = 60) -> list[IntersectionArray]:
     return list(out)
 
 
-@contextlib.contextmanager
-def _unlimited_int_str():
-    """repr of a trace at b_1 = 1521 holds integers past the 4300-digit str() limit."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 def _sha(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
@@ -143,14 +130,13 @@ def _proved(prover, profile) -> str:
 
 
 def digests(arr: IntersectionArray) -> dict[str, str]:
-    with _unlimited_int_str():
-        report = validate(arr)
-        out = {"validate": _sha(report)}
-        if report.passed:
-            profile = compute_profile(derive_from(report))
-            out["profile"] = _sha(profile)
-            out["k3"] = _proved(prove_k3, profile)
-            out["optimal"] = _proved(prove_optimal, profile)
+    report = validate(arr)
+    out = {"validate": _sha(report)}
+    if report.passed:
+        profile = compute_profile(derive_from(report))
+        out["profile"] = _sha(profile)
+        out["k3"] = _proved(prove_k3, profile)
+        out["optimal"] = _proved(prove_optimal, profile)
     return out
 
 
@@ -290,8 +276,7 @@ def profile_reference(params: DerivedParams) -> PotentialProfile:
 
 def _same(got, want) -> bool:
     """Equal values of equal types: repr tells Fraction(3, 1) from 3."""
-    with _unlimited_int_str():
-        return repr(got) == repr(want)
+    return repr(got) == repr(want)
 
 
 def test_perturbations_fail_every_kind_of_check(perturbed):

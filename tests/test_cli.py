@@ -26,7 +26,7 @@ from drg import (
     proofs,
 )
 from drg.cli import main
-from drg.proofs import K3_MAX_B1, BoundTrace, CaseId, TraceStep, prove_k3
+from drg.proofs import BoundTrace, CaseId, TraceStep, prove_k3
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -535,18 +535,18 @@ def _str_limit_message() -> str:
     raise AssertionError("str() printed a 5001-digit int")
 
 
+def _long_numbers_cases():
+    for b1 in (1371, 1372, 2000, 2001):
+        yield pytest.param(f"{b1 + 1},{b1};1,{b1 + 1}", None, id=str(b1))  # K_{b1+1,b1+1}
+    # j = D = 45, so the trace holds b_1^44: over 4300 digits at b_1 = 10^100
+    b1 = 10**100
+    array_text = f"{b1 + 1},{b1}{',2' * 43};1{',1' * 44}"
+    yield pytest.param(array_text, STR_LIMIT, id="1e100-D45")
+
+
 @pytest.mark.parametrize("as_json", (False, True), ids=("text", "json"))
-@pytest.mark.parametrize(
-    "b1, note",
-    (
-        (1371, None),  # the largest b_1 whose K = 3 trace str() can print
-        (1372, STR_LIMIT),
-        (K3_MAX_B1, STR_LIMIT),
-        (K3_MAX_B1 + 1, f"b_1 = {K3_MAX_B1 + 1} is above {K3_MAX_B1}"),
-    ),
-)
-def test_prove_k3_on_long_numbers_exits_normally(capsys, b1, note, as_json):
-    array_text = f"{b1 + 1},{b1};1,{b1 + 1}"  # K_{b1+1,b1+1}
+@pytest.mark.parametrize("array_text, note", _long_numbers_cases())
+def test_prove_k3_on_long_numbers_exits_normally(capsys, array_text, note, as_json):
     if note == STR_LIMIT:
         note = _str_limit_message()
     code, out, err = run(capsys, "analyze", array_text, "--prove", "k3", *(["--json"] * as_json))

@@ -16,8 +16,8 @@ from drg import (
     prove_k3,
     prove_optimal,
 )
-from drg.proofs import K3_MAX_B1, _deep_head, f_ratio
-from test_array_layer import f_value
+from drg.proofs import _deep_head, f_ratio
+from test_array_layer import _johnson, f_value
 
 OPTIMAL = Fraction(93, 100)
 
@@ -338,13 +338,42 @@ def complete_bipartite(m: int) -> str:
     return f"{m},{m - 1};1,{m}"
 
 
-def test_prove_k3_proves_at_the_b1_cap():
-    trace = prove_k3(profile_of(complete_bipartite(K3_MAX_B1 + 1)))
-    assert trace.alpha == Fraction(K3_MAX_B1 - 1, K3_MAX_B1)
+def test_prove_k3_tail_peak_is_exact_when_j_is_at_most_b1():
+    trace = prove_k3(profile_of(complete_bipartite(2002)))  # b_1 = 2001, j = 2
+    assert trace.alpha == Fraction(2000, 2001)
     assert trace.verdict and trace.all_steps_hold
+    tail_peak = steps_by_label(trace)["tail_peak"]
+    assert tail_peak.lhs == tail_peak.rhs == Fraction(3, 2 * 2001)
 
 
-def test_prove_k3_refuses_b1_above_the_cap():
-    profile = profile_of(complete_bipartite(K3_MAX_B1 + 2))
-    with pytest.raises(ValueError, match=f"b_1 = {K3_MAX_B1 + 1} is above {K3_MAX_B1}"):
-        prove_k3(profile)
+def test_prove_k3_closes_at_any_b1():
+    arrays = [parse_array("2002,2001;1,1")] + [_johnson(2 * e, e) for e in range(2, 120)]
+    for arr in arrays:
+        trace = prove_k3(compute_profile(derive(arr)))
+        assert trace.verdict and trace.all_steps_hold, arr
+
+
+def _side_bits(value: Fraction) -> int:
+    return max(value.numerator.bit_length(), value.denominator.bit_length())
+
+
+@pytest.mark.parametrize(
+    "text, optimal_branch",
+    (
+        ("{k},{b1};1,{k}", None),  # K_{k,k}
+        ("{k},{b1},{b1},{b1},{b1};1,1,1,1,1", "subcase1_ratio3"),
+        ("{k},{b1},2,2,2,2;1,1,1,1,1,1", "subcase2_product4"),
+    ),
+    ids=("complete_bipartite", "ratio3", "product4"),
+)
+def test_bound_traces_have_no_power_of_b1(text, optimal_branch):
+    b1 = 10**4
+    params = derive(parse_array(text.format(k=b1 + 1, b1=b1)))
+    profile = compute_profile(params)
+    limit = 2 * params.D * params.k.bit_length()
+    assert prove_optimal(profile).branch == optimal_branch
+    for prover in (prove_k3, prove_optimal):
+        trace = prover(profile)
+        assert trace.verdict and trace.all_steps_hold
+        for s in trace.steps:
+            assert max(_side_bits(s.lhs), _side_bits(s.rhs)) <= limit, (prover.__name__, s.label)
