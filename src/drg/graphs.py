@@ -9,6 +9,11 @@ accepts when each is constant, and only a graph it does not accept is
 scanned by one BFS per vertex over neighbourhood bitmasks (_bfs, also
 behind distances_from) to list its violations.
 
+verify_drg counts each graph object once: it keeps its report on the
+graph and returns that same report while g.adjacency is the same object
+and g.claimed_array is equal to the one it counted against.  Replacing
+either makes the next call count again; an exception is never kept.
+
 The fixed graphs come from three constructions: LCF notation (_lcf), a
 graph on a set system with an adjacency rule (_graph_on) and a
 bipartite incidence graph with a relation (_incidence).
@@ -65,10 +70,14 @@ class LabeledGraph:
         self.name = name
         self.claimed_array = claimed_array
         adj: list[list[int]] = [[] for _ in range(n)]
+        # the edges (u, v), u < v, come sorted, so each list is built sorted:
+        # w's lower neighbours (edges (u, w)) all come before its higher ones
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.adjacency = tuple(tuple(sorted(nb)) for nb in adj)
+        self.adjacency = tuple(map(tuple, adj))
+        # verify_drg's (adjacency, claimed_array, report) for this graph, once counted
+        self._drg_report: tuple | None = None
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -98,6 +107,10 @@ class Violation:
 
 @dataclass(frozen=True)
 class DistancePartitionReport:
+    """verify_drg's result.  The report is kept on its graph and shared by
+    every later verify_drg and cross_validate of it, so it must not be
+    mutated (distances included)."""
+
     is_drg: bool
     observed_array: IntersectionArray | None
     violations: tuple[Violation, ...]
@@ -248,7 +261,23 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
     adds its one violation.  Only a graph that _certify does not accept,
     or whose claim of the right diameter differs from the counts, is
     scanned base by base (_diagnose) to list its violations in order.
+
+    The report is computed once per graph object and kept on it: a later
+    call returns the same report while g.adjacency is the same object and
+    g.claimed_array is equal, and counts again when either was replaced.
+    A report that fails is kept too; an exception (a disconnected graph,
+    a single vertex) is not.
     """
+    kept = g._drg_report
+    if kept is not None and kept[0] is g.adjacency and kept[1] == g.claimed_array:
+        return kept[2]
+    report = _verify(g)
+    g._drg_report = (g.adjacency, g.claimed_array, report)
+    return report
+
+
+def _verify(g: LabeledGraph) -> DistancePartitionReport:
+    """verify_drg from scratch."""
     certified = _certify(g)
     if certified is None:
         return _diagnose(g)

@@ -192,7 +192,9 @@ def cross_validate(g: LabeledGraph) -> CrossValidation:
 
     A graph that verify_drg rejects raises NotDistanceRegular.  A claimed
     array is never contradicted silently: verify_drg counts against it,
-    so a graph it passes realises the claim.
+    so a graph it passes realises the claim.  The report is verify_drg's
+    kept one, so after verify_drg(g) the graph is not counted again; the
+    Kirchhoff certificate runs on every call.
     """
     report = verify_drg(g)
     if not report.is_drg:

@@ -9,6 +9,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drg import (
     IntersectionArray,
@@ -67,6 +69,24 @@ def test_petersen_shape():
     g = construct("petersen")
     assert g.n == 10 and len(g.edges) == 15
     assert all(g.degree(v) == 3 for v in range(10))
+
+
+@settings(database=None, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+        )
+    )
+)
+def test_adjacency_lists_come_out_sorted(case):
+    n, pairs = case
+    # each unordered pair once, in either order, with no loop
+    edges = list({frozenset(e): e for e in pairs if e[0] != e[1]}.values())
+    g = LabeledGraph(n, edges)
+    for v in range(n):
+        assert g.adjacency[v] == tuple(sorted(u for e in edges for u in e if v in e and u != v))
 
 
 def test_line_of_petersen_shape():

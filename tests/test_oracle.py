@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import random
@@ -161,12 +162,12 @@ def _count_traversals(monkeypatch) -> dict[str, list]:
 def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
     # the n BFS run at once, level by level, in one call of graphs._certify
     calls = _count_traversals(monkeypatch)
-    g = construct("petersen")
     # certified, and solved for the mismatches that the wrong r_1 leaves
     for formula, ok in ((compute_profile, True), (wrong_r1, False)):
         monkeypatch.setattr(oracle, "compute_profile", formula)
         for record in calls.values():
             record.clear()
+        g = construct("petersen")  # a fresh graph, which verify_drg has not counted
         assert cross_validate(g).ok is ok
         # one kernel run gives the distance matrix and shows g connected; no per-base BFS
         assert calls == {"_certify": [g], "_bfs": []}
@@ -179,6 +180,77 @@ def test_cross_validate_scans_a_non_drg_graph_base_by_base(monkeypatch):
         cross_validate(g)
     assert calls["_certify"] == [g]
     assert calls["_bfs"] == list(range(g.n))
+
+
+def test_verify_drg_then_cross_validate_certifies_once(monkeypatch):
+    calls = _count_traversals(monkeypatch)
+    g = construct("petersen")
+    report = verify_drg(g)
+    result = cross_validate(g)
+    assert calls == {"_certify": [g], "_bfs": []}
+    assert result.drg_report is verify_drg(g) is report
+    assert calls == {"_certify": [g], "_bfs": []}
+
+
+def test_a_failing_report_is_kept_with_its_violations(monkeypatch):
+    calls = _count_traversals(monkeypatch)
+    g = LabeledGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], name="k4-minus-edge")
+    report = verify_drg(g)
+    with pytest.raises(oracle.NotDistanceRegular) as exc:
+        cross_validate(g)
+    assert exc.value.report is report
+    assert calls == {"_certify": [g], "_bfs": list(range(g.n))}
+
+
+def test_a_refusal_is_not_kept(monkeypatch):
+    calls = _count_traversals(monkeypatch)
+    g = LabeledGraph(4, [(0, 1), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="disconnected"):
+            verify_drg(g)
+    assert calls["_certify"] == [g, g]
+
+
+def test_a_new_claim_or_adjacency_is_counted_again(monkeypatch):
+    calls = _count_traversals(monkeypatch)
+    g = construct("petersen")
+    assert verify_drg(g).is_drg
+
+    def counted_again(claim) -> graphs.DistancePartitionReport:
+        for record in calls.values():
+            record.clear()
+        if claim is not None:
+            g.claimed_array = parse_array(claim)
+        report = verify_drg(g)
+        assert calls["_certify"] == [g]
+        return report
+
+    # another diameter: the one diameter violation
+    report = counted_again("3,2,1;1,2,3")
+    assert [(v.kind, v.expected, v.observed) for v in report.violations] == [("diameter", 3, 2)]
+    # the same diameter, other counts: every c_2 pair, from the per-base scan
+    report = counted_again("3,2;1,2")
+    assert {v.kind for v in report.violations} == {"c2"}
+    assert calls["_bfs"] == list(range(g.n))
+    # an equal claim in a new object is the claim counted against: kept
+    report = counted_again("3,2;1,1")
+    assert report.is_drg
+    g.claimed_array = parse_array("3,2;1,1")
+    assert verify_drg(g) is report
+    assert calls["_certify"] == [g]
+    # the same adjacency lists in a new tuple
+    g.adjacency = tuple(list(g.adjacency))
+    again = counted_again(None)
+    assert again is not report and again == report
+
+
+def test_cross_validate_leaves_the_kept_distances_alone():
+    g = construct("heawood")
+    report = verify_drg(g)
+    before = copy.deepcopy(report.distances)
+    assert cross_validate(g).ok
+    assert report.distances == before
+    assert verify_drg(g) is report
 
 
 # ----------------------------------------------------------------------

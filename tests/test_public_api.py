@@ -45,3 +45,5 @@ def test_readme_library_snippets_give_the_values_their_comments_state(capsys):
     assert scope["verify_drg"](g).observed_array == drg.parse_array("3,2,1;1,2,3")
     assert scope["resistance_matrix"](g)[0][7] == Fraction(5, 6)
     assert scope["cross_validate"](g).ok
+    # cross_validate reuses the report verify_drg kept on the graph
+    assert scope["cross_validate"](g).drg_report is scope["verify_drg"](g)
