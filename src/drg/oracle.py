@@ -4,19 +4,22 @@ cross_validate builds the candidate resistance matrix from the
 potential-based formula r_j = 2*(phi_0+...+phi_{j-1})/(nk), one value
 per distance class, and certifies it exactly with Kirchhoff's law
 (kirchhoff_certifies), in O(n + m) operations on rows packed into one
-integer each.  Only when the certificate fails does it solve for the
-resistances by fraction-free integer elimination on the grounded
-Laplacian (resistance_matrix), the O(n^3) diagnostic that lists every
-mismatching pair.
+integer each.  It builds no n x n matrix of values: each row is packed
+straight from verify_drg's distance row through a table of D + 1 byte
+fields, one per distance class, and the certificate's premises (the
+rows are symmetric, the diagonal is zero, the array's n is g.n) are
+checked on the distance rows.  Only when the certificate fails does it
+solve for the resistances by fraction-free integer elimination on the
+grounded Laplacian (resistance_matrix), the O(n^3) diagnostic that
+lists every mismatching pair.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations_with_replacement
 
 from . import linalg
 from .arrays import derive
@@ -63,7 +66,7 @@ def _resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
 def kirchhoff_certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) -> bool:
     """True iff scaled[u][v] / scale is the effective resistance of u, v in g.
 
-    g must be connected (ValueError otherwise) and `scale` positive;
+    g must be connected and `scale` positive (ValueError otherwise);
     S = `scaled` is an integer n x n matrix.  S / scale is accepted iff
     S is symmetric with a zero diagonal and, for every vertex u, the row
 
@@ -73,7 +76,7 @@ def kirchhoff_certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) ->
 
     Each row of S is packed into one integer with a w-bit field per
     vertex, P[u] = sum over v of (S[u][v] - low) * 2^(w v), low the least
-    entry of S, so row u of L S + 2 scale I is the integer
+    value that S may hold, so row u of L S + 2 scale I is the integer
 
         K_u = deg(u) * P[u] - sum(P[w] for w ~ u) + (2 scale << w u)
 
@@ -83,9 +86,11 @@ def kirchhoff_certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) ->
     That is O(n + m) operations on n * w-bit integers, with no list of
     n entries built per row.
 
-    Width.  Put spread = max S - min S.  Leaving out the 2 scale term,
-    the entry k_v of row u combines column v of S with coefficients
-    that sum to 0 and whose positive ones sum to deg(u), so it lies
+    Width.  Let S hold values from low to low + spread (at most D + 1
+    values when S is cross_validate's candidate), so max S - min S is
+    at most spread.  Leaving out the 2 scale term, the entry k_v of
+    row u combines column v of S with coefficients that sum to 0 and
+    whose positive ones sum to deg(u), so it lies
     within deg(u) * spread of 0; the 2 scale term moves at most one of
     k_v and k_0.  Hence |k_v - k_0| <= 2 * maxdeg * spread + 2 |scale|
     = bound, and w is the least multiple of 8 with 2^(w-1) > bound, so
@@ -111,27 +116,37 @@ def kirchhoff_certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) ->
     E_uv = h_u + h_v - t; the zero diagonal gives h_u = t/2, hence
     E = 0 and R' = R.  Scaling R' by `scale` scales both sides alike.
     """
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, not {scale}")
     if not g.is_connected():
         raise ValueError("graph is disconnected")
-    return _certifies(g, scaled, scale)
+    return _certifies(g, scaled, {x: x for x in set().union(*scaled)}, scale)
 
 
-def _certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) -> bool:
-    """kirchhoff_certifies on a graph already known to be connected."""
+def _certifies(g: LabeledGraph, rows: list[list], values: dict, scale: int) -> bool:
+    """kirchhoff_certifies on S[u][v] = values[rows[u][v]], g connected.
+
+    kirchhoff_certifies passes S itself and the identity on its entries;
+    cross_validate passes the distance rows and the D + 1 class values,
+    so no n x n matrix of values is built.  The premises are checked on
+    `rows`: n rows equal to the n columns (S is symmetric) and
+    values[rows[u][u]] = 0 (S has a zero diagonal).  The spread of
+    `values` bounds the spread of S, so the width proof holds with it.
+    """
     n = g.n
     # n rows equal to the n columns: square and symmetric
-    if len(scaled) != n or [list(col) for col in zip(*scaled)] != scaled:
+    if len(rows) != n or [list(col) for col in zip(*rows)] != rows:
         return False
-    if any(scaled[u][u] for u in range(n)):
+    if any(values[row[u]] for u, row in enumerate(rows)):
         return False
-    low = min(map(min, scaled))
-    spread = max(map(max, scaled)) - low
+    low = min(values.values())
+    spread = max(values.values()) - low
     bound = 2 * max(map(len, g.adjacency)) * spread + 2 * abs(scale)
     size = bound.bit_length() // 8 + 1  # bytes per field: 2^(w-1) > bound, w = 8 * size
-    field = {x: (x - low).to_bytes(size, "little") for x in set().union(*scaled)}
-    packed = [int.from_bytes(b"".join(map(field.__getitem__, row)), "little") for row in scaled]
+    field = {key: (x - low).to_bytes(size, "little") for key, x in values.items()}
+    packed = [int.from_bytes(b"".join(map(field.__getitem__, row)), "little") for row in rows]
     ones = int.from_bytes((b"\1" + bytes(size - 1)) * n, "little")
-    first = scaled[0]  # column 0, as S is symmetric
+    first = list(map(values.__getitem__, rows[0]))  # column 0, as S is symmetric
     for u, nb in enumerate(g.adjacency):
         kirchhoff = len(nb) * packed[u] - sum(map(packed.__getitem__, nb))
         kirchhoff += (2 * scale) << (8 * size * u)
@@ -186,9 +201,19 @@ def cross_validate(g: LabeledGraph) -> CrossValidation:
 
     The candidate R[u][v] = r_{d(u,v)} (r_0 = 0), scaled to integers by
     the lcm N of the formula's denominators, is certified at every pair
-    at once by kirchhoff_certifies.  If it fails, resistance_matrix
-    solves for every pair and each pair whose resistance differs from
-    its class's formula value is listed as a mismatch.
+    at once by kirchhoff_certifies' packed loop.  Each row is packed
+    from report.distances[u] through the D + 1 class values, never
+    built as a row of values, and the premises are checked on the
+    distance rows: they are symmetric, their diagonal is zero, and the
+    array's n is g.n.  If a premise or the certificate fails,
+    resistance_matrix solves for every pair and each pair whose
+    resistance differs from its class's formula value is listed as a
+    mismatch.
+
+    pairs_checked is n * k_d / 2, k_d the array's sphere size: verify_drg
+    has certified that every c_i and b_i is constant, so every vertex
+    has k_d vertices at distance d, and no pass over the distances
+    counts them.
 
     A graph that verify_drg rejects raises NotDistanceRegular.  A claimed
     array is never contradicted silently: verify_drg counts against it,
@@ -204,20 +229,19 @@ def cross_validate(g: LabeledGraph) -> CrossValidation:
     resistances = compute_profile(params).resistances
     scale = math.lcm(*(r.denominator for r in resistances))
     per_class = [0] + [r.numerator * (scale // r.denominator) for r in resistances]
-    scaled = [list(map(per_class.__getitem__, row)) for row in report.distances]
-    if _certifies(g, scaled, scale):  # verify_drg has refused a disconnected g
+    # verify_drg has refused a disconnected g
+    if params.n == g.n and _certifies(g, report.distances, dict(enumerate(per_class)), scale):
         mismatches = {}
     else:
         mismatches = _solver_mismatches(g, report.distances, resistances)
-    ordered_pairs = Counter(chain.from_iterable(report.distances))
     classes = tuple(
         ClassCheck(
             distance=d,
             expected=expected,
-            pairs_checked=ordered_pairs[d] // 2,
+            pairs_checked=g.n * size // 2,
             mismatches=tuple(mismatches.get(d, ())),
         )
-        for d, expected in enumerate(resistances, start=1)
+        for d, (expected, size) in enumerate(zip(resistances, params.sphere_sizes[1:]), start=1)
     )
     return CrossValidation(
         graph_name=g.name or "graph", drg_report=report, classes=classes
@@ -227,11 +251,15 @@ def cross_validate(g: LabeledGraph) -> CrossValidation:
 def _solver_mismatches(
     g: LabeledGraph, distances: list[list[int]], resistances: tuple[Fraction, ...]
 ) -> dict[int, list[tuple[int, int, Fraction]]]:
-    """Every pair u < v whose solved resistance is not r_{d(u,v)}, by distance."""
+    """Every pair u <= v whose solved resistance is not r_{d(u,v)}, by distance.
+
+    r_0 = 0, so a diagonal entry is listed only when its distance is not 0.
+    """
     rmat = _resistance_matrix(g)  # verify_drg has refused a disconnected g
+    per_class = (0, *resistances)
     found: dict[int, list[tuple[int, int, Fraction]]] = {}
-    for u, v in combinations(range(g.n), 2):
+    for u, v in combinations_with_replacement(range(g.n), 2):
         d = distances[u][v]
-        if rmat[u][v] != resistances[d - 1]:
+        if rmat[u][v] != per_class[d]:
             found.setdefault(d, []).append((u, v, rmat[u][v]))
     return found

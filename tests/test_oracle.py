@@ -6,8 +6,9 @@ import copy
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from operator import sub
 
 import pytest
@@ -324,6 +325,16 @@ def test_certificate_refuses_a_disconnected_graph():
         kirchhoff_certifies(g, [[0] * 4] * 4, 1)
 
 
+@pytest.mark.parametrize("scale", (0, -1))
+def test_certificate_refuses_a_scale_that_is_not_positive(scale):
+    g = construct("petersen")
+    zeros = [[0] * g.n for _ in range(g.n)]
+    # every row of L 0 + 0 I is constant: the packed loop alone would take 0/0
+    assert oracle._certifies(g, zeros, {0: 0}, 0)
+    with pytest.raises(ValueError, match="scale must be positive"):
+        kirchhoff_certifies(g, zeros, scale)
+
+
 def test_certificate_scale_must_match():
     g = construct("hypercube", 3)
     scaled, scale, _ = scaled_candidate(g)
@@ -359,9 +370,19 @@ def field_bits(g, scaled, scale):
     return 8 * (bound.bit_length() // 8 + 1)
 
 
+def packed_certifies(g, scaled, scale):
+    """kirchhoff_certifies' packed loop at any scale: the public check
+    refuses a scale that is not positive, the loop itself does not."""
+    if scale > 0:
+        return kirchhoff_certifies(g, scaled, scale)
+    with pytest.raises(ValueError, match="scale must be positive"):
+        kirchhoff_certifies(g, scaled, scale)
+    return oracle._certifies(g, scaled, {x: x for x in set().union(*scaled)}, scale)
+
+
 def both_certificates(g, scaled, scale):
     """(packed, row by row); the public check refuses a disconnected g for both."""
-    return kirchhoff_certifies(g, scaled, scale), row_by_row_certifies(g, scaled, scale)
+    return packed_certifies(g, scaled, scale), row_by_row_certifies(g, scaled, scale)
 
 
 @pytest.mark.parametrize("name, param", CERTIFIED)
@@ -510,3 +531,126 @@ def test_resistance_matrix_equals_the_formula_at_every_pair(name):
         for u in range(g.n)
         for v in range(g.n)
     )
+
+
+# ----------------------------------------------------------------------
+# cross_validate's certificate on the distance rows
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_distance_rows_and_the_matrix_give_one_verdict(name):
+    g = construct(name)
+    distances = verify_drg(g).distances
+    _, scale, per_class = scaled_candidate(g)
+    candidates = [per_class]
+    for d in range(len(per_class)):
+        bumped = list(per_class)
+        bumped[d] += 1
+        candidates.append(bumped)
+    for values in candidates:
+        matrix = [[values[d] for d in row] for row in distances]
+        verdict = kirchhoff_certifies(g, matrix, scale)
+        assert verdict is (values == per_class), values
+        assert oracle._certifies(g, distances, dict(enumerate(values)), scale) is verdict
+
+
+@pytest.mark.parametrize(
+    "name, param", [(name, None) for name in registry_names()] + [("hypercube", d) for d in range(4, 9)]
+)
+def test_pairs_checked_counts_the_pairs_at_each_distance(name, param):
+    result = cross_validate(construct(name, param))
+    ordered_pairs = Counter(chain.from_iterable(result.drg_report.distances))
+    assert [c.pairs_checked for c in result.classes] == [
+        ordered_pairs[c.distance] // 2 for c in result.classes
+    ]
+    assert sorted(ordered_pairs) == list(range(len(result.classes) + 1))
+
+
+def _solver_calls(monkeypatch) -> list:
+    """Record each graph that cross_validate's solver fallback solves."""
+    calls = []
+    solve = oracle._resistance_matrix
+
+    def counted(g):
+        calls.append(g)
+        return solve(g)
+
+    monkeypatch.setattr(oracle, "_resistance_matrix", counted)
+    return calls
+
+
+def _mutated(mutate):
+    """A fresh Petersen graph whose kept report's distances `mutate` has changed,
+    with (v, w): a neighbour of vertex 0 and a vertex at distance 2 from it."""
+    g = construct("petersen")
+    distances = verify_drg(g).distances
+    v = distances[0].index(1)
+    w = distances[0].index(2)
+    mutate(distances, v, w)
+    return g, v, w
+
+
+def _asymmetric(distances, v, w):
+    distances[0][v] = 2  # d(v, 0) stays 1
+
+
+def _diagonal(distances, v, w):
+    distances[3][3] = 1
+
+
+def _swapped(distances, v, w):
+    # each class keeps its size: only the Kirchhoff rows tell the pairs apart
+    distances[0][v] = distances[v][0] = 2
+    distances[0][w] = distances[w][0] = 1
+
+
+@pytest.mark.parametrize(
+    "mutate, expected",
+    [
+        (_asymmetric, lambda v, w, r1, r2: ((), ((0, v, r1),))),
+        (_diagonal, lambda v, w, r1, r2: (((3, 3, 0),), ())),
+        (_swapped, lambda v, w, r1, r2: (((0, w, r2),), ((0, v, r1),))),
+    ],
+    ids=("asymmetric", "diagonal", "swapped"),
+)
+def test_a_mutated_report_reaches_the_solver(monkeypatch, mutate, expected):
+    calls = _solver_calls(monkeypatch)
+    g, v, w = _mutated(mutate)
+    result = cross_validate(g)
+    assert calls == [g]
+    assert not result.ok
+    r1, r2 = (c.expected for c in result.classes)
+    assert [c.mismatches for c in result.classes] == list(expected(v, w, r1, r2))
+    assert [c.pairs_checked for c in result.classes] == [15, 30]
+
+
+def _asymmetric_below(distances, v, w):
+    distances[v][0] = 2  # d(0, v) stays 1
+
+
+def test_an_asymmetric_lower_triangle_reaches_the_solver(monkeypatch):
+    # the solver lists pairs u <= v, so it reads d(v, 0) only through the premise
+    calls = _solver_calls(monkeypatch)
+    g, v, w = _mutated(_asymmetric_below)
+    cross_validate(g)
+    assert calls == [g]
+
+
+def test_an_array_of_another_order_reaches_the_solver(monkeypatch):
+    # params.n is off by one while the formula still sees the true n, so
+    # the certificate would pass: only the premise n == g.n stops it
+    calls = _solver_calls(monkeypatch)
+    g = construct("heawood")
+
+    def other_n(array):
+        params = derive(array)
+        return dataclasses.replace(params, n=params.n + 1)
+
+    monkeypatch.setattr(oracle, "derive", other_n)
+    monkeypatch.setattr(
+        oracle, "compute_profile", lambda params: compute_profile(dataclasses.replace(params, n=g.n))
+    )
+    result = cross_validate(g)
+    assert calls == [g]
+    assert result.ok  # the solver finds the formula's values at every pair
+    assert [c.pairs_checked for c in result.classes] == [21, 42, 28]
