@@ -2,26 +2,32 @@
 
 The registry holds small named graphs (plus three parameterized
 families), each carrying the intersection array it is expected to
-realize.  verify_drg checks distance-regularity from scratch, so a
-registry entry's claim is never trusted, always re-derived: one BFS from
-all sources at once on packed rows (_certify) makes every count and
-accepts when each is constant, and only a graph it does not accept is
-scanned by one BFS per vertex over neighbourhood bitmasks (_bfs, also
-behind distances_from) to list its violations.
+realize.  A fixed graph is one FIXED row, name -> edge builder, and
+claims the array of the drg.tables row whose construction key is its
+name, so the catalog's own array is what the oracle checks; a family
+builds its claim from its parameter.  verify_drg checks
+distance-regularity from scratch, so a registry entry's claim is never
+trusted, always re-derived: one BFS from all sources at once on packed
+rows (_certify) makes every count and accepts when each is constant,
+and only a graph it does not accept, or whose claim differs, is scanned
+by one BFS per vertex over neighbourhood bitmasks (_bfs, also behind
+distances_from) to list its violations.
 
 verify_drg counts each graph object once: it keeps its report on the
 graph and returns that same report while g.adjacency is the same object
 and g.claimed_array is equal to the one it counted against.  Replacing
 either makes the next call count again; an exception is never kept.
 
-The fixed graphs come from three constructions: LCF notation (_lcf), a
-graph on a set system with an adjacency rule (_graph_on) and a
-bipartite incidence graph with a relation (_incidence).
+The fixed graphs come from three edge builders, each returning
+(n, edges): LCF notation (_lcf), a graph on a set system with an
+adjacency rule (_graph_on) and a bipartite incidence graph with a
+relation (_incidence).
 
 No graph above MAX_VERTICES vertices or MAX_WORK = n * m is built:
 construct checks a family's n and m from its parameter and
 parse_edge_list checks the caps on the whole text, or line by line for
-text that fails a check, before any edge list or n x n matrix exists.
+text that fails a check, before any edge list or n x n matrix exists;
+it names the line of every refusal but an empty list.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, count
 
 from .arrays import IntersectionArray, parse_array
+from .tables import EXTRA_TABLE, VALENCY_34_TABLE
 
 # The most vertices a constructed or parsed graph may have, and the most
 # work n * m: verify_drg adds a packed row of n fields for every
@@ -257,10 +264,10 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
     expected constants; otherwise the first observed count is.
 
     _certify makes every count at once, level by level on packed rows,
-    and accepts when each is constant.  A claim of another diameter then
-    adds its one violation.  Only a graph that _certify does not accept,
-    or whose claim of the right diameter differs from the counts, is
-    scanned base by base (_diagnose) to list its violations in order.
+    and accepts when each is constant.  Only a graph that _certify does
+    not accept, or whose claim differs from the counts, is scanned base
+    by base (_diagnose) to list its violations in order; a claim of
+    another diameter gets its one `diameter` violation there.
 
     The report is computed once per graph object and kept on it: a later
     call returns the same report while g.adjacency is the same object and
@@ -283,20 +290,10 @@ def _verify(g: LabeledGraph) -> DistancePartitionReport:
         return _diagnose(g)
     dist, b, c = certified
     observed = IntersectionArray(b, c)
-    claimed = g.claimed_array
-    if claimed is None or claimed == observed:
-        violations = ()
-    elif claimed.D == len(b):
+    if g.claimed_array is not None and g.claimed_array != observed:
         return _diagnose(g)
-    else:
-        violations = (Violation(0, 0, "diameter", claimed.D, len(b)),)
-        observed = None
     return DistancePartitionReport(
-        is_drg=not violations,
-        observed_array=observed,
-        violations=violations,
-        diameter=len(b),
-        distances=dist,
+        is_drg=True, observed_array=observed, violations=(), diameter=len(b), distances=dist
     )
 
 
@@ -380,11 +377,17 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
     the tokens together are ASCII digits, and the caps hold for the
     final largest index and edge count, which pass on every line when
     they pass at the end, as both only grow.  Text that fails is read
-    line by line (_edges_by_line) for the refusal of its first bad line.
+    line by line (_edges_by_line) for the refusal of its first bad line,
+    and so is text with a loop or a repeated edge, which only
+    LabeledGraph finds on the whole edge list.
     """
     top, edges = _edges_at_once(text) or _edges_by_line(text)
     arr = parse_array(claimed) if claimed else None
-    return LabeledGraph(top + 1, edges, name=name, claimed_array=arr)
+    try:
+        return LabeledGraph(top + 1, edges, name=name, claimed_array=arr)
+    except ValueError:
+        _edges_by_line(text)  # refuses the loop or the repeated edge on its line
+        raise
 
 
 def _edges_at_once(text: str) -> tuple[int, zip] | None:
@@ -411,6 +414,7 @@ def _edges_at_once(text: str) -> tuple[int, zip] | None:
 def _edges_by_line(text: str) -> tuple[int, list[tuple[int, int]]]:
     """(largest index, edges) of an edge list, or the refusal of its first bad line."""
     edges = []
+    seen = set()
     top = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -430,6 +434,12 @@ def _edges_by_line(text: str) -> tuple[int, list[tuple[int, int]]]:
                 f"line {lineno}: vertex {max(u, v)} is beyond the cap of "
                 f"{MAX_VERTICES} vertices"
             )
+        if u == v:
+            raise ValueError(f"line {lineno}: loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"line {lineno}: duplicate edge {key}")
+        seen.add(key)
         edges.append((u, v))
         top = max(top, u, v)
         if (top + 1) * len(edges) > MAX_WORK:
@@ -442,26 +452,26 @@ def _edges_by_line(text: str) -> tuple[int, list[tuple[int, int]]]:
     return top, edges
 
 
-def _lcf(pattern: list[int], repeats: int, name: str, claimed: str) -> LabeledGraph:
+def _lcf(pattern: list[int], repeats: int) -> tuple[int, set[tuple[int, int]]]:
     """LCF notation: the cycle 0..n-1 plus the chords i ~ i + pattern[i mod len]."""
     n = len(pattern) * repeats
     edges = {(i, (i + 1) % n) for i in range(n)}
     for i in range(n):
         j = (i + pattern[i % len(pattern)]) % n
         edges.add((i, j) if i < j else (j, i))
-    return LabeledGraph(n, edges, name, parse_array(claimed))
+    return n, edges
 
 
-def _graph_on(vertices, adjacent, name: str, claimed: str) -> LabeledGraph:
+def _graph_on(vertices, adjacent) -> tuple[int, list[tuple[int, int]]]:
     """The graph on `vertices`, numbered in the order given, with u ~ v iff adjacent(u, v)."""
     vertices = tuple(vertices)
     edges = [
         (i, j) for j, v in enumerate(vertices) for i in range(j) if adjacent(vertices[i], v)
     ]
-    return LabeledGraph(len(vertices), edges, name, parse_array(claimed))
+    return len(vertices), edges
 
 
-def _incidence(left, right, related, name: str, claimed: str) -> LabeledGraph:
+def _incidence(left, right, related) -> tuple[int, list[tuple[int, int]]]:
     """The bipartite graph joining left[i] to right[j] iff related(left[i], right[j])."""
     left, right = tuple(left), tuple(right)
     edges = [
@@ -470,21 +480,23 @@ def _incidence(left, right, related, name: str, claimed: str) -> LabeledGraph:
         for j, q in enumerate(right)
         if related(p, q)
     ]
-    return LabeledGraph(len(left) + len(right), edges, name, parse_array(claimed))
+    return len(left) + len(right), edges
 
 
 def complete_graph(m: int) -> LabeledGraph:
     if m < 2:
         raise ValueError("complete graph needs m >= 2")
-    return _graph_on(range(m), operator.ne, f"complete({m})", f"{m - 1};1")
+    claimed = IntersectionArray((m - 1,), (1,))
+    return LabeledGraph(*_graph_on(range(m), operator.ne), f"complete({m})", claimed)
 
 
 def cocktail_party_graph(m: int) -> LabeledGraph:
     """K_{m x 2}: everyone adjacent except the m antipodal pairs."""
     if m < 2:
         raise ValueError("cocktail party graph needs m >= 2")
-    claimed = f"{2 * m - 2},1;1,{2 * m - 2}"
-    return _graph_on(range(2 * m), lambda u, v: v - u != m, f"cocktail_party({m})", claimed)
+    claimed = IntersectionArray((2 * m - 2, 1), (1, 2 * m - 2))
+    edges = _graph_on(range(2 * m), lambda u, v: v - u != m)
+    return LabeledGraph(*edges, f"cocktail_party({m})", claimed)
 
 
 def hypercube_graph(d: int) -> LabeledGraph:
@@ -503,103 +515,68 @@ _FANO_LINES = tuple(frozenset({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7))
 _NON_LINES = tuple(
     t for t in map(frozenset, combinations(range(7), 3)) if t not in _FANO_LINES
 )
+_PETERSEN_EDGES = tuple(map(frozenset, sorted(_graph_on(_PAIRS, frozenset.isdisjoint)[1])))
 
-
-def petersen_graph() -> LabeledGraph:
-    """The 2-subsets of a 5-set, adjacent when disjoint."""
-    return _graph_on(_PAIRS, frozenset.isdisjoint, "petersen", "3,2;1,1")
-
-
-def line_of_petersen_graph() -> LabeledGraph:
-    """Petersen's edges, adjacent when they meet."""
-    edges = map(frozenset, petersen_graph().edges)
-    return _graph_on(
-        edges, lambda e, f: not e.isdisjoint(f), "line_of_petersen", "4,2,1;1,1,4"
-    )
-
-
-def heawood_graph() -> LabeledGraph:
-    """The points and lines of the Fano plane, joined by incidence."""
-    return _incidence(
-        range(7), _FANO_LINES, lambda p, line: p in line, "heawood", "3,2,2;1,1,3"
-    )
-
-
-def nonincidence_pg22_graph() -> LabeledGraph:
-    """The points and lines of the Fano plane, joined when NOT incident."""
-    return _incidence(
-        range(7), _FANO_LINES, lambda p, line: p not in line,
-        "nonincidence_pg22", "4,3,2;1,2,4",
-    )
-
-
-def coxeter_graph() -> LabeledGraph:
-    """The 28 triples of a 7-set that are not Fano lines, adjacent when disjoint."""
-    return _graph_on(_NON_LINES, frozenset.isdisjoint, "coxeter", "3,2,2,1;1,1,1,2")
-
-
-def desargues_graph() -> LabeledGraph:
-    """The 2-subsets and the 3-subsets of a 5-set, joined by inclusion."""
-    claimed = "3,2,2,1,1;1,1,2,2,3"
-    return _incidence(_PAIRS, _TRIPLES, frozenset.issubset, "desargues", claimed)
-
-
-def crown_5_graph() -> LabeledGraph:
-    """K_{5,5} minus a perfect matching."""
-    return _incidence(range(5), range(5), operator.ne, "crown_5", "4,3,1;1,3,4")
-
-
-def pappus_graph() -> LabeledGraph:
-    return _lcf([5, 7, -7, 7, -7, -5], 3, "pappus", "3,2,2,1;1,1,2,3")
-
-
-def tutte_8cage_graph() -> LabeledGraph:
-    return _lcf([-13, -9, 7, -7, 9, 13], 5, "tutte_8cage", "3,2,2,2;1,1,1,3")
-
-
-def dodecahedron_graph() -> LabeledGraph:
-    pattern = [10, 7, 4, -4, -7, 10, -4, 7, -7, 4]
-    return _lcf(pattern, 2, "dodecahedron", "3,2,1,1,1;1,1,1,2,3")
-
-
-# name -> (builder, default_param, size): a parameterized family has a
-# default parameter and size(param) = (n, m), its vertex and edge counts,
-# with n never less than param; a fixed graph has neither.
-REGISTRY: dict[str, tuple] = {
+# name -> (builder, default_param, size) of a parameterized family, whose
+# builder makes the graph and its claim; size(param) = (n, m), its vertex
+# and edge counts, with n never less than param.
+FAMILIES: dict[str, tuple] = {
     "complete": (complete_graph, 4, lambda m: (m, m * (m - 1) // 2)),
     "cocktail_party": (cocktail_party_graph, 3, lambda m: (2 * m, 2 * m * (m - 1))),
     "hypercube": (hypercube_graph, 3, lambda d: (2**d, d * 2 ** (d - 1))),
-    "petersen": (petersen_graph, None, None),
-    "line_of_petersen": (line_of_petersen_graph, None, None),
-    "heawood": (heawood_graph, None, None),
-    "pappus": (pappus_graph, None, None),
-    "coxeter": (coxeter_graph, None, None),
-    "tutte_8cage": (tutte_8cage_graph, None, None),
-    "dodecahedron": (dodecahedron_graph, None, None),
-    "desargues": (desargues_graph, None, None),
-    "crown_5": (crown_5_graph, None, None),
-    "nonincidence_pg22": (nonincidence_pg22_graph, None, None),
+}
+
+# name -> (edge builder, *its arguments) of a fixed graph; the builder
+# returns (n, edges).  The graph's claim is the array of the one
+# drg.tables row whose construction key is the name (_CLAIMS).
+FIXED: dict[str, tuple] = {
+    # the 2-subsets of a 5-set, adjacent when disjoint
+    "petersen": (_graph_on, _PAIRS, frozenset.isdisjoint),
+    # Petersen's edges, adjacent when they meet
+    "line_of_petersen": (_graph_on, _PETERSEN_EDGES, lambda e, f: not e.isdisjoint(f)),
+    # the points and lines of the Fano plane, joined by incidence
+    "heawood": (_incidence, range(7), _FANO_LINES, lambda p, line: p in line),
+    "pappus": (_lcf, [5, 7, -7, 7, -7, -5], 3),
+    # the 28 triples of a 7-set that are not Fano lines, adjacent when disjoint
+    "coxeter": (_graph_on, _NON_LINES, frozenset.isdisjoint),
+    "tutte_8cage": (_lcf, [-13, -9, 7, -7, 9, 13], 5),
+    "dodecahedron": (_lcf, [10, 7, 4, -4, -7, 10, -4, 7, -7, 4], 2),
+    # the 2-subsets and the 3-subsets of a 5-set, joined by inclusion
+    "desargues": (_incidence, _PAIRS, _TRIPLES, frozenset.issubset),
+    # K_{5,5} minus a perfect matching
+    "crown_5": (_incidence, range(5), range(5), operator.ne),
+    # the points and lines of the Fano plane, joined when NOT incident
+    "nonincidence_pg22": (_incidence, range(7), _FANO_LINES, lambda p, line: p not in line),
+}
+
+_CLAIMS = {
+    key: parse_array(text)
+    for _, _, text, _, key in VALENCY_34_TABLE + EXTRA_TABLE
+    if key in FIXED
 }
 
 
 def registry_names() -> tuple[str, ...]:
-    return tuple(REGISTRY)
+    return (*FAMILIES, *FIXED)
 
 
 def construct(name: str, param: int | None = None) -> LabeledGraph:
     """Build a registry graph; parameterized families take `param`.
 
-    A family member above MAX_VERTICES vertices or MAX_WORK = n * m is
-    refused before it is built.
+    A fixed graph claims its catalog row's array.  A family member above
+    MAX_VERTICES vertices or MAX_WORK = n * m is refused before it is
+    built.
     """
-    try:
-        builder, default, size = REGISTRY[name]
-    except KeyError:
-        raise ValueError(f"unknown construction {name!r}; known: {', '.join(REGISTRY)}") from None
-    if size is None:
+    if name in FIXED:
         if param is not None:
             raise ValueError(f"construction {name!r} takes no parameter")
-        return builder()
+        builder, *args = FIXED[name]
+        return LabeledGraph(*builder(*args), name, _CLAIMS[name])
+    try:
+        builder, default, size = FAMILIES[name]
+    except KeyError:
+        known = ", ".join(registry_names())
+        raise ValueError(f"unknown construction {name!r}; known: {known}") from None
     if param is None:
         param = default
     # n >= param, so a huge param is refused without computing size(param)

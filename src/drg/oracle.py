@@ -6,9 +6,9 @@ per distance class, and certifies it exactly with Kirchhoff's law
 (kirchhoff_certifies), in O(n + m) operations on rows packed into one
 integer each.  It builds no n x n matrix of values: each row is packed
 straight from verify_drg's distance row through a table of D + 1 byte
-fields, one per distance class, and the certificate's premises (the
-rows are symmetric, the diagonal is zero, the array's n is g.n) are
-checked on the distance rows.  Only when the certificate fails does it
+fields, one per distance class, and the certificate's premises (n
+rows of n, a zero diagonal, the array's n is g.n) are checked on the
+distance rows.  Only when the certificate fails does it
 solve for the resistances by fraction-free integer elimination on the
 grounded Laplacian (resistance_matrix), the O(n^3) diagnostic that
 lists every mismatching pair.
@@ -73,6 +73,9 @@ def kirchhoff_certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) ->
         deg(u) * S[u] - sum(S[w] for w ~ u) + 2 * scale * e_u
 
     (row u of L S + 2 scale I, L = D - A the Laplacian) is constant.
+    Symmetry is not checked on its own: each row is compared with its
+    entry at column 0 as computed from row 0 of S, which (see Proof) a
+    matrix with a zero diagonal passes only if it is symmetric.
 
     Each row of S is packed into one integer with a w-bit field per
     vertex, P[u] = sum over v of (S[u][v] - low) * 2^(w v), low the least
@@ -81,25 +84,26 @@ def kirchhoff_certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) ->
         K_u = deg(u) * P[u] - sum(P[w] for w ~ u) + (2 scale << w u)
 
     exactly, with no bias left, as its coefficients sum to
-    deg(u) - deg(u) = 0.  The row is constant iff K_u equals k_0 * ones,
-    ones = 1 + 2^w + ... + 2^(w (n-1)) and k_0 its entry at vertex 0.
-    That is O(n + m) operations on n * w-bit integers, with no list of
-    n entries built per row.
+    deg(u) - deg(u) = 0.  It passes iff K_u equals k_0 * ones,
+    ones = 1 + 2^w + ... + 2^(w (n-1)) and k_0 its entry at vertex 0
+    with row 0 of S read as column 0.  That is O(n + m) operations on
+    n * w-bit integers, with no list of n entries built per row.
 
     Width.  Let S hold values from low to low + spread (at most D + 1
     values when S is cross_validate's candidate), so max S - min S is
     at most spread.  Leaving out the 2 scale term, the entry k_v of
     row u combines column v of S with coefficients that sum to 0 and
-    whose positive ones sum to deg(u), so it lies
-    within deg(u) * spread of 0; the 2 scale term moves at most one of
-    k_v and k_0.  Hence |k_v - k_0| <= 2 * maxdeg * spread + 2 |scale|
-    = bound, and w is the least multiple of 8 with 2^(w-1) > bound, so
-    a biased entry (at most spread) fits in its field.  Now
+    whose positive ones sum to deg(u), so it lies within
+    deg(u) * spread of 0, as k_0 does; the 2 scale term, in k_v at
+    v = u and in k_0 at u = 0, moves k_v - k_0 by at most 2 |scale|.
+    Hence |k_v - k_0| <= 2 * maxdeg * spread + 2 |scale| = bound, and w
+    is the least multiple of 8 with 2^(w-1) > bound, so a biased entry
+    (at most spread) fits in its field.  Now
     K_u - k_0 * ones = sum_v d_v 2^(w v) with d_v = k_v - k_0 and
     |d_v| < 2^(w-1).  Were some d_v nonzero, take the least such v: the
     sum is d_v 2^(w v) plus a multiple of 2^(w (v+1)), which is zero only
     if 2^w divides d_v, impossible for 0 < |d_v| < 2^w.  So
-    K_u = k_0 * ones iff every d_v = 0, that is iff row u is constant.
+    K_u = k_0 * ones iff every entry of row u is k_0.
 
     Proof.  Let R be the resistance matrix and L+ the pseudoinverse of L,
     with d = diag(L+).  Then R = d 1^T + 1 d^T - 2 L+, and since L 1 = 0
@@ -107,14 +111,17 @@ def kirchhoff_certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) ->
 
         L R + 2 I = (L d + (2/n) 1) 1^T,
 
-    whose rows are constant: R passes.  Conversely let R' be symmetric
-    with zero diagonal and L R' + 2 I = c 1^T, and put E = R' - R.  Then
-    L E = f 1^T with f = c - (L d + (2/n) 1).  Summing the rows gives
-    1^T f = 0 (1^T L = 0), so every column of E solves L x = f; as g is
-    connected, ker L = span(1), so E = h 1^T + 1 a^T with h = L+ f.
-    Symmetry gives h_u - a_u = h_v - a_v = t for all u, v, so
-    E_uv = h_u + h_v - t; the zero diagonal gives h_u = t/2, hence
-    E = 0 and R' = R.  Scaling R' by `scale` scales both sides alike.
+    whose rows are constant; R is symmetric, so it passes.  Conversely
+    let R' = S / scale pass with a zero diagonal, x its row 0 and y its
+    column 0.  Row u of L R' + 2 I is constant at (L x)_u + 2 [u = 0],
+    and its column-0 entry is (L y)_u + 2 [u = 0], so L (y - x) = 0; as
+    g is connected, ker L = span(1), and y_0 = x_0 gives y = x.  Put
+    E = R' - R.  Then L E = f 1^T with f = (L x + 2 e_0) - (L d + (2/n) 1).
+    Summing the rows gives 1^T f = 0 (1^T L = 0), so every column of E
+    solves L z = f, and E = h 1^T + 1 a^T with h = L+ f.  The zero
+    diagonal gives a = -h, so E_uv = h_u - h_v; column 0 of E is its
+    row 0, as for R' and R, so h_u - h_0 = h_0 - h_u: h is constant and
+    E = 0.  Scaling R' by `scale` scales both sides alike.
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, not {scale}")
@@ -129,13 +136,13 @@ def _certifies(g: LabeledGraph, rows: list[list], values: dict, scale: int) -> b
     kirchhoff_certifies passes S itself and the identity on its entries;
     cross_validate passes the distance rows and the D + 1 class values,
     so no n x n matrix of values is built.  The premises are checked on
-    `rows`: n rows equal to the n columns (S is symmetric) and
-    values[rows[u][u]] = 0 (S has a zero diagonal).  The spread of
-    `values` bounds the spread of S, so the width proof holds with it.
+    `rows`: n rows of n entries (S is square) and values[rows[u][u]] = 0
+    (S has a zero diagonal); the loop itself proves S symmetric, as the
+    proof in kirchhoff_certifies shows.  The spread of `values` bounds
+    the spread of S, so the width proof holds with it.
     """
     n = g.n
-    # n rows equal to the n columns: square and symmetric
-    if len(rows) != n or [list(col) for col in zip(*rows)] != rows:
+    if len(rows) != n or any(len(row) != n for row in rows):
         return False
     if any(values[row[u]] for u, row in enumerate(rows)):
         return False
@@ -146,7 +153,7 @@ def _certifies(g: LabeledGraph, rows: list[list], values: dict, scale: int) -> b
     field = {key: (x - low).to_bytes(size, "little") for key, x in values.items()}
     packed = [int.from_bytes(b"".join(map(field.__getitem__, row)), "little") for row in rows]
     ones = int.from_bytes((b"\1" + bytes(size - 1)) * n, "little")
-    first = list(map(values.__getitem__, rows[0]))  # column 0, as S is symmetric
+    first = list(map(values.__getitem__, rows[0]))  # row 0, read as column 0
     for u, nb in enumerate(g.adjacency):
         kirchhoff = len(nb) * packed[u] - sum(map(packed.__getitem__, nb))
         kirchhoff += (2 * scale) << (8 * size * u)
@@ -204,8 +211,9 @@ def cross_validate(g: LabeledGraph) -> CrossValidation:
     at once by kirchhoff_certifies' packed loop.  Each row is packed
     from report.distances[u] through the D + 1 class values, never
     built as a row of values, and the premises are checked on the
-    distance rows: they are symmetric, their diagonal is zero, and the
-    array's n is g.n.  If a premise or the certificate fails,
+    distance rows: there are n rows of n, their diagonal is zero, and
+    the array's n is g.n (symmetry needs no check of its own; see
+    kirchhoff_certifies).  If a premise or the certificate fails,
     resistance_matrix solves for every pair and each pair whose
     resistance differs from its class's formula value is listed as a
     mismatch.

@@ -2,9 +2,11 @@
 
 Each row: (display name, vertex count, array text, printed ratio,
 construction key or None).  A construction key `name` or `name:param`
-refers to the explicit-graph registry in drg.graphs.  The printed ratio
-keeps its original precision; loaders re-derive the exact value and
-verify agreement.
+refers to the explicit-graph registry in drg.graphs.  A fixed graph
+there (a key with no parameter) takes its claimed array from the row
+that names it, so each such key is on exactly one row.  The printed
+ratio keeps its original precision; loaders re-derive the exact value
+and verify agreement.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from drg import catalog, catalog_list, construct, derive, lookup, parse_array, slugify
+from drg import graphs
 from drg.catalog import CatalogError, _build_entry
 from drg.fmt import decimal_places, decimal_str
 from drg.tables import VALENCY_34_MEMBERSHIP, VALENCY_34_TABLE
@@ -86,6 +87,15 @@ def test_constructible_entries_match_registry():
         g = construct(name, int(param) if param else None)
         assert g.claimed_array == e.array
         assert g.n == e.vertices
+
+
+def test_fixed_constructions_and_parameterless_catalog_keys_match_one_to_one():
+    keys = [e.constructible for e in catalog_list() if e.constructible]
+    fixed = [key for key in keys if ":" not in key]
+    assert sorted(fixed) == sorted(graphs.FIXED)  # each fixed name is exactly one row's key
+    for e in catalog_list():
+        if e.constructible in graphs.FIXED:
+            assert construct(e.constructible).claimed_array == e.array
 
 
 def test_entry_builder_rejects_wrong_vertex_count():

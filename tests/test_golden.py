@@ -105,6 +105,8 @@ def _cases() -> dict[str, list[str]]:
     cases["oracle_name_and_all"] = ["oracle", "petersen", "--all"]
     cases["oracle_graph_file_missing"] = ["oracle", "--graph-file", "missing.txt"]
     cases["oracle_graph_file_latin1"] = ["oracle", "--graph-file", "inputs/latin1_path3.txt"]
+    cases["oracle_graph_file_loop"] = ["oracle", "--graph-file", "inputs/loop.txt"]
+    cases["oracle_graph_file_duplicate"] = ["oracle", "--graph-file", "inputs/duplicate.txt"]
     cases["batch_missing"] = ["batch", "missing.txt"]
     cases["batch_latin1"] = ["batch", "inputs/latin1_path3.txt"]
     cases["table_extras_env_catalog"] = ["table", "--extras"]

@@ -479,8 +479,10 @@ def test_distances_from_matches_a_queue_bfs(g):
 
 
 def per_line_parse_edge_list(text, name="", claimed=None):
-    """The reader before the bulk path: every check on every line, in order."""
+    """The reader before the bulk path, with a loop and a repeated edge
+    refused on their line: every check on every line, in order."""
     edges = []
+    seen = set()
     top = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -500,6 +502,11 @@ def per_line_parse_edge_list(text, name="", claimed=None):
                 f"line {lineno}: vertex {max(u, v)} is beyond the cap of "
                 f"{MAX_VERTICES} vertices"
             )
+        if u == v:
+            raise ValueError(f"line {lineno}: loop at vertex {u}")
+        if frozenset((u, v)) in seen:
+            raise ValueError(f"line {lineno}: duplicate edge {(min(u, v), max(u, v))}")
+        seen.add(frozenset((u, v)))
         edges.append((u, v))
         top = max(top, u, v)
         if (top + 1) * len(edges) > MAX_WORK:
@@ -556,6 +563,10 @@ EDGE_TEXTS = {
     # graphs LabeledGraph refuses
     "loop": "0 1\n1 1\n",
     "duplicate": "0 1\n1 0\n",
+    "duplicate-in-order": "0 1\n1 2\n0 1\n",
+    "duplicate-before-loop": "0 1\n1 2\n1 0\n3 3\n",
+    "loop-beyond-the-vertex-cap": "0 1\n1024 1024\n",
+    "duplicate-after-a-comment": "# c\n3 1\n\n1 2\n1 3\n",
     # no edges
     "empty": "",
     "blank": "\n \n\t\n",
@@ -568,4 +579,36 @@ def test_parse_edge_list_matches_the_per_line_reader(key):
     text = EDGE_TEXTS[key]
     assert _graph_or_refusal(parse_edge_list, text) == _graph_or_refusal(
         per_line_parse_edge_list, text
+    )
+
+
+def test_valid_text_is_not_read_line_by_line(monkeypatch):
+    def refuse(text):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(graphs, "_edges_by_line", refuse)
+    assert parse_edge_list("0 1\n1 2\n2 0\n").edges == ((0, 1), (0, 2), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "g, claim",
+    [
+        (construct("petersen"), "3,2,1;1,2,3"),
+        (construct("hypercube", 4), "4;1"),
+        (cycle(9), "2,1,1;1,1,2"),
+        (cycle(10), "2,1,1,1,1,1;1,1,1,1,1,2"),
+    ],
+    ids=("petersen", "cube4", "C9", "C10"),
+)
+def test_a_claim_of_another_diameter_gets_one_diameter_violation(g, claim):
+    claimed = parse_array(claim)
+    g = LabeledGraph(g.n, g.edges, name=g.name, claimed_array=claimed)
+    distances = [deque_bfs(g, v) for v in range(g.n)]
+    diameter = max(map(max, distances))
+    assert verify_drg(g) == DistancePartitionReport(
+        is_drg=False,
+        observed_array=None,
+        violations=(Violation(0, 0, "diameter", claimed.D, diameter),),
+        diameter=diameter,
+        distances=distances,
     )

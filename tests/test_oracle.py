@@ -308,7 +308,8 @@ def test_certificate_rejects_one_changed_pair(name):
 
 def test_certificate_needs_symmetry_and_a_zero_diagonal():
     # S + h 1^T + 1 a^T keeps every row of L S + 2N I constant; only the
-    # symmetry and zero-diagonal tests tell these candidates apart.
+    # zero-diagonal test and the loop's reading of row 0 as column 0,
+    # which fails unless the candidate is symmetric, tell them apart.
     g = construct("petersen")
     scaled, scale, _ = scaled_candidate(g)
     skew = [[x + (u == 0) - (v == 0) for v, x in enumerate(row)] for u, row in enumerate(scaled)]
@@ -316,6 +317,47 @@ def test_certificate_needs_symmetry_and_a_zero_diagonal():
     shifted = [[x + 1 for x in row] for row in scaled]
     assert not kirchhoff_certifies(g, shifted, scale)  # symmetric, diagonal 1
     assert not kirchhoff_certifies(g, scaled[:-1], scale)
+
+
+def kirchhoff_rows(g, scaled, scale):
+    """The rows of L S + 2 scale I, each as a list of n integers."""
+    return [
+        [
+            len(g.adjacency[u]) * x - sum(scaled[w][v] for w in g.adjacency[u])
+            + 2 * scale * (u == v)
+            for v, x in enumerate(row)
+        ]
+        for u, row in enumerate(scaled)
+    ]
+
+
+@pytest.mark.parametrize("name", ("petersen", "hypercube", "coxeter", "complete", "crown_5"))
+def test_a_skew_shift_with_a_zero_diagonal_is_refused_by_both_rules(name):
+    # S + h 1^T - 1 h^T, h not constant: a zero diagonal and every row of
+    # L S + 2N I constant, so only symmetry tells it from S
+    g = construct(name)
+    scaled, scale, _ = scaled_candidate(g)
+    rng = random.Random(name)
+    h = [rng.randint(-50, 50) for _ in range(g.n)]
+    h[1] = h[0] + 1
+    for mult in (1, 7, -3):  # at the scales N, 7N and -3N
+        s = [[mult * x for x in row] for row in scaled]
+        assert both_certificates(g, s, mult * scale) == (True, True)
+        skew = [[x + h[u] - h[v] for v, x in enumerate(row)] for u, row in enumerate(s)]
+        assert not any(skew[u][u] for u in range(g.n))
+        assert all(len(set(row)) == 1 for row in kirchhoff_rows(g, skew, mult * scale))
+        assert both_certificates(g, skew, mult * scale) == (False, False)
+
+
+def test_certificate_refuses_rows_that_are_not_n_long():
+    g = construct("petersen")
+    scaled, scale, _ = scaled_candidate(g)
+    short = [list(row) for row in scaled]
+    short[3].pop()
+    long = [list(row) for row in scaled]
+    long[3].append(0)
+    for rows in (short, long, [*scaled, scaled[0]]):
+        assert not kirchhoff_certifies(g, rows, scale)
 
 
 def test_certificate_refuses_a_disconnected_graph():
