@@ -7,6 +7,11 @@ reported on instead of rejected outright.
 
 The IntersectionArray constructor owns the shape rules and parse_array
 the text grammar; b_i is arr.b[i] and c_i is arr.c[i - 1] everywhere.
+
+An array object is checked once: validate() keeps its report on the
+array, with the sphere sizes and a-values it computed, and derive()
+builds its parameters from those, so validate() then derive() on one
+array, or a second call of either, runs the checks once.
 """
 
 from __future__ import annotations
@@ -127,10 +132,10 @@ def _sphere_pairs(b: tuple[int, ...], c: tuple[int, ...]) -> list[tuple[int, int
     return out
 
 
-def _a_values(b: tuple[int, ...], c: tuple[int, ...]) -> list[int]:
+def _a_values(b: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
     """a_1,...,a_D with a_i = k - b_i - c_i and b_D = 0."""
     k = b[0]
-    return [k - b_i - c_i for b_i, c_i in zip((*b[1:], 0), c)]
+    return tuple([k - b_i - c_i for b_i, c_i in zip((*b[1:], 0), c)])
 
 
 def sphere_sizes_exact(arr: IntersectionArray) -> tuple[Fraction, ...]:
@@ -144,6 +149,9 @@ def sphere_sizes_exact(arr: IntersectionArray) -> tuple[Fraction, ...]:
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of every feasibility check, plus the standing-assumption flags.
+
+    validate() makes one report per array object and returns it on every
+    call, so a report is shared, like graphs.DistancePartitionReport.
 
     `passed` covers the feasibility checks only; k >= 3 and b_1 >= 2 are
     informational flags (arrays may be analyzed without them).
@@ -207,7 +215,31 @@ def _listed(items: tuple, render, total: int) -> str:
 
 
 def validate(arr: IntersectionArray) -> ValidationReport:
-    """Check the feasibility conditions; failures are reported, never raised."""
+    """Check the feasibility conditions; failures are reported, never raised.
+
+    The report is computed once per array object and kept on it, so a
+    later call returns the same report.  An equal array in another object
+    is checked again and gets its own report, whose .array is that object.
+    """
+    return _checked(arr)[0]
+
+
+def _checked(arr: IntersectionArray) -> tuple[ValidationReport, list, tuple]:
+    """The report on `arr`, its sphere-size pairs and its a-values, kept on `arr`.
+
+    The kept tuple is private state outside the dataclass fields, so it
+    changes no ==, hash or repr; a kept report whose .array is another
+    object (copied over by copy.copy) is not reused.
+    """
+    kept = getattr(arr, "_validation", None)
+    if kept is None or kept[0].array is not arr:
+        kept = _validate(arr)
+        object.__setattr__(arr, "_validation", kept)
+    return kept
+
+
+def _validate(arr: IntersectionArray) -> tuple[ValidationReport, list, tuple]:
+    """validate() from scratch, with the integers derive() reuses."""
     b, c = arr.b, arr.c
     D = len(b)
     k = b[0]
@@ -227,8 +259,9 @@ def validate(arr: IntersectionArray) -> ValidationReport:
         iii_failures = tuple(islice(pairs, _LISTED))
 
     sizes = _sphere_pairs(b, c)
+    a = _a_values(b, c)
     non_integral = tuple(i for i, (_, den) in enumerate(sizes) if den != 1)
-    neg_a = tuple(i for i, a_i in enumerate(_a_values(b, c), start=1) if a_i < 0)
+    neg_a = tuple(i for i, a_i in enumerate(a, start=1) if a_i < 0)
 
     if non_integral:
         handshake = True  # vacuous: n is not even well-defined
@@ -236,7 +269,7 @@ def validate(arr: IntersectionArray) -> ValidationReport:
         n = sum(num for num, _ in sizes)
         handshake = (n * k) % 2 == 0
 
-    return ValidationReport(
+    report = ValidationReport(
         array=arr,
         condition_i=cond_i,
         condition_ii=cond_ii,
@@ -251,6 +284,7 @@ def validate(arr: IntersectionArray) -> ValidationReport:
         k_ge_3=k >= 3,
         b1_ge_2=D >= 2 and b[1] >= 2,
     )
+    return report, sizes, a
 
 
 @dataclass(frozen=True)
@@ -277,24 +311,18 @@ class DerivedParams:
 def derive(arr: IntersectionArray) -> DerivedParams:
     """Compute k, n, a_i, sphere sizes and the split index j.
 
-    Raises ValueError if the array fails validation.
+    Raises ValueError if the array fails validation.  The sizes and
+    a-values are the integers validate() kept on `arr`, so an array
+    already validated is not checked again.
     """
-    return derive_from(validate(arr))
-
-
-def derive_from(report: ValidationReport) -> DerivedParams:
-    """derive() for the array of a validation report already at hand.
-
-    Raises ValueError if the report did not pass.
-    """
+    report, sizes, a = _checked(arr)
     if not report.passed:
         raise ValueError("array failed validation: " + "; ".join(report.failure_messages()))
-    arr = report.array
     b, c = arr.b, arr.c
-    sizes = tuple(num for num, _ in _sphere_pairs(b, c))  # integral: the report passed
+    sphere_sizes = tuple(num for num, _ in sizes)  # integral: the report passed
     j = next((i for i in range(1, len(b)) if c[i - 1] >= b[i]), len(b))
     return DerivedParams(
-        array=arr, k=b[0], n=sum(sizes), a=tuple(_a_values(b, c)), sphere_sizes=sizes, j=j
+        array=arr, k=b[0], n=sum(sphere_sizes), a=a, sphere_sizes=sphere_sizes, j=j
     )
 
 

@@ -68,6 +68,9 @@ def _build_entry(
     constructible: str | None,
     supplementary: bool,
 ) -> CatalogEntry:
+    slug = slugify(name)
+    if not slug:  # lookup("") or lookup("   ") would find it
+        raise ValueError(f"catalog entry {name!r}: the name has no letter or digit")
     arr = parse_array(array_text)
     params = derive(arr)
     profile = compute_profile(params)
@@ -82,7 +85,7 @@ def _build_entry(
         raise ValueError(f"catalog entry {name!r}: n or rho is too long to print") from None
     entry = CatalogEntry(
         name=name,
-        slug=slugify(name),
+        slug=slug,
         vertices=params.n,
         array=arr,
         paper_ratio=ratio_text,

@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .arrays import (
     ArrayFormatError,
     IntersectionArray,
-    derive_from,
+    derive,
     format_array,
     parse_array,
     validate,
@@ -124,7 +124,7 @@ def _record(
     if not (analyze and report.passed):
         return record, None
 
-    params = derive_from(report)
+    params = derive(arr)
     profile = compute_profile(params)
     cap, cap_holds = check_resistance_cap(profile)
     tail = tail_sum_check(profile)
@@ -437,7 +437,7 @@ def cmd_batch(args) -> int:
             print(f"line {lineno}: {label}: INVALID ({reasons})")
             continue
         valid += 1
-        rho = compute_profile(derive_from(report)).ratio
+        rho = compute_profile(derive(arr)).ratio
         holds = [rho < b.target for b in bounds]
         below = [n + h for n, h in zip(below, holds)]
         if not holds[0]:

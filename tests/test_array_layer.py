@@ -11,7 +11,7 @@
 
        PYTHONPATH=src python tests/test_array_layer.py
 
-2. Reference equivalence: the Fraction code that validate, derive_from,
+2. Reference equivalence: the Fraction code that validate, derive,
    sphere_sizes_exact and the potentials replaced is kept below, and the
    integer code must match it field for field, types included.
 """
@@ -40,7 +40,7 @@ from drg import (
     prove_optimal,
     validate,
 )
-from drg.arrays import DerivedParams, derive_from, sphere_sizes_exact
+from drg.arrays import DerivedParams, derive, sphere_sizes_exact
 from drg.potentials import PotentialProfile
 from drg.proofs import f_ratio
 from test_golden import PROOF_ARRAYS
@@ -133,7 +133,7 @@ def digests(arr: IntersectionArray) -> dict[str, str]:
     report = validate(arr)
     out = {"validate": _sha(report)}
     if report.passed:
-        profile = compute_profile(derive_from(report))
+        profile = compute_profile(derive(report.array))
         out["profile"] = _sha(profile)
         out["k3"] = _proved(prove_k3, profile)
         out["optimal"] = _proved(prove_optimal, profile)
@@ -305,7 +305,7 @@ def test_derive_and_profile_match_reference(feasible, perturbed):
     reports = [r for r in map(validate, feasible + perturbed) if r.passed]
     assert [r.array for r in reports] == feasible
     for report in reports:
-        params = derive_from(report)
+        params = derive(report.array)
         assert _same(params, derive_reference(report)), format_array(report.array)
         profile = compute_profile(params)
         assert _same(profile, profile_reference(params))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import re
 from fractions import Fraction
 from itertools import product
@@ -18,7 +21,7 @@ from drg import (
     parse_array,
     validate,
 )
-from drg.arrays import derive_from, sphere_sizes_exact
+from drg.arrays import sphere_sizes_exact
 
 
 def test_parse_basic():
@@ -285,10 +288,70 @@ def test_corpus_nonnegative_a(corpus):
         assert all(v >= 0 for v in derive(arr).a)
 
 
-def test_derive_from_a_report():
-    for text in ("3,2,1;1,2,3", "3,2;1,1", "3;1"):
-        arr = parse_array(text)
-        assert derive_from(validate(arr)) == derive(arr)
-    failing = validate(parse_array("4,2;1,3"))
-    with pytest.raises(ValueError, match="non-integral sphere sizes"):
-        derive_from(failing)
+# ----------------------------------------------------------------------
+# validate keeps its report on the array object
+
+
+def _count_bodies(monkeypatch):
+    """The arrays passed to the validation body from now on, in order."""
+    calls = []
+    body = arrays._validate
+
+    def counted(arr):
+        calls.append(arr)
+        return body(arr)
+
+    monkeypatch.setattr(arrays, "_validate", counted)
+    return calls
+
+
+def test_validate_returns_the_kept_report(monkeypatch):
+    calls = _count_bodies(monkeypatch)
+    arr = parse_array("3,2,1;1,2,3")
+    assert validate(arr) is validate(arr)
+    assert calls == [arr]
+
+
+def test_validate_then_derive_checks_each_corpus_array_once(monkeypatch, corpus):
+    calls = _count_bodies(monkeypatch)
+    for arr in corpus:
+        fresh = IntersectionArray(arr.b, arr.c)  # the corpus was validated when built
+        assert validate(fresh).passed
+        assert derive(fresh) == derive(arr)
+        assert calls[-1] is fresh
+    assert len(calls) == len(corpus)
+
+
+def test_failing_array_raises_the_same_message_and_is_checked_once(monkeypatch):
+    calls = _count_bodies(monkeypatch)
+    arr = parse_array("4,2;1,3")
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="non-integral sphere sizes") as exc:
+            derive(arr)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+    assert not validate(arr).passed
+    assert calls == [arr]
+
+
+def test_equal_array_in_another_object_is_checked_again(monkeypatch):
+    calls = _count_bodies(monkeypatch)
+    first, second = parse_array("3,2;1,1"), parse_array("3,2;1,1")
+    report, again = validate(first), validate(second)
+    assert first == second and report == again and report is not again
+    assert report.array is first and again.array is second
+    assert calls == [first, second]
+
+
+def test_kept_report_leaves_the_array_value_alone():
+    arr = parse_array("3,2,1;1,2,3")
+    before = (hash(arr), repr(arr), dataclasses.fields(arr))
+    report = validate(arr)
+    assert (hash(arr), repr(arr), dataclasses.fields(arr)) == before
+    assert arr == parse_array("3,2,1;1,2,3")
+    for twin in (copy.deepcopy(arr), pickle.loads(pickle.dumps(arr))):
+        assert twin == arr and twin is not arr
+        assert validate(twin) == report and validate(twin).array is twin
+    shallow = copy.copy(arr)  # shares the kept tuple, not its report
+    assert validate(shallow).array is shallow

@@ -465,6 +465,16 @@ def test_env_catalog_slug_taken_exit_2(tmp_path, monkeypatch, capsys, text, erro
         assert run(capsys, *argv) == (2, "", f"error: {path}:{error}\n")
 
 
+@pytest.mark.parametrize("line, name", (("!!! | 3;1", "!!!"), ("| 3;1", "")), ids=("bangs", "empty"))
+def test_env_catalog_entry_without_a_slug_exit_2(tmp_path, monkeypatch, capsys, line, name):
+    path = tmp_path / "noslug.txt"
+    path.write_text(f"{line}\n")
+    monkeypatch.setenv("DRG_CATALOG", str(path))
+    error = f"error: {path}:1: catalog entry {name!r}: the name has no letter or digit\n"
+    for argv in (("catalog", "list"), ("analyze", "   "), ("validate", "")):
+        assert run(capsys, *argv) == (2, "", error)
+
+
 @pytest.mark.parametrize(
     "python_flags, argv",
     ((["-u"], ("oracle", "--all")), ([], ("table",)), ([], ("--help",))),
@@ -675,14 +685,13 @@ def test_report_too_long_to_print_exits_2(capsys, command, array_text, as_json):
 
 def _count_validations(monkeypatch):
     calls = []
-    validate = arrays.validate
+    body = arrays._validate
 
     def counted(arr):
         calls.append(arr)
-        return validate(arr)
+        return body(arr)
 
-    monkeypatch.setattr(arrays, "validate", counted)
-    monkeypatch.setattr(cli, "validate", counted)
+    monkeypatch.setattr(arrays, "_validate", counted)
     return calls
 
 
@@ -697,6 +706,13 @@ def test_batch_validates_each_line_once(monkeypatch, capsys):
     path = GOLDEN / "inputs" / "batch_mixed.txt"
     run(capsys, "batch", str(path))
     assert len(calls) == 5  # six lines, one of them unparseable
+
+
+def test_analyze_by_name_uses_the_catalog_rows_report(monkeypatch, capsys):
+    catalog_list()  # builds the rows, validating each
+    calls = _count_validations(monkeypatch)
+    code, _, _ = run(capsys, "analyze", "cube")
+    assert code == 0 and calls == []
 
 
 # ----------------------------------------------------------------------
