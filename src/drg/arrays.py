@@ -225,11 +225,11 @@ def validate(arr: IntersectionArray) -> ValidationReport:
 
 
 def _checked(arr: IntersectionArray) -> tuple[ValidationReport, list, tuple]:
-    """The report on `arr`, its sphere-size pairs and its a-values, kept on `arr`.
+    """(report, sphere-size pairs, a-values) of `arr`, computed once and kept on it.
 
-    The kept tuple is private state outside the dataclass fields, so it
-    changes no ==, hash or repr; a kept report whose .array is another
-    object (copied over by copy.copy) is not reused.
+    The tuple is not a dataclass field, so ==, hash and repr ignore it.  A
+    tuple that copy.copy took from another array holds that array's report
+    and is not reused.
     """
     kept = getattr(arr, "_validation", None)
     if kept is None or kept[0].array is not arr:

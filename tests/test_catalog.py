@@ -167,17 +167,6 @@ def test_env_supplementary_rejects_bad_lines(tmp_path, monkeypatch):
         catalog_list()
 
 
-@pytest.mark.parametrize("line, name", (("!!! | 3;1", "!!!"), ("| 3;1", "")), ids=("bangs", "empty"))
-def test_env_entry_without_a_slug_is_refused(tmp_path, monkeypatch, line, name):
-    # its slug would be "", which `drg analyze "   "` or `drg validate ""` looks up
-    path = tmp_path / "noslug.txt"
-    path.write_text(f"# extras\n{line}\n")
-    monkeypatch.setenv("DRG_CATALOG", str(path))
-    error = f"{path}:2: catalog entry {name!r}: the name has no letter or digit"
-    with pytest.raises(CatalogError, match=f"^{re.escape(error)}$"):
-        catalog_list()
-
-
 def test_repeated_catalog_list_calls_are_equal():
     catalog._embedded.cache_clear()
     first = catalog_list()
