@@ -3,11 +3,10 @@
 Subcommands: validate, analyze, table, oracle, batch, catalog.
 Exit codes: 0 success, 1 failed checks, 2 unparseable input, an unknown
 name, conflicting oracle selectors, a graph above graphs.MAX_VERTICES
-vertices or graphs.MAX_WORK = n*m, a bad DRG_CATALOG file or a report
-too long to print, 3 validation failure (the report is still printed),
-141 when stdout closes early.  A command refuses input by raising
-_Refusal or CatalogError; `main` alone turns either into exit code 2
-and an `error:` line on stderr.
+vertices or graphs.MAX_WORK = n*m, an unreadable file or a report too
+long to print, 3 validation failure (the report is still printed), 141
+when stdout closes early.  A command refuses input by raising _Refusal;
+`main` alone turns it into exit code 2 and an `error:` line on stderr.
 
 validate and analyze build one record per array (`_record`), a dict that
 keeps exact `Fraction` and `BoundTrace` values.  `--json` prints it with
@@ -35,14 +34,7 @@ from .arrays import (
     parse_array,
     validate,
 )
-from .catalog import (
-    CatalogEntry,
-    CatalogError,
-    catalog_list,
-    lookup,
-    named_array_lines,
-    read_utf8,
-)
+from .catalog import CatalogEntry, catalog_list, lookup, named_array_lines
 from .fmt import approx_str, decimal_str, frac_str
 from .graphs import construct, parse_edge_list, registry_names
 from .oracle import NotDistanceRegular, cross_validate
@@ -62,13 +54,22 @@ class _Refusal(Exception):
 
 
 def _read_text(path: str, what: str) -> str:
-    """catalog.read_utf8(path, what), each of its errors raised as a _Refusal."""
+    """The file at `path` decoded as UTF-8; `what` names it in a refusal.
+
+    A file that cannot be read is refused with `cannot read <what>: ...`,
+    and one that is not UTF-8 with `path:line: cannot read <what>: ...`,
+    the line of its first bad byte.
+    """
     try:
-        return read_utf8(path, what)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise _Refusal(f"cannot read {what}: {exc}") from exc
-    except ValueError as exc:
-        raise _Refusal(str(exc)) from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise _Refusal(f"{path}:{line}: cannot read {what}: {exc}") from exc
 
 
 def _resolve(target: str) -> tuple[IntersectionArray, CatalogEntry | None]:
@@ -508,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CatalogError, _Refusal) as exc:
+    except _Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

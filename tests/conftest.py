@@ -10,16 +10,11 @@ exhaustively true.
 
 from __future__ import annotations
 
-import os
 from itertools import product
 
 import pytest
 
 from drg import IntersectionArray, catalog_list, validate
-
-# The suite runs on the embedded catalog; a test that wants a DRG_CATALOG
-# file sets the variable itself.
-os.environ.pop("DRG_CATALOG", None)
 
 
 def _monotone_b(bs: tuple[int, ...]) -> bool:

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 import pytest
 
 from drg import catalog, catalog_list, construct, derive, lookup, parse_array, slugify
 from drg import graphs
-from drg.catalog import CatalogError, _build_entry
+from drg.catalog import _build_entry
 from drg.fmt import decimal_places, decimal_str
 from drg.tables import VALENCY_34_MEMBERSHIP, VALENCY_34_TABLE
 
@@ -142,67 +141,21 @@ def test_decimal_str_matches_the_fraction_reference():
         decimal_str(Fraction(1, 3), -1)
 
 
-def test_env_supplementary_catalog(tmp_path, monkeypatch):
-    path = tmp_path / "extra.txt"
-    path.write_text(
-        "# supplementary entries\n"
-        "Hamming H(4,3) | 8,6,4,2;1,2,3,4\n"
-        "5,4,3,2,1;1,2,3,4,5\n"
-    )
-    monkeypatch.setenv("DRG_CATALOG", str(path))
-    entries = catalog_list()
-    names = {e.name for e in entries}
-    assert "Hamming H(4,3)" in names
-    assert "5,4,3,2,1;1,2,3,4,5" in names
-    found = lookup("hamming-h-4-3")
-    assert found is not None and found.supplementary
-    assert found.array == parse_array("8,6,4,2;1,2,3,4")
-
-
-def test_env_supplementary_rejects_bad_lines(tmp_path, monkeypatch):
-    path = tmp_path / "bad.txt"
-    path.write_text("broken | 3,3;1,1\n")
-    monkeypatch.setenv("DRG_CATALOG", str(path))
-    with pytest.raises(ValueError):
-        catalog_list()
-
-
 def test_repeated_catalog_list_calls_are_equal():
-    catalog._embedded.cache_clear()
+    catalog.catalog_list.cache_clear()
     first = catalog_list()
     second = catalog_list()
     assert len(first) == 26
-    assert first == second
-
-
-def test_env_catalog_is_read_again_on_every_call(tmp_path, monkeypatch):
-    path = tmp_path / "extra.txt"
-    path.write_text("First | 3,2,1;1,2,3\n")
-    monkeypatch.setenv("DRG_CATALOG", str(path))
-    assert catalog_list()[-1].name == "First"
-    path.write_text("Second | 3,2;1,1\nThird | 4,1;1,4\n")
-    entries = catalog_list()
-    assert [e.name for e in entries[-2:]] == ["Second", "Third"]
-    assert "First" not in {e.name for e in entries}
-    assert lookup("first") is None and lookup("third") is not None
-
-
-def test_malformed_env_catalog_raises_on_every_call(tmp_path, monkeypatch):
-    path = tmp_path / "bad.txt"
-    path.write_text("broken | 3,3;1,1\n")
-    monkeypatch.setenv("DRG_CATALOG", str(path))
-    for _ in range(2):
-        with pytest.raises(CatalogError, match=re.escape(f"{path}:1: ")):
-            catalog_list()
+    assert first is second  # built once per process
 
 
 def test_embedded_rows_are_verified_again_after_cache_clear(monkeypatch):
     name, n, text, _, key = catalog.VALENCY_34_TABLE[0]
     wrong_row = (name, n, text, "0.5", key)
     monkeypatch.setattr(catalog, "VALENCY_34_TABLE", (wrong_row, *catalog.VALENCY_34_TABLE[1:]))
-    catalog._embedded.cache_clear()
+    catalog.catalog_list.cache_clear()
     try:
         with pytest.raises(ValueError, match="stored ratio 0.5"):
             catalog_list()
     finally:
-        catalog._embedded.cache_clear()
+        catalog.catalog_list.cache_clear()

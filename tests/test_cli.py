@@ -265,38 +265,6 @@ def test_batch_paper_table(tmp_path, capsys, paper_rows):
     assert "rho < 2: 23" in out
 
 
-@pytest.mark.parametrize("argv", (("analyze", "cube"), ("table",)))
-def test_malformed_env_catalog_exit_2(tmp_path, monkeypatch, capsys, argv):
-    path = tmp_path / "bad.txt"
-    path.write_text("# extras\nbroken | 3,3;1,1\n")
-    monkeypatch.setenv("DRG_CATALOG", str(path))
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert f"{path}:2: " in err
-
-
-@pytest.mark.parametrize("argv", (("analyze", "cube"), ("table",)))
-def test_missing_env_catalog_exit_2(tmp_path, monkeypatch, capsys, argv):
-    path = tmp_path / "missing.txt"
-    monkeypatch.setenv("DRG_CATALOG", str(path))
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert str(path) in err
-
-
-@pytest.mark.parametrize("argv", (("analyze", "cube"), ("table",)))
-def test_non_utf8_env_catalog_exit_2(tmp_path, monkeypatch, capsys, argv):
-    path = tmp_path / "latin1.txt"
-    path.write_bytes(b"caf\xe9 | 3,2,1;1,2,3\n")
-    monkeypatch.setenv("DRG_CATALOG", str(path))
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: {path}:1: cannot read DRG_CATALOG: ")
-
-
 def test_batch_non_utf8_exit_2(tmp_path, capsys):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"caf\xe9 | 3,2,1;1,2,3\n")
@@ -432,57 +400,13 @@ def test_a_bound_added_to_the_table_reaches_analyze_and_batch(
     ]
 
 
-@pytest.mark.parametrize("argv", (("table", "--extras"), ("catalog", "list")))
-def test_env_catalog_entry_too_long_to_print_exit_2(tmp_path, monkeypatch, capsys, argv):
-    path = tmp_path / "huge.txt"
-    path.write_text(f"X | {_UNPRINTABLE_RHO}\n")
-    monkeypatch.setenv("DRG_CATALOG", str(path))
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: {path}:1: catalog entry 'X': n or rho is too long to print\n"
-
-
-@pytest.mark.parametrize(
-    "text, error",
-    (
-        (
-            "Cube | 4,3,2,1;1,2,3,4\n",
-            "1: catalog entry 'Cube': slug 'cube' is taken by the built-in entry 'Cube'",
-        ),
-        (
-            "my cube graph | 3,2,1;1,2,3\nmy cube | 3,2;1,1\n",
-            "2: catalog entry 'my cube': slug 'my-cube' is taken by 'my cube graph' on line 1",
-        ),
-    ),
-    ids=("built-in", "earlier-line"),
-)
-def test_env_catalog_slug_taken_exit_2(tmp_path, monkeypatch, capsys, text, error):
-    # lookup returns the first entry with a slug: a second one could never be reached
-    path = tmp_path / "taken.txt"
-    path.write_text(text)
-    monkeypatch.setenv("DRG_CATALOG", str(path))
-    for argv in (("catalog", "list"), ("analyze", "my-cube")):
-        assert run(capsys, *argv) == (2, "", f"error: {path}:{error}\n")
-
-
-@pytest.mark.parametrize("line, name", (("!!! | 3;1", "!!!"), ("| 3;1", "")), ids=("bangs", "empty"))
-def test_env_catalog_entry_without_a_slug_exit_2(tmp_path, monkeypatch, capsys, line, name):
-    path = tmp_path / "noslug.txt"
-    path.write_text(f"{line}\n")
-    monkeypatch.setenv("DRG_CATALOG", str(path))
-    error = f"error: {path}:1: catalog entry {name!r}: the name has no letter or digit\n"
-    for argv in (("catalog", "list"), ("analyze", "   "), ("validate", "")):
-        assert run(capsys, *argv) == (2, "", error)
-
-
 @pytest.mark.parametrize(
     "python_flags, argv",
     ((["-u"], ("oracle", "--all")), ([], ("table",)), ([], ("--help",))),
     ids=("write-in-main", "flush-at-exit", "argparse-exit"),
 )
 def test_closed_stdout_exits_141_without_a_traceback(python_flags, argv):
-    unset = ("DRG_CATALOG", "PYTHONUNBUFFERED")
-    env = {key: value for key, value in os.environ.items() if key not in unset}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     src = str(Path(__file__).parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.Popen(
@@ -498,8 +422,7 @@ def test_closed_stdout_exits_141_without_a_traceback(python_flags, argv):
     assert (proc.wait(timeout=60), err) == (141, b"")
 
 
-def test_parser_reused_after_argparse_rejection(monkeypatch, capsys):
-    monkeypatch.delenv("DRG_CATALOG", raising=False)
+def test_parser_reused_after_argparse_rejection(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "petersen", "--prove", "bogus"])
     assert exc.value.code == 2
@@ -713,6 +636,16 @@ def test_analyze_by_name_uses_the_catalog_rows_report(monkeypatch, capsys):
     calls = _count_validations(monkeypatch)
     code, _, _ = run(capsys, "analyze", "cube")
     assert code == 0 and calls == []
+
+
+@pytest.mark.parametrize("prove", (None, *(bound.name for bound in proofs.BOUNDS)))
+def test_analyze_by_name_is_its_name_line_then_analyze_by_array(capsys, prove):
+    # the array form carries the whole report: a row's name adds only the first line
+    flags = ("--prove", prove) if prove else ()
+    for entry in catalog_list():
+        code, out, err = run(capsys, "analyze", format_array(entry.array), *flags)
+        expected = (code, f"name: {entry.name}\n{out}", err)
+        assert run(capsys, "analyze", entry.slug, *flags) == expected, entry.slug
 
 
 # ----------------------------------------------------------------------
