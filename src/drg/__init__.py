@@ -2,93 +2,83 @@
 
 Given an intersection array, the package computes Biggs potentials,
 effective resistances and the resistance-ratio bounds exactly (rational
-arithmetic throughout), and cross-validates the closed-form resistances
-against an independent Laplacian solver on explicitly constructed graphs.
+arithmetic throughout). On explicitly constructed graphs it certifies
+the closed-form resistances with an exact Kirchhoff check, and lists
+the mismatched pairs with a fraction-free Laplacian solve when that
+check fails.
+
+Each submodule is imported on first use (PEP 562): `import drg` loads
+nothing else, `drg.catalog_list()` loads the array side only, and
+`drg.construct` or `drg.graphs` loads the graph side.
 """
 
-from .arrays import (
-    ArrayFormatError,
-    DerivedParams,
-    IntersectionArray,
-    ValidationReport,
-    derive,
-    format_array,
-    is_cocktail_party,
-    parse_array,
-    validate,
-)
-from .catalog import CatalogEntry, catalog_list, lookup, slugify
-from .graphs import (
-    DistancePartitionReport,
-    LabeledGraph,
-    construct,
-    parse_edge_list,
-    registry_names,
-    verify_drg,
-)
-from .oracle import (
-    cross_validate,
-    kirchhoff_certifies,
-    resistance_matrix,
-)
-from .potentials import (
-    PotentialProfile,
-    StepBound,
-    TailSumCheck,
-    check_resistance_cap,
-    compute_potentials_explicit,
-    compute_profile,
-    step_inequalities,
-    tail_sum_check,
-)
-from .proofs import (
-    BIGGS_SMITH_RATIO,
-    BoundTrace,
-    CaseId,
-    TraceStep,
-    classify_case,
-    prove_k3,
-    prove_optimal,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrayFormatError",
-    "BIGGS_SMITH_RATIO",
-    "BoundTrace",
-    "CaseId",
-    "CatalogEntry",
-    "DerivedParams",
-    "DistancePartitionReport",
-    "IntersectionArray",
-    "LabeledGraph",
-    "PotentialProfile",
-    "StepBound",
-    "TailSumCheck",
-    "TraceStep",
-    "ValidationReport",
-    "catalog_list",
-    "check_resistance_cap",
-    "classify_case",
-    "compute_potentials_explicit",
-    "compute_profile",
-    "construct",
-    "cross_validate",
-    "derive",
-    "format_array",
-    "is_cocktail_party",
-    "kirchhoff_certifies",
-    "lookup",
-    "parse_array",
-    "parse_edge_list",
-    "prove_k3",
-    "prove_optimal",
-    "registry_names",
-    "resistance_matrix",
-    "slugify",
-    "step_inequalities",
-    "tail_sum_check",
-    "validate",
-    "verify_drg",
-]
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "arrays": (
+        "ArrayFormatError",
+        "DerivedParams",
+        "IntersectionArray",
+        "ValidationReport",
+        "derive",
+        "format_array",
+        "is_cocktail_party",
+        "parse_array",
+        "validate",
+    ),
+    "catalog": ("CatalogEntry", "catalog_list", "lookup", "slugify"),
+    "cli": (),
+    "fmt": (),
+    "graphs": (
+        "DistancePartitionReport",
+        "LabeledGraph",
+        "construct",
+        "parse_edge_list",
+        "registry_names",
+        "verify_drg",
+    ),
+    "linalg": (),
+    "oracle": ("cross_validate", "kirchhoff_certifies", "resistance_matrix"),
+    "potentials": (
+        "PotentialProfile",
+        "StepBound",
+        "TailSumCheck",
+        "check_resistance_cap",
+        "compute_potentials_explicit",
+        "compute_profile",
+        "step_inequalities",
+        "tail_sum_check",
+    ),
+    "proofs": (
+        "BIGGS_SMITH_RATIO",
+        "BoundTrace",
+        "CaseId",
+        "TraceStep",
+        "classify_case",
+        "prove_k3",
+        "prove_optimal",
+    ),
+    "tables": (),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    """Import the submodule that `name` is, or that defines it, and bind the value here."""
+    if name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _SOURCE:
+        value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -14,7 +14,8 @@ keeps exact `Fraction` and `BoundTrace` values.  `--json` prints it with
 rational as {"num", "den"} strings; the text form is rendered from the
 same dict by `_text_lines`.  The ratio bounds are the rows of
 `proofs.BOUNDS`: `--prove` takes their names, and batch marks and counts
-each target.
+each target.  Only `oracle` imports the graph side (`graphs`, `oracle`,
+`linalg`), when it runs, so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .arrays import (
 )
 from .catalog import CatalogEntry, catalog_list, lookup, named_array_lines
 from .fmt import approx_str, decimal_str, frac_str
-from .graphs import construct, parse_edge_list, registry_names
-from .oracle import NotDistanceRegular, cross_validate
 from .potentials import (
     check_resistance_cap,
     compute_potentials_explicit,
@@ -336,6 +335,8 @@ def cmd_catalog(args) -> int:
 # oracle
 
 def _oracle_one(g) -> bool:
+    from .oracle import NotDistanceRegular, cross_validate
+
     print(f"== {g.name} [n={g.n}, m={len(g.edges)}]")
     if g.claimed_array is not None:
         print(f"   claimed array: {format_array(g.claimed_array)}")
@@ -370,6 +371,8 @@ def _oracle_one(g) -> bool:
 
 
 def cmd_oracle(args) -> int:
+    from .graphs import construct, parse_edge_list, registry_names
+
     selectors = (("NAME", args.name), ("--all", args.all), ("--graph-file", args.graph_file))
     given = [flag for flag, value in selectors if value]
     if not given:
