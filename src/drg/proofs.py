@@ -10,13 +10,18 @@ Two ratio targets are traced for rho = (phi_1 + ... + phi_{D-1})/phi_0:
 
 `BOUNDS` is the one table of these bounds (name, target, prover); the
 CLI takes its `--prove` choices, its dispatch and its batch counts from it.
+`CASES` is the one table of the case analysis: each row holds a case,
+the array test that selects it, and its optimal chain or the note of its
+direct trace.  `classify_case` and `_prove`, which starts both provers,
+take the first row whose test holds.
 
 Each trace records every intermediate inequality with both sides
 evaluated exactly, so a reader can audit the whole chain.
 
-A chain is put together from shared pieces.  `_prove` starts every
-prover.  `_trace` builds every BoundTrace with alpha = (b_1-1)/b_1 (None
-when D = 1 or b_1 = 1); only the deep case-3 subcases give alpha2 =
+A chain takes `(profile, case)`, so only case 2 names a case itself (its
+`UNCLASSIFIED` fallback), and is put together from shared pieces.
+`_trace` builds every BoundTrace with alpha = (b_1-1)/b_1 (None when D =
+1 or b_1 = 1); only the deep case-3 subcases give alpha2 =
 (b_1-2)/(b_1-1) instead.  An optimal chain ends in `_target_gap` (value <
 93/100), most of them through `_cap_ending` (rho < cap <= value).
 `_deep_head` gives the case-3 deep-head sum and its geometric limit for
@@ -26,6 +31,7 @@ both deep subcases.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -142,11 +148,22 @@ BOUNDS = (
 )
 _OPTIMAL, _K3 = BOUNDS
 
+
+@dataclass(frozen=True)
+class CaseRow:
+    """A row of `CASES`; a row with a note is settled directly by both provers."""
+
+    case: CaseId
+    test: Callable[[DerivedParams], bool]
+    chain: Callable[[PotentialProfile, CaseId], BoundTrace] | None = None
+    note: str | None = None
+
+
 _step = TraceStep  # a short name for the many steps below; it converts both sides to Fraction
 
 
 def _trace(
-    profile: PotentialProfile, case_id: CaseId, steps, target: Fraction = _OPTIMAL.target, **fields
+    profile: PotentialProfile, case: CaseId, steps, target: Fraction = _OPTIMAL.target, **fields
 ) -> BoundTrace:
     """A trace for `profile`; verdict rho < target and alpha (b_1-1)/b_1 unless given."""
     rho = profile.ratio
@@ -154,7 +171,7 @@ def _trace(
     if "alpha" not in fields:
         b = profile.params.array.b
         fields["alpha"] = Fraction(b[1] - 1, b[1]) if len(b) > 1 and b[1] > 1 else None
-    return BoundTrace(case_id=case_id, target=target, rho=rho, steps=tuple(steps), **fields)
+    return BoundTrace(case_id=case, target=target, rho=rho, steps=tuple(steps), **fields)
 
 
 def _target_gap(label: str, lhs: Fraction, relation: str, value: Fraction) -> list[TraceStep]:
@@ -170,35 +187,24 @@ def _cap_ending(
 
 
 def _direct(
-    profile: PotentialProfile,
-    case_id: CaseId,
-    note: str,
-    target: Fraction = _OPTIMAL.target,
-    **fields,
+    profile: PotentialProfile, case: CaseId, note: str, target: Fraction = _OPTIMAL.target, **fields
 ) -> BoundTrace:
     """The one-step trace rho < target, checked on the exact ratio alone."""
     step = _step("rho_lt_target", profile.ratio, "<", target)
-    return _trace(profile, case_id, (step,), target, notes=(note,), **fields)
+    return _trace(profile, case, (step,), target, notes=(note,), **fields)
 
 
-# Shapes that both provers settle by the direct comparison, with their notes.
-_DIRECT_NOTES = {
-    CaseId.D1_TRIVIAL: "diameter 1: no interior potentials, rho = 0",
-    CaseId.COCKTAIL: "b_1 = 1 (cocktail-party shape): verified by direct computation",
-}
-_QUADRANGLE_NOTE = (
-    "quadrangle presence inferred from c_2/b_2 > 1/2 (sufficient condition only)"
-)
+_QUADRANGLE_NOTE = "quadrangle presence inferred from c_2/b_2 > 1/2 (sufficient condition only)"
 
 
-def _prove(profile: PotentialProfile, target: Fraction, chain) -> BoundTrace:
-    """Refuse k < 3, settle the _DIRECT_NOTES shapes directly, else chain(profile, case)."""
+def _prove(profile: PotentialProfile, target: Fraction, chain=None) -> BoundTrace:
+    """Refuse k < 3; settle the first row that holds by its note, else chain or its own."""
     if profile.params.k < 3:
         raise ValueError("the ratio bounds assume valency k >= 3")
-    case = classify_case(profile.params)
-    if case in _DIRECT_NOTES:
-        return _direct(profile, case, _DIRECT_NOTES[case], target)
-    return chain(profile, case)
+    row = _row(profile.params)
+    if row.note is not None:
+        return _direct(profile, row.case, row.note, target)
+    return (chain or row.chain)(profile, row.case)
 
 
 # ----------------------------------------------------------------------
@@ -210,33 +216,6 @@ def f_ratio(b1: int, i: int) -> Fraction:
     It is > 1 for i <= b1-1 and < 1 for i >= b1, so f peaks at i = b1.
     """
     return Fraction((2 * i + 1) * (b1 - 1), (2 * i - 1) * b1)
-
-
-# ----------------------------------------------------------------------
-# case classifier
-
-def classify_case(params: DerivedParams) -> CaseId:
-    """First matching case for the optimal-bound analysis, in fixed order."""
-    arr = params.array
-    D = arr.D
-    if D == 1:
-        return CaseId.D1_TRIVIAL
-    if is_cocktail_party(arr):
-        return CaseId.COCKTAIL
-    if D <= 2:
-        return CaseId.CASE1_D2
-    if params.k in (3, 4):
-        return CaseId.CASE2_SMALL_VALENCY
-    b1 = arr.b[1]
-    c2 = arr.c[1]
-    if b1 >= 3 and c2 == 1:
-        return CaseId.CASE3_C2_EQ_1
-    if b1 >= 3 and params.j == 3 and c2 > 1:
-        return CaseId.CASE4_J3
-    # quadrangle detection from the array alone: sufficient condition only
-    if 2 * c2 > arr.b[2]:  # c_2/b_2 > 1/2
-        return CaseId.CASE5_QUADRANGLE
-    return CaseId.CASE6_TERWILLIGER
 
 
 # ----------------------------------------------------------------------
@@ -289,31 +268,20 @@ def _k3_chain(profile: PotentialProfile, case: CaseId) -> BoundTrace:
 
 def prove_optimal(profile: PotentialProfile) -> BoundTrace:
     """Audit the per-case chain for rho < 93/100 (94/101 only for Biggs-Smith)."""
-    return _prove(profile, _OPTIMAL.target, _optimal_chain)
+    return _prove(profile, _OPTIMAL.target)
 
 
-def _optimal_chain(profile: PotentialProfile, case: CaseId) -> BoundTrace:
-    return {
-        CaseId.CASE1_D2: _optimal_case1,
-        CaseId.CASE2_SMALL_VALENCY: _optimal_case2,
-        CaseId.CASE3_C2_EQ_1: _optimal_case3,
-        CaseId.CASE4_J3: _optimal_case4,
-        CaseId.CASE5_QUADRANGLE: _optimal_case5,
-        CaseId.CASE6_TERWILLIGER: _optimal_case6,
-    }[case](profile)
-
-
-def _optimal_case1(profile: PotentialProfile) -> BoundTrace:
+def _optimal_case1(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     b1 = profile.params.array.b[1]
     phi = profile.phi
     steps = (
         _step("initial_drop", phi[1], "<", phi[0] / b1),
         *_cap_ending(profile.ratio, Fraction(1, b1), Fraction(1, 2), "half_cap"),
     )
-    return _trace(profile, CaseId.CASE1_D2, steps)
+    return _trace(profile, case, steps)
 
 
-def _optimal_case2(profile: PotentialProfile) -> BoundTrace:
+def _optimal_case2(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     rho = profile.ratio
     name = VALENCY_34_MEMBERSHIP.get(profile.params.array)
     if name is None:
@@ -327,13 +295,13 @@ def _optimal_case2(profile: PotentialProfile) -> BoundTrace:
     if name == BIGGS_SMITH_NAME:
         return _trace(
             profile,
-            CaseId.CASE2_SMALL_VALENCY,
+            case,
             (_step("extremal_equality", rho, "==", BIGGS_SMITH_RATIO),),
             verdict=rho == BIGGS_SMITH_RATIO,
             extremal=True,
             notes=(f"matched classification row: {name} (the unique extremal array)",),
         )
-    return _direct(profile, CaseId.CASE2_SMALL_VALENCY, f"matched classification row: {name}")
+    return _direct(profile, case, f"matched classification row: {name}")
 
 
 def _split_j2_steps(profile: PotentialProfile) -> tuple[TraceStep, ...]:
@@ -358,14 +326,14 @@ def _j3_sum_cap(profile: PotentialProfile) -> list[TraceStep]:
     ]
 
 
-def _optimal_case3(profile: PotentialProfile) -> BoundTrace:
+def _optimal_case3(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     params = profile.params
     b = params.array.b
     phi = profile.phi
     j = params.j
 
     if j == 2:
-        return _trace(profile, CaseId.CASE3_C2_EQ_1, _split_j2_steps(profile), branch="j2")
+        return _trace(profile, case, _split_j2_steps(profile), branch="j2")
 
     if j == 3:
         steps = (
@@ -374,7 +342,7 @@ def _optimal_case3(profile: PotentialProfile) -> BoundTrace:
             _step("tail_split", profile.phi_sum(3), "<=", Fraction(5, 2) * phi[2]),
             *_j3_sum_cap(profile),
         )
-        return _trace(profile, CaseId.CASE3_C2_EQ_1, steps, branch="j3")
+        return _trace(profile, case, steps, branch="j3")
 
     # j >= 4: two deep-head subcases, both contracting by alpha2 = (b1-2)/(b1-1).
     # One of them always applies.  With c_2 = 1 and c_i < b_i for i <= 3 (as
@@ -385,7 +353,7 @@ def _optimal_case3(profile: PotentialProfile) -> BoundTrace:
         steps, branch = _ratio3_steps(profile, alpha2), "subcase1_ratio3"
     else:
         steps, branch = _product4_steps(profile, alpha2), "subcase2_product4"
-    return _trace(profile, CaseId.CASE3_C2_EQ_1, steps, alpha=alpha2, branch=branch)
+    return _trace(profile, case, steps, alpha=alpha2, branch=branch)
 
 
 def _head_ratio_cap(arr, lo: int, hi: int, alpha2: Fraction) -> list[TraceStep]:
@@ -490,7 +458,7 @@ def _product4_steps(profile: PotentialProfile, alpha2: Fraction) -> list[TraceSt
     return steps
 
 
-def _optimal_case4(profile: PotentialProfile) -> BoundTrace:
+def _optimal_case4(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     params = profile.params
     arr = params.array
     phi = profile.phi
@@ -540,12 +508,7 @@ def _optimal_case4(profile: PotentialProfile) -> BoundTrace:
         notes = (_QUADRANGLE_NOTE,)
 
     return _trace(
-        profile,
-        CaseId.CASE4_J3,
-        steps,
-        branch=branch,
-        assumption_dependent=bool(notes),
-        notes=notes,
+        profile, case, steps, branch=branch, assumption_dependent=bool(notes), notes=notes
     )
 
 
@@ -571,19 +534,19 @@ def _quadrangle_chain(profile: PotentialProfile) -> list[TraceStep]:
     ]
 
 
-def _optimal_case5(profile: PotentialProfile) -> BoundTrace:
+def _optimal_case5(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     if profile.params.j == 2:
         # a short tail needs no quadrangle machinery at all
         return _trace(
             profile,
-            CaseId.CASE5_QUADRANGLE,
+            case,
             _split_j2_steps(profile),
             branch="split_j2",
             notes=("head/tail split at j = 2: the tail bound alone suffices",),
         )
     return _trace(
         profile,
-        CaseId.CASE5_QUADRANGLE,
+        case,
         _quadrangle_chain(profile),
         branch="quadrangle",
         assumption_dependent=True,
@@ -591,7 +554,7 @@ def _optimal_case5(profile: PotentialProfile) -> BoundTrace:
     )
 
 
-def _optimal_case6(profile: PotentialProfile) -> BoundTrace:
+def _optimal_case6(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     params = profile.params
     phi = profile.phi
     b1 = params.array.b[1]
@@ -607,7 +570,7 @@ def _optimal_case6(profile: PotentialProfile) -> BoundTrace:
     )
     return _trace(
         profile,
-        CaseId.CASE6_TERWILLIGER,
+        case,
         steps,
         assumption_dependent=True,
         notes=(
@@ -615,3 +578,39 @@ def _optimal_case6(profile: PotentialProfile) -> BoundTrace:
             "from the array; preconditions are reported, not assumed",
         ),
     )
+
+
+# Tested in order: a test may assume every earlier test failed (so D >= 3 from case 2 on).
+CASES = (
+    CaseRow(
+        CaseId.D1_TRIVIAL, lambda p: p.D == 1, note="diameter 1: no interior potentials, rho = 0"
+    ),
+    CaseRow(
+        CaseId.COCKTAIL,
+        lambda p: is_cocktail_party(p.array),
+        note="b_1 = 1 (cocktail-party shape): verified by direct computation",
+    ),
+    CaseRow(CaseId.CASE1_D2, lambda p: p.D <= 2, _optimal_case1),
+    CaseRow(CaseId.CASE2_SMALL_VALENCY, lambda p: p.k in (3, 4), _optimal_case2),
+    CaseRow(
+        CaseId.CASE3_C2_EQ_1, lambda p: p.array.b[1] >= 3 and p.array.c[1] == 1, _optimal_case3
+    ),
+    CaseRow(
+        CaseId.CASE4_J3, lambda p: p.array.b[1] >= 3 and p.j == 3 and p.array.c[1] > 1, _optimal_case4
+    ),
+    # quadrangle detection from the array alone, c_2/b_2 > 1/2: sufficient condition only
+    CaseRow(CaseId.CASE5_QUADRANGLE, lambda p: 2 * p.array.c[1] > p.array.b[2], _optimal_case5),
+    CaseRow(CaseId.CASE6_TERWILLIGER, lambda p: True, _optimal_case6),
+)
+
+
+def _row(params: DerivedParams) -> CaseRow:
+    """The first row of `CASES` whose test holds; the last one holds for every array."""
+    for row in CASES:
+        if row.test(params):
+            return row
+
+
+def classify_case(params: DerivedParams) -> CaseId:
+    """First matching case for the optimal-bound analysis, in fixed order."""
+    return _row(params).case

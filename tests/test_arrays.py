@@ -73,6 +73,12 @@ def test_parse_rejects(text):
         parse_array(text)
 
 
+@pytest.mark.parametrize("value", [b"3;1", None, 3])
+def test_parse_rejects_a_non_string(value):
+    with pytest.raises(ArrayFormatError, match="^expected a string$"):
+        parse_array(value)
+
+
 def test_token_grammar_matches_the_reference_regex():
     """Every token of length <= 4 over a mixed alphabet, against ^[ ]*([0-9]+)[ ]*$."""
     reference = re.compile(r"^[ ]*([0-9]+)[ ]*$")

@@ -99,6 +99,8 @@ def _cases() -> dict[str, list[str]]:
     cases["oracle_petersen"] = ["oracle", "petersen"]
     cases["oracle_all"] = ["oracle", "--all"]
     cases["oracle_graph_file_fail"] = ["oracle", "--graph-file", "inputs/path3.txt"]
+    # 24 violations: five are printed, then the count of the rest
+    cases["oracle_graph_file_many_violations"] = ["oracle", "--graph-file", "inputs/path10.txt"]
     cases["batch_mixed"] = ["batch", "inputs/batch_mixed.txt"]
     # refusals: exit 2 and one `error:` line on stderr
     cases["oracle_unknown_name"] = ["oracle", "nope"]

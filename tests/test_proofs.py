@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,9 @@ from drg import (
     prove_k3,
     prove_optimal,
 )
-from drg.proofs import _deep_head, f_ratio
-from test_array_layer import _johnson, f_value
+from drg.arrays import is_cocktail_party
+from drg.proofs import CASES, TraceStep, _deep_head, f_ratio
+from test_array_layer import TRACES, _johnson, f_value
 
 OPTIMAL = Fraction(93, 100)
 
@@ -71,6 +73,49 @@ def test_f_peak_at_b1():
 )
 def test_classify(text, expected):
     assert classify_case(derive(parse_array(text))) == expected
+
+
+def classify_reference(params) -> CaseId:
+    """The if-chain that routed the cases before the `CASES` table."""
+    arr = params.array
+    D = arr.D
+    if D == 1:
+        return CaseId.D1_TRIVIAL
+    if is_cocktail_party(arr):
+        return CaseId.COCKTAIL
+    if D <= 2:
+        return CaseId.CASE1_D2
+    if params.k in (3, 4):
+        return CaseId.CASE2_SMALL_VALENCY
+    b1 = arr.b[1]
+    c2 = arr.c[1]
+    if b1 >= 3 and c2 == 1:
+        return CaseId.CASE3_C2_EQ_1
+    if b1 >= 3 and params.j == 3 and c2 > 1:
+        return CaseId.CASE4_J3
+    if 2 * c2 > arr.b[2]:
+        return CaseId.CASE5_QUADRANGLE
+    return CaseId.CASE6_TERWILLIGER
+
+
+def test_case_table_routes_as_the_if_chain(corpus):
+    """Every derivable corpus, catalog and traces.json array, and every row used."""
+    pinned = json.loads(TRACES.read_text(encoding="utf-8"))
+    selected = set()
+    for arr in dict.fromkeys(corpus + [parse_array(text) for text in pinned]):
+        try:
+            params = derive(arr)
+        except ValueError:
+            continue
+        case = classify_case(params)
+        assert case == classify_reference(params), arr
+        selected.add(case)
+    assert [row.case for row in CASES if row.case not in selected] == []
+
+
+def test_trace_step_rejects_an_unknown_relation():
+    with pytest.raises(ValueError, match="unknown relation '!='"):
+        TraceStep("phi_differs", Fraction(1), "!=", Fraction(2))
 
 
 # ----------------------------------------------------------------------
