@@ -61,7 +61,6 @@ _EXPORTS = {
         "prove_k3",
         "prove_optimal",
     ),
-    "tables": (),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

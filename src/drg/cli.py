@@ -24,6 +24,7 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -35,7 +36,7 @@ from .arrays import (
     parse_array,
     validate,
 )
-from .catalog import CatalogEntry, catalog_list, lookup, named_array_lines
+from .catalog import CatalogEntry, catalog_list, lookup
 from .fmt import approx_str, decimal_str, frac_str
 from .potentials import (
     check_resistance_cap,
@@ -417,8 +418,20 @@ def _or_too_long(render) -> str:
         return "too long to print"
 
 
+def _named_array_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """(lineno, name, array) per `name | array` or bare-array line; `#` comments.
+
+    Lines end at "\n", as in the line numbers of _read_text.
+    """
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            name, bar, array_text = (part.strip() for part in line.partition("|"))
+            yield (lineno, name, array_text) if bar else (lineno, line, line)
+
+
 def cmd_batch(args) -> int:
-    lines = _read_text(args.file, "batch file").splitlines()
+    text = _read_text(args.file, "batch file")
 
     bounds = proofs.BOUNDS
     # each target in a line's marks, as a decimal with no trailing zeros: 0.93, 2
@@ -426,7 +439,7 @@ def cmd_batch(args) -> int:
     below = [0] * len(bounds)  # how many valid lines meet each target
     total = valid = invalid = 0
     extremal_entries: list[str] = []
-    for lineno, label, array_text in named_array_lines(lines):
+    for lineno, label, array_text in _named_array_lines(text):
         total += 1
         try:
             arr = parse_array(array_text)

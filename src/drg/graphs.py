@@ -3,8 +3,8 @@
 The registry holds small named graphs (plus three parameterized
 families), each carrying the intersection array it is expected to
 realize.  A fixed graph is one FIXED row, name -> edge builder, and
-claims the array of the drg.tables row whose construction key is its
-name, so the catalog's own array is what the oracle checks; a family
+claims the array of the drg.catalog entry whose construction key is
+its name, so the catalog's own array is what the oracle checks; a family
 builds its claim from its parameter.  verify_drg checks
 distance-regularity from scratch, so a registry entry's claim is never
 trusted, always re-derived: one BFS from all sources at once on packed
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, count
 
 from .arrays import IntersectionArray, parse_array
-from .tables import EXTRA_TABLE, VALENCY_34_TABLE
+from .catalog import catalog_list
 
 # The most vertices a constructed or parsed graph may have, and the most
 # work n * m: verify_drg adds a packed row of n fields for every
@@ -369,6 +369,9 @@ def _diagnose(g: LabeledGraph) -> DistancePartitionReport:
 def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> LabeledGraph:
     """Build a graph from `u v` lines of ASCII digits (0-based); '#' comments and blanks allowed.
 
+    A line ends at each "\n" (with a "\r" just before it), so the other
+    characters that str.splitlines breaks at are whitespace in a line.
+
     A vertex index of MAX_VERTICES or more is refused on its line, and
     so is the line whose edge takes (largest index + 1) * (edges so far)
     above MAX_WORK.
@@ -392,7 +395,7 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
 
 def _edges_at_once(text: str) -> tuple[int, zip] | None:
     """(largest index, edges) when the whole text passes every check at once, else None."""
-    lines = text.splitlines()
+    lines = text.split("\n")
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
     rows = list(map(str.split, lines))
@@ -416,7 +419,8 @@ def _edges_by_line(text: str) -> tuple[int, list[tuple[int, int]]]:
     edges = []
     seen = set()
     top = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -528,7 +532,7 @@ FAMILIES: dict[str, tuple] = {
 
 # name -> (edge builder, *its arguments) of a fixed graph; the builder
 # returns (n, edges).  The graph's claim is the array of the one
-# drg.tables row whose construction key is the name (_CLAIMS).
+# catalog entry whose construction key is the name.
 FIXED: dict[str, tuple] = {
     # the 2-subsets of a 5-set, adjacent when disjoint
     "petersen": (_graph_on, _PAIRS, frozenset.isdisjoint),
@@ -549,12 +553,6 @@ FIXED: dict[str, tuple] = {
     "nonincidence_pg22": (_incidence, range(7), _FANO_LINES, lambda p, line: p not in line),
 }
 
-_CLAIMS = {
-    key: parse_array(text)
-    for _, _, text, _, key in VALENCY_34_TABLE + EXTRA_TABLE
-    if key in FIXED
-}
-
 
 def registry_names() -> tuple[str, ...]:
     return (*FAMILIES, *FIXED)
@@ -571,7 +569,8 @@ def construct(name: str, param: int | None = None) -> LabeledGraph:
         if param is not None:
             raise ValueError(f"construction {name!r} takes no parameter")
         builder, *args = FIXED[name]
-        return LabeledGraph(*builder(*args), name, _CLAIMS[name])
+        claim = next(e.array for e in catalog_list() if e.constructible == name)
+        return LabeledGraph(*builder(*args), name, claim)
     try:
         builder, default, size = FAMILIES[name]
     except KeyError:

@@ -37,9 +37,9 @@ from enum import Enum
 from fractions import Fraction
 
 from .arrays import DerivedParams, is_cocktail_party
+from .catalog import table_entries
 from .fmt import approx_str
 from .potentials import PotentialProfile
-from .tables import BIGGS_SMITH_NAME, VALENCY_34_MEMBERSHIP
 
 BIGGS_SMITH_RATIO = Fraction(94, 101)
 
@@ -283,8 +283,8 @@ def _optimal_case1(profile: PotentialProfile, case: CaseId) -> BoundTrace:
 
 def _optimal_case2(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     rho = profile.ratio
-    name = VALENCY_34_MEMBERSHIP.get(profile.params.array)
-    if name is None:
+    entry = table_entries().get(profile.params.array)
+    if entry is None:
         return _direct(
             profile,
             CaseId.UNCLASSIFIED,
@@ -292,16 +292,16 @@ def _optimal_case2(profile: PotentialProfile, case: CaseId) -> BoundTrace:
             "classification table; verdict computed directly from rho",
             proof_path_available=False,
         )
-    if name == BIGGS_SMITH_NAME:
+    if entry.extremal:
         return _trace(
             profile,
             case,
             (_step("extremal_equality", rho, "==", BIGGS_SMITH_RATIO),),
             verdict=rho == BIGGS_SMITH_RATIO,
             extremal=True,
-            notes=(f"matched classification row: {name} (the unique extremal array)",),
+            notes=(f"matched classification row: {entry.name} (the unique extremal array)",),
         )
-    return _direct(profile, case, f"matched classification row: {name}")
+    return _direct(profile, case, f"matched classification row: {entry.name}")
 
 
 def _split_j2_steps(profile: PotentialProfile) -> tuple[TraceStep, ...]:

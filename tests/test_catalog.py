@@ -8,9 +8,8 @@ import pytest
 
 from drg import catalog, catalog_list, construct, derive, lookup, parse_array, slugify
 from drg import graphs
-from drg.catalog import _build_entry
+from drg.catalog import _build_entry, table_entries
 from drg.fmt import decimal_places, decimal_str
-from drg.tables import VALENCY_34_MEMBERSHIP, VALENCY_34_TABLE
 
 
 def test_catalog_sizes():
@@ -19,10 +18,12 @@ def test_catalog_sizes():
     assert len([e for e in entries if e.supplementary]) == 3
 
 
-def test_valency_34_membership_is_keyed_by_the_parsed_array():
-    assert len(VALENCY_34_MEMBERSHIP) == len(VALENCY_34_TABLE)
-    for name, _, text, _, _ in VALENCY_34_TABLE:
-        assert VALENCY_34_MEMBERSHIP[parse_array(text)] == name
+def test_table_entries_map_each_table_row_and_no_extra():
+    by_array = table_entries()
+    for entry in catalog_list():
+        assert by_array.get(entry.array) == (None if entry.supplementary else entry)
+    assert [e.name for e in by_array.values()] == [name for name, *_ in catalog.VALENCY_34_TABLE]
+    assert by_array.get(parse_array("4,3,3,3,3;1,1,1,1,4")) is None
 
 
 def test_every_entry_is_self_verifying(paper_rows):
@@ -94,7 +95,7 @@ def test_fixed_constructions_and_parameterless_catalog_keys_match_one_to_one():
     assert sorted(fixed) == sorted(graphs.FIXED)  # each fixed name is exactly one row's key
     for e in catalog_list():
         if e.constructible in graphs.FIXED:
-            assert construct(e.constructible).claimed_array == e.array
+            assert construct(e.constructible).claimed_array is e.array  # the entry's own object
 
 
 def test_entry_builder_rejects_wrong_vertex_count():

@@ -286,6 +286,41 @@ def test_non_utf8_file_names_path_and_line(tmp_path, capsys, argv, what, good_li
     assert err.endswith(f"in position {4 * good_lines + 5}: invalid continuation byte\n")
 
 
+# the characters other than "\n" and "\r" that str.splitlines breaks at
+_INLINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("brk", ("\r\n", *(c + "\n" for c in _INLINE_BREAKS)), ids=ascii)
+def test_graph_file_lines_end_at_each_newline(tmp_path, capsys, brk):
+    # numbered like the line of a non-UTF-8 byte; a CRLF break keeps its "\r" out of the message
+    path = tmp_path / "edges.txt"
+    path.write_bytes(f"0 1{brk}2 x\r\n".encode())
+    code, out, err = run(capsys, "oracle", "--graph-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: vertex indices must be ASCII digits, got '2 x'\n"
+
+
+def test_batch_lines_end_at_each_newline(tmp_path, capsys):
+    path = tmp_path / "batch.txt"
+    path.write_bytes("a | 3;1\u2028b | 3,2;1\nc | 9;9\n".encode())
+    code, out, _ = run(capsys, "batch", str(path))
+    assert out.splitlines()[:3] == [
+        "line 1: a: parse error: expected exactly one ';' in '3;1\\u2028b | 3,2;1'",
+        "line 2: c: parse error: c_1 must equal 1, got 9",
+        "batch summary: 2 entries, 0 valid, 2 invalid",
+    ]
+
+
+def test_batch_crlf_file_prints_what_its_lf_form_prints(tmp_path, capsys):
+    path = tmp_path / "batch.txt"
+    results = []
+    for brk in ("\n", "\r\n"):
+        path.write_bytes(f"Cube | 3,2,1;1,2,3{brk}# c{brk}c | 9;9 # c{brk}3;1{brk}".encode())
+        results.append(run(capsys, "batch", str(path)))
+    assert results[0] == results[1]
+    assert "line 3: c: parse error" in results[0][1]
+
+
 @pytest.mark.parametrize("cmd", ("analyze", "validate"))
 @pytest.mark.parametrize(
     "text", ("9" * 5000 + ";1", "3;" + "9" * 5000), ids=("long_b", "long_c")

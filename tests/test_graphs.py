@@ -484,7 +484,8 @@ def per_line_parse_edge_list(text, name="", claimed=None):
     edges = []
     seen = set()
     top = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -531,13 +532,17 @@ def _graph_or_refusal(read, text):
 _CUBE_10 = "".join(f"{u} {v}\n" for u, v in construct("hypercube", 10).edges)
 
 EDGE_TEXTS = {
-    # line breaks that str.splitlines knows, and whitespace inside a line
+    # CRLF breaks; the other breaks that str.splitlines knows, which are
+    # whitespace inside a line; and whitespace inside a line
     "crlf": "0 1\r\n1 2\r\n",
+    "crlf-refusal": "0 1\r\n1 2 3\r\n",
+    "cr-alone": "0 1\r1 2\n",
     "vt": "0 1\x0b1 2",
     "ff": "0 1\x0c1 2",
     "fs": "0 1\x1c1 2\x1d2 3\x1e3 0",
     "nel": "0 1\x851 2",
     "line-separator": "0 1\u20281 2\u2029",
+    "ff-at-line-end": "0 1\x0c\n1 2\x85\n",
     "tabs": "0\t1\n\t1 \t 2\t\n",
     "blank-lines": "\n\n0 1\n\n\n1 2\n\n",
     "comments": "# a triangle\n0 1 # first\n1 2#second\n#\n2 0 # 5 6\n",

@@ -63,6 +63,15 @@ def test_the_catalog_loads_no_graph_proof_or_cli_module():
     assert {"graphs", "oracle", "linalg", "proofs", "cli"}.isdisjoint(loaded["loaded"])
 
 
+def test_the_proofs_load_no_graph_or_cli_module():
+    loaded = _fresh_interpreter(
+        "import drg.proofs\n"
+        "print(json.dumps(loaded()))\n"
+    )
+    assert "catalog" in loaded
+    assert {"graphs", "oracle", "linalg", "cli"}.isdisjoint(loaded)
+
+
 def test_analyze_loads_no_graph_module():
     run = _fresh_interpreter(
         "import contextlib, io, drg.cli\n"
