@@ -25,9 +25,10 @@ relation (_incidence).
 
 No graph above MAX_VERTICES vertices or MAX_WORK = n * m is built:
 construct checks a family's n and m from its parameter and
-parse_edge_list checks the caps on the whole text, or line by line for
-text that fails a check, before any edge list or n x n matrix exists;
-it names the line of every refusal but an empty list.
+parse_edge_list checks the caps on all the rows of the text at once,
+split once, before any edge list or n x n matrix exists.  It walks
+those rows line by line only to refuse text it cannot build, and names
+the line of every refusal but an empty list.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations, count
+from typing import NoReturn
 
 from .arrays import IntersectionArray, parse_array
 from .catalog import catalog_list
@@ -376,55 +378,51 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
     so is the line whose edge takes (largest index + 1) * (edges so far)
     above MAX_WORK.
 
-    The whole text is checked at once: every line has 0 or 2 tokens,
-    the tokens together are ASCII digits, and the caps hold for the
-    final largest index and edge count, which pass on every line when
-    they pass at the end, as both only grow.  Text that fails is read
-    line by line (_edges_by_line) for the refusal of its first bad line,
-    and so is text with a loop or a repeated edge, which only
-    LabeledGraph finds on the whole edge list.
+    The text is split into lines and tokens once, and the rows are
+    checked at once: every line has 0 or 2 tokens, the tokens together
+    are ASCII digits, and the caps hold for the final largest index and
+    edge count, which pass on every line when they pass at the end, as
+    both only grow.  The claim is read next, then LabeledGraph builds
+    the graph.  Text that fails the check, or whose graph LabeledGraph
+    refuses (a loop or a repeated edge), goes to _refuse_first_bad_line,
+    which walks the rows already split and raises the refusal of the
+    first bad line.
     """
-    top, edges = _edges_at_once(text) or _edges_by_line(text)
-    arr = parse_array(claimed) if claimed else None
-    try:
-        return LabeledGraph(top + 1, edges, name=name, claimed_array=arr)
-    except ValueError:
-        _edges_by_line(text)  # refuses the loop or the repeated edge on its line
-        raise
-
-
-def _edges_at_once(text: str) -> tuple[int, zip] | None:
-    """(largest index, edges) when the whole text passes every check at once, else None."""
     lines = text.split("\n")
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    rows = list(map(str.split, lines))
+    rows = list(map(str.split, [line.split("#", 1)[0] for line in lines] if "#" in text else lines))
     tokens = list(chain.from_iterable(rows))
     digits = "".join(tokens)
-    if not (set(map(len, rows)) <= {0, 2} and digits.isascii() and digits.isdigit()):
-        return None
-    try:
-        numbers = list(map(int, tokens))
-    except ValueError:  # beyond sys.get_int_max_str_digits()
-        return None
-    top = max(numbers)
-    if top >= MAX_VERTICES or (top + 1) * (len(numbers) // 2) > MAX_WORK:
-        return None
-    pairs = iter(numbers)
-    return top, zip(pairs, pairs)
+    numbers: list[int] = []
+    if set(map(len, rows)) <= {0, 2} and digits.isascii() and digits.isdigit():
+        try:
+            numbers = list(map(int, tokens))
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            pass
+    top = max(numbers, default=MAX_VERTICES)
+    if top < MAX_VERTICES and (top + 1) * (len(numbers) // 2) <= MAX_WORK:
+        arr = parse_array(claimed) if claimed else None
+        pairs = iter(numbers)
+        try:
+            return LabeledGraph(top + 1, zip(pairs, pairs), name=name, claimed_array=arr)
+        except ValueError:  # a loop or a repeated edge, refused on its line below
+            pass
+    _refuse_first_bad_line(lines, rows)
 
 
-def _edges_by_line(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """(largest index, edges) of an edge list, or the refusal of its first bad line."""
-    edges = []
-    seen = set()
+def _refuse_first_bad_line(lines: list[str], rows: list[list[str]]) -> NoReturn:
+    """Raise the refusal of the first bad line of an edge list: lines[i] as
+    split at "\n", rows[i] its tokens before any '#'.
+
+    Only text that parse_edge_list could not build reaches here, and
+    each of its checks fails on some line when it fails at all, so a
+    walk that finds no bad line has found no edge.
+    """
+    seen: set[tuple[int, int]] = set()
     top = -1
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        raw = raw.removesuffix("\r")
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, (raw, parts) in enumerate(zip(lines, rows), start=1):
+        if not parts:
             continue
-        parts = line.split()
+        raw = raw.removesuffix("\r")
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
         if not all(part.isascii() and part.isdigit() for part in parts):
@@ -444,16 +442,13 @@ def _edges_by_line(text: str) -> tuple[int, list[tuple[int, int]]]:
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate edge {key}")
         seen.add(key)
-        edges.append((u, v))
         top = max(top, u, v)
-        if (top + 1) * len(edges) > MAX_WORK:
+        if (top + 1) * len(seen) > MAX_WORK:
             raise ValueError(
-                f"line {lineno}: n*m = {top + 1}*{len(edges)} is beyond the "
+                f"line {lineno}: n*m = {top + 1}*{len(seen)} is beyond the "
                 f"work cap of {MAX_WORK}"
             )
-    if not edges:
-        raise ValueError("edge list is empty")
-    return top, edges
+    raise ValueError("edge list is empty")
 
 
 def _lcf(pattern: list[int], repeats: int) -> tuple[int, set[tuple[int, int]]]:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drg import (
+    ArrayFormatError,
     IntersectionArray,
     LabeledGraph,
     construct,
@@ -117,6 +118,8 @@ def test_invalid_parameters():
         construct("hypercube", 1)
     with pytest.raises(ValueError):
         construct("complete", 1)
+    with pytest.raises(ValueError, match="cocktail party graph needs m >= 2"):
+        construct("cocktail_party", 1)
     with pytest.raises(ValueError):
         construct("no_such_graph")
     with pytest.raises(ValueError):
@@ -157,6 +160,13 @@ def test_graph_structural_errors():
         LabeledGraph(3, [(0, 1), (1, 0)])  # duplicate
     with pytest.raises(ValueError):
         LabeledGraph(3, [(0, 5)])  # out of range
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        LabeledGraph(0, [])
+
+
+def test_repr_names_the_graph_and_its_counts():
+    assert repr(construct("petersen")) == "<LabeledGraph petersen: n=10, m=15>"
+    assert repr(LabeledGraph(3, [(0, 1)])) == "<LabeledGraph graph: n=3, m=1>"
 
 
 def test_parse_edge_list_round_trip():
@@ -259,6 +269,18 @@ def _reference_cases():
         relabelled(construct("coxeter"), None),
     ]
     return cases
+
+
+@pytest.mark.parametrize(
+    "g",
+    [construct(name) for name in registry_names()]
+    + [construct("hypercube", d) for d in (4, 5, 6)],
+    ids=lambda g: g.name,
+)
+def test_diagnose_builds_the_report_of_an_accepted_graph(g):
+    # the per-base scan, which verify_drg runs only on a graph it does not
+    # accept, gives the kernel's report on every distance-regular graph
+    assert graphs._diagnose(g) == verify_drg(g)
 
 
 @pytest.mark.parametrize("g", _reference_cases(), ids=lambda g: g.name)
@@ -588,11 +610,30 @@ def test_parse_edge_list_matches_the_per_line_reader(key):
 
 
 def test_valid_text_is_not_read_line_by_line(monkeypatch):
-    def refuse(text):
+    def refuse(lines, rows):
         raise AssertionError("read line by line")
 
-    monkeypatch.setattr(graphs, "_edges_by_line", refuse)
+    monkeypatch.setattr(graphs, "_refuse_first_bad_line", refuse)
     assert parse_edge_list("0 1\n1 2\n2 0\n").edges == ((0, 1), (0, 2), (1, 2))
+
+
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        ("0 1\n1 2\n2 0\n", "expected exactly one ';'"),
+        ("0 1\n1 x\n", "line 2: vertex indices must be ASCII digits"),
+        ("0 1\n0 1024\n", "line 2: vertex 1024 is beyond the cap"),
+        ("", "edge list is empty"),
+        # the claim is read after the check on all rows, before LabeledGraph
+        # finds a loop or a repeated edge
+        ("0 1\n1 0\n", "expected exactly one ';'"),
+    ],
+    ids=("good-edges", "bad-token", "past-the-vertex-cap", "empty", "repeated-edge"),
+)
+def test_a_malformed_claim_is_read_after_the_check_on_all_rows(text, refusal):
+    with pytest.raises(ValueError, match=refusal) as caught:
+        parse_edge_list(text, claimed="3,2")
+    assert isinstance(caught.value, ArrayFormatError) == refusal.startswith("expected")
 
 
 @pytest.mark.parametrize(
