@@ -21,6 +21,7 @@ each target.  Only `oracle` imports the graph side (`graphs`, `oracle`,
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import os
 import sys
@@ -54,7 +55,8 @@ class _Refusal(Exception):
 
 
 def _read_text(path: str, what: str) -> str:
-    """The file at `path` decoded as UTF-8; `what` names it in a refusal.
+    """The file at `path` decoded as UTF-8, less one leading byte-order
+    mark; `what` names it in a refusal.
 
     A file that cannot be read is refused with `cannot read <what>: ...`,
     and one that is not UTF-8 with `path:line: cannot read <what>: ...`,
@@ -62,12 +64,12 @@ def _read_text(path: str, what: str) -> str:
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise _Refusal(f"cannot read {what}: {exc}") from exc
     try:
         return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # exc.start counts from after the mark
         line = data.count(b"\n", 0, exc.start) + 1
         raise _Refusal(f"{path}:{line}: cannot read {what}: {exc}") from exc
 
@@ -367,6 +369,8 @@ def _oracle_one(g) -> bool:
         )
         for u, v, got in cls.mismatches[:5]:
             print(f"      mismatch at ({u},{v}): solver {approx_str(got)}")
+        if len(cls.mismatches) > 5:
+            print(f"      ... {len(cls.mismatches) - 5} more mismatch(es)")
     print(f"   result: {'PASS' if result.ok else 'FAIL'}")
     return result.ok
 

@@ -212,6 +212,29 @@ def test_oracle_graph_file_missing(capsys):
     assert code == 2
 
 
+def test_oracle_counts_the_mismatches_it_does_not_print(monkeypatch, capsys):
+    def wrong_r1(params):
+        """The formula's profile with r_1 moved by 1/1000, so every edge mismatches."""
+        profile = compute_profile(params)
+        rs = (profile.resistances[0] + Fraction(1, 1000), *profile.resistances[1:])
+        return dataclasses.replace(profile, resistances=rs)
+
+    monkeypatch.setattr(oracle, "compute_profile", wrong_r1)
+    code, out, _ = run(capsys, "oracle", "petersen")
+    assert code == 1
+    assert out.splitlines()[3:] == [
+        "   d=1: formula 601/1000 (≈ 0.601000) vs solver, 15 pair(s) [FAIL]",
+        *(
+            f"      mismatch at ({u},{v}): solver 3/5 (≈ 0.600000)"
+            for u, v in ((0, 7), (0, 8), (0, 9), (1, 5), (1, 6))
+        ),
+        "      ... 10 more mismatch(es)",
+        "   d=2: formula 4/5 (≈ 0.800000) vs solver, 30 pair(s) [OK]",
+        "   result: FAIL",
+        "oracle summary: 0/1 PASS",
+    ]
+
+
 def test_batch_mixed_file(tmp_path, capsys):
     path = tmp_path / "batch.txt"
     path.write_text(
@@ -309,6 +332,37 @@ def test_batch_lines_end_at_each_newline(tmp_path, capsys):
         "line 2: c: parse error: c_1 must equal 1, got 9",
         "batch summary: 2 entries, 0 valid, 2 invalid",
     ]
+
+
+def test_batch_file_reads_past_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "batch.txt"
+    results = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + b"3,2;1,1\nCube | 3,2,1;1,2,3\n")
+        results.append(run(capsys, "batch", str(path)))
+    # the mark is neither a token of the bare array nor a character of the name
+    assert results[0] == results[1]
+    assert results[1][1].splitlines()[:2] == [
+        "line 1: 3,2;1,1: valid rho=1/3 (≈ 0.333333) [rho<0.93 yes] [rho<2 yes]",
+        "line 2: Cube: valid rho=3/7 (≈ 0.428571) [rho<0.93 yes] [rho<2 yes]",
+    ]
+
+
+def test_graph_file_reads_past_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"\xef\xbb\xbf0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    code, out, _ = run(capsys, "oracle", "--graph-file", str(path))
+    assert code == 0
+    assert "formula 1/2" in out
+
+
+@pytest.mark.parametrize("argv, what", ((("batch",), "batch file"), (("oracle", "--graph-file"), "graph file")))
+def test_a_byte_order_mark_moves_no_line_number(tmp_path, capsys, argv, what):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xef\xbb\xbfab\n\xff\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}:2: cannot read {what}: ")
 
 
 def test_batch_crlf_file_prints_what_its_lf_form_prints(tmp_path, capsys):
