@@ -27,16 +27,6 @@ from .graphs import DistancePartitionReport, LabeledGraph, verify_drg
 from .potentials import compute_profile
 
 
-def _laplacian(g: LabeledGraph) -> linalg.Matrix:
-    """The integer Laplacian L = D - A."""
-    m = [[0] * g.n for _ in range(g.n)]
-    for v in range(g.n):
-        m[v][v] = g.degree(v)
-    for u, v in g.edges:
-        m[u][v] = m[v][u] = -1
-    return m
-
-
 def resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
     """All-pairs resistances from one fraction-free elimination on [L0 | I].
 
@@ -53,7 +43,13 @@ def resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
 def _resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
     """resistance_matrix on a graph already known to be connected."""
     n = g.n
-    grounded = [row[1:] for row in _laplacian(g)[1:]]
+    # L0 built directly: row and column v - 1 are vertex v's
+    grounded = [[0] * (n - 1) for _ in range(n - 1)]
+    for v in range(1, n):
+        grounded[v - 1][v - 1] = g.degree(v)
+    for u, v in g.edges:
+        if u:  # u < v, so an edge at vertex 0 has u = 0 and no entry in L0
+            grounded[u - 1][v - 1] = grounded[v - 1][u - 1] = -1
     identity = [[int(r == c) for c in range(1, n)] for r in range(1, n)]
     tau, adj = linalg.fraction_free_solve(grounded, identity)
     a = [[0] * n] + [[0] + row for row in adj]
