@@ -40,7 +40,6 @@ _EXPORTS = {
         "registry_names",
         "verify_drg",
     ),
-    "linalg": (),
     "oracle": ("cross_validate", "kirchhoff_certifies", "resistance_matrix"),
     "potentials": (
         "PotentialProfile",

@@ -14,8 +14,8 @@ keeps exact `Fraction` and `BoundTrace` values.  `--json` prints it with
 rational as {"num", "den"} strings; the text form is rendered from the
 same dict by `_text_lines`.  The ratio bounds are the rows of
 `proofs.BOUNDS`: `--prove` takes their names, and batch marks and counts
-each target.  Only `oracle` imports the graph side (`graphs`, `oracle`,
-`linalg`), when it runs, so the other commands start without it.
+each target.  Only `oracle` imports the graph side (`graphs` and
+`oracle`), when it runs, so the other commands start without it.
 """
 
 from __future__ import annotations
@@ -425,13 +425,15 @@ def _or_too_long(render) -> str:
 def _named_array_lines(text: str) -> Iterator[tuple[int, str, str]]:
     """(lineno, name, array) per `name | array` or bare-array line; `#` comments.
 
+    A line with an empty name is named by its array text, or by the
+    whole line when that is empty too.
     Lines end at "\n", as in the line numbers of _read_text.
     """
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             name, bar, array_text = (part.strip() for part in line.partition("|"))
-            yield (lineno, name, array_text) if bar else (lineno, line, line)
+            yield lineno, name or array_text or line, array_text if bar else line
 
 
 def cmd_batch(args) -> int:

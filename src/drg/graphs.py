@@ -27,8 +27,8 @@ No graph above MAX_VERTICES vertices or MAX_WORK = n * m is built:
 construct checks a family's n and m from its parameter and
 parse_edge_list checks the caps on all the rows of the text at once,
 split once, before any edge list or n x n matrix exists.  It walks
-those rows line by line only to refuse text it cannot build, and names
-the line of every refusal but an empty list.
+those rows line by line only to refuse text it cannot build, names the
+line of every refusal but an empty list, and reads a claim last.
 """
 
 from __future__ import annotations
@@ -280,23 +280,17 @@ def verify_drg(g: LabeledGraph) -> DistancePartitionReport:
     kept = g._drg_report
     if kept is not None and kept[0] is g.adjacency and kept[1] == g.claimed_array:
         return kept[2]
-    report = _verify(g)
+    certified = _certify(g)  # (distances, b, c), or None
+    observed = None if certified is None else IntersectionArray(*certified[1:])
+    if observed is None or g.claimed_array not in (None, observed):
+        report = _diagnose(g)
+    else:
+        report = DistancePartitionReport(
+            is_drg=True, observed_array=observed, violations=(), diameter=observed.D,
+            distances=certified[0],
+        )
     g._drg_report = (g.adjacency, g.claimed_array, report)
     return report
-
-
-def _verify(g: LabeledGraph) -> DistancePartitionReport:
-    """verify_drg from scratch."""
-    certified = _certify(g)
-    if certified is None:
-        return _diagnose(g)
-    dist, b, c = certified
-    observed = IntersectionArray(b, c)
-    if g.claimed_array is not None and g.claimed_array != observed:
-        return _diagnose(g)
-    return DistancePartitionReport(
-        is_drg=True, observed_array=observed, violations=(), diameter=len(b), distances=dist
-    )
 
 
 def _diagnose(g: LabeledGraph) -> DistancePartitionReport:
@@ -382,8 +376,9 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
     checked at once: every line has 0 or 2 tokens, the tokens together
     are ASCII digits, and the caps hold for the final largest index and
     edge count, which pass on every line when they pass at the end, as
-    both only grow.  The claim is read next, then LabeledGraph builds
-    the graph.  Text that fails the check, or whose graph LabeledGraph
+    both only grow.  LabeledGraph then builds the graph, and the claim
+    is read last, so every refusal of the edges comes before one of the
+    claim.  Text that fails the check, or whose graph LabeledGraph
     refuses (a loop or a repeated edge), goes to _refuse_first_bad_line,
     which walks the rows already split and raises the refusal of the
     first bad line.
@@ -400,12 +395,15 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
             pass
     top = max(numbers, default=MAX_VERTICES)
     if top < MAX_VERTICES and (top + 1) * (len(numbers) // 2) <= MAX_WORK:
-        arr = parse_array(claimed) if claimed else None
         pairs = iter(numbers)
         try:
-            return LabeledGraph(top + 1, zip(pairs, pairs), name=name, claimed_array=arr)
+            g = LabeledGraph(top + 1, zip(pairs, pairs), name=name)
         except ValueError:  # a loop or a repeated edge, refused on its line below
             pass
+        else:
+            # a fresh graph has no kept report, so the claim may be set now
+            g.claimed_array = parse_array(claimed) if claimed else None
+            return g
     _refuse_first_bad_line(lines, rows)
 
 

@@ -11,7 +11,9 @@ rows of n, a zero diagonal, the array's n is g.n) are checked on the
 distance rows.  Only when the certificate fails does it
 solve for the resistances by fraction-free integer elimination on the
 grounded Laplacian (resistance_matrix), the O(n^3) diagnostic that
-lists every mismatching pair.
+lists every mismatching pair.  fraction_free_solve is that elimination
+(Bareiss): every update is an exact integer division, so no gcd is taken
+and every entry stays a minor of the input.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from . import linalg
 from .arrays import derive
 from .graphs import DistancePartitionReport, LabeledGraph, verify_drg
 from .potentials import compute_profile
+
+Matrix = list[list[int]]
 
 
 def resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
@@ -33,15 +36,11 @@ def resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
     L0 is L with vertex 0's row and column removed.  The elimination
     returns tau = det L0, the number of spanning trees, and
     A = adj L0 = tau * L0^-1, bordered here by zeros for vertex 0; then
-    r(u,v) = (A_uu + A_vv - 2 A_uv) / tau.
+    r(u,v) = (A_uu + A_vv - 2 A_uv) / tau.  A disconnected g is refused
+    after one BFS, before the O(n^3) elimination.
     """
     if not g.is_connected():
         raise ValueError("graph is disconnected")
-    return _resistance_matrix(g)
-
-
-def _resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
-    """resistance_matrix on a graph already known to be connected."""
     n = g.n
     # L0 built directly: row and column v - 1 are vertex v's
     grounded = [[0] * (n - 1) for _ in range(n - 1)]
@@ -51,12 +50,47 @@ def _resistance_matrix(g: LabeledGraph) -> list[list[Fraction]]:
         if u:  # u < v, so an edge at vertex 0 has u = 0 and no entry in L0
             grounded[u - 1][v - 1] = grounded[v - 1][u - 1] = -1
     identity = [[int(r == c) for c in range(1, n)] for r in range(1, n)]
-    tau, adj = linalg.fraction_free_solve(grounded, identity)
+    tau, adj = fraction_free_solve(grounded, identity)
     a = [[0] * n] + [[0] + row for row in adj]
     nums = [[a[u][u] + a[v][v] - 2 * a[u][v] for v in range(n)] for u in range(n)]
     # Few distinct values (D on a distance-regular graph): reduce each once.
     values = {num: Fraction(num, tau) for num in set().union(*nums)}
     return [[values[num] for num in row] for row in nums]
+
+
+def fraction_free_solve(a: Matrix, b: Matrix) -> tuple[int, Matrix]:
+    """Return (det A, det A * A^-1 B) for a square integer A and integer B.
+
+    Gauss-Jordan on [A | B]: step k replaces each row i != k by
+    (p * row_i - row_i[k] * row_k) // prev, p being the pivot and prev
+    the previous one.  The last pivot is det(PA) for the row swaps P, and
+    the right block det(PA) (PA)^-1 PB; the swap parity fixes the sign.
+    Raises ValueError("singular matrix") when a pivot column is zero.
+    """
+    n = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            raise ValueError("singular matrix")
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        tail = rows[k][k + 1 :]
+        # Columns <= k are never read again, so only the tail is updated.
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            f = row[k]
+            if f:
+                pairs = zip(row[k + 1 :], tail)
+                row[k + 1 :] = [(pivot * x - f * y) // prev for x, y in pairs]
+            elif pivot != prev:
+                row[k + 1 :] = [pivot * x // prev for x in row[k + 1 :]]
+        prev = pivot
+    return sign * prev, [[sign * x for x in row[n:]] for row in rows]
 
 
 def kirchhoff_certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) -> bool:
@@ -259,7 +293,7 @@ def _solver_mismatches(
 
     r_0 = 0, so a diagonal entry is listed only when its distance is not 0.
     """
-    rmat = _resistance_matrix(g)  # verify_drg has refused a disconnected g
+    rmat = resistance_matrix(g)
     per_class = (0, *resistances)
     found: dict[int, list[tuple[int, int, Fraction]]] = {}
     for u, v in combinations_with_replacement(range(g.n), 2):

@@ -334,6 +334,20 @@ def test_batch_lines_end_at_each_newline(tmp_path, capsys):
     ]
 
 
+def test_batch_labels_a_line_with_an_empty_name_by_its_array(tmp_path, capsys):
+    # an empty name and a name of spaces only; a bare '|' is labelled by itself
+    path = tmp_path / "batch.txt"
+    path.write_text("| 3,2;1,1\n   |   3,2,1;1,2,3\n|\n")
+    code, out, _ = run(capsys, "batch", str(path))
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "line 1: 3,2;1,1: valid rho=1/3 (≈ 0.333333) [rho<0.93 yes] [rho<2 yes]",
+        "line 2: 3,2,1;1,2,3: valid rho=3/7 (≈ 0.428571) [rho<0.93 yes] [rho<2 yes]",
+        "line 3: |: parse error: expected exactly one ';' in ''",
+        "batch summary: 3 entries, 2 valid, 1 invalid",
+    ]
+
+
 def test_batch_file_reads_past_a_byte_order_mark(tmp_path, capsys):
     path = tmp_path / "batch.txt"
     results = []

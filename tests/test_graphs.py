@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from collections import deque
 from itertools import combinations
@@ -624,14 +625,14 @@ def test_valid_text_is_not_read_line_by_line(monkeypatch):
         ("0 1\n1 x\n", "line 2: vertex indices must be ASCII digits"),
         ("0 1\n0 1024\n", "line 2: vertex 1024 is beyond the cap"),
         ("", "edge list is empty"),
-        # the claim is read after the check on all rows, before LabeledGraph
-        # finds a loop or a repeated edge
-        ("0 1\n1 0\n", "expected exactly one ';'"),
+        # LabeledGraph finds a loop or a repeated edge before the claim is read
+        ("0 1\n1 0\n", "line 2: duplicate edge (0, 1)"),
+        ("0 1\n1 1\n", "line 2: loop at vertex 1"),
     ],
-    ids=("good-edges", "bad-token", "past-the-vertex-cap", "empty", "repeated-edge"),
+    ids=("good-edges", "bad-token", "past-the-vertex-cap", "empty", "repeated-edge", "loop"),
 )
-def test_a_malformed_claim_is_read_after_the_check_on_all_rows(text, refusal):
-    with pytest.raises(ValueError, match=refusal) as caught:
+def test_a_malformed_claim_is_read_after_every_edge_refusal(text, refusal):
+    with pytest.raises(ValueError, match=re.escape(refusal)) as caught:
         parse_edge_list(text, claimed="3,2")
     assert isinstance(caught.value, ArrayFormatError) == refusal.startswith("expected")
 

@@ -12,7 +12,7 @@ import pytest
 
 from drg import LabeledGraph, construct, cross_validate, derive, resistance_matrix
 from drg.graphs import registry_names
-from drg.linalg import fraction_free_solve
+from drg.oracle import fraction_free_solve
 
 
 # ----------------------------------------------------------------------

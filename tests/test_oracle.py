@@ -163,15 +163,16 @@ def _count_traversals(monkeypatch) -> dict[str, list]:
 def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
     # the n BFS run at once, level by level, in one call of graphs._certify
     calls = _count_traversals(monkeypatch)
-    # certified, and solved for the mismatches that the wrong r_1 leaves
-    for formula, ok in ((compute_profile, True), (wrong_r1, False)):
+    # certified, and solved for the mismatches that the wrong r_1 leaves:
+    # resistance_matrix checks its own premise, g connected, by one BFS from 0
+    for formula, ok, solver_bfs in ((compute_profile, True, []), (wrong_r1, False, [0])):
         monkeypatch.setattr(oracle, "compute_profile", formula)
         for record in calls.values():
             record.clear()
         g = construct("petersen")  # a fresh graph, which verify_drg has not counted
         assert cross_validate(g).ok is ok
         # one kernel run gives the distance matrix and shows g connected; no per-base BFS
-        assert calls == {"_certify": [g], "_bfs": []}
+        assert calls == {"_certify": [g], "_bfs": solver_bfs}
 
 
 def test_cross_validate_scans_a_non_drg_graph_base_by_base(monkeypatch):
@@ -555,7 +556,7 @@ def test_cross_validate_never_solves_when_certified(monkeypatch, name, param):
     def refuse(g):
         raise AssertionError("the solver was called")
 
-    monkeypatch.setattr(oracle, "_resistance_matrix", refuse)
+    monkeypatch.setattr(oracle, "resistance_matrix", refuse)
     result = cross_validate(construct(name, param))
     assert result.ok
     n = len(result.drg_report.distances)
@@ -611,13 +612,13 @@ def test_pairs_checked_counts_the_pairs_at_each_distance(name, param):
 def _solver_calls(monkeypatch) -> list:
     """Record each graph that cross_validate's solver fallback solves."""
     calls = []
-    solve = oracle._resistance_matrix
+    solve = oracle.resistance_matrix
 
     def counted(g):
         calls.append(g)
         return solve(g)
 
-    monkeypatch.setattr(oracle, "_resistance_matrix", counted)
+    monkeypatch.setattr(oracle, "resistance_matrix", counted)
     return calls
 
 

@@ -60,7 +60,7 @@ def test_the_catalog_loads_no_graph_proof_or_cli_module():
         "print(json.dumps({'rows': rows, 'loaded': loaded()}))\n"
     )
     assert loaded["rows"] > 0
-    assert {"graphs", "oracle", "linalg", "proofs", "cli"}.isdisjoint(loaded["loaded"])
+    assert {"graphs", "oracle", "proofs", "cli"}.isdisjoint(loaded["loaded"])
 
 
 def test_the_proofs_load_no_graph_or_cli_module():
@@ -69,7 +69,7 @@ def test_the_proofs_load_no_graph_or_cli_module():
         "print(json.dumps(loaded()))\n"
     )
     assert "catalog" in loaded
-    assert {"graphs", "oracle", "linalg", "cli"}.isdisjoint(loaded)
+    assert {"graphs", "oracle", "cli"}.isdisjoint(loaded)
 
 
 def test_analyze_loads_no_graph_module():
@@ -80,7 +80,7 @@ def test_analyze_loads_no_graph_module():
         "print(json.dumps({'code': code, 'out': out.getvalue(), 'loaded': loaded()}))\n"
     )
     assert run["code"] == 0 and "name: Petersen" in run["out"]
-    assert {"graphs", "oracle", "linalg"}.isdisjoint(run["loaded"])
+    assert {"graphs", "oracle"}.isdisjoint(run["loaded"])
 
 
 def test_submodules_resolve_before_anything_imports_them():
