@@ -16,10 +16,11 @@ array, or a second call of either, runs the checks once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd
+
+from ._record import Record, set_field
 
 # parse_array refuses an array of larger diameter before converting an entry:
 # validate() counts up to D^2/2 pairs for an array failing condition (iii).
@@ -34,27 +35,27 @@ class ArrayFormatError(ValueError):
     """Input text does not match the `b0,...,b_{D-1};c1,...,cD` grammar."""
 
 
-@dataclass(frozen=True)
-class IntersectionArray:
+class IntersectionArray(Record):
     """The sequences (b_0,...,b_{D-1}; c_1,...,c_D), all entries positive."""
 
-    b: tuple[int, ...]
-    c: tuple[int, ...]
+    _fields = ("b", "c")
+    # _validation is validate()'s kept tuple (see _checked), not a field
+    __slots__ = (*_fields, "_validation")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(self.b))
-        object.__setattr__(self, "c", tuple(self.c))
-        if not self.b or not self.c:
+    def __init__(self, b: tuple[int, ...], c: tuple[int, ...]) -> None:
+        b, c = tuple(b), tuple(c)
+        if not b or not c:
             raise ValueError("both sequences must be non-empty")
-        if len(self.b) != len(self.c):
-            raise ValueError(
-                f"unequal sequence lengths: {len(self.b)} vs {len(self.c)}"
-            )
-        for v in (*self.b, *self.c):
+        if len(b) != len(c):
+            raise ValueError(f"unequal sequence lengths: {len(b)} vs {len(c)}")
+        for v in (*b, *c):
             if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
                 raise ValueError(f"entries must be positive integers, got {v!r}")
-        if self.c[0] != 1:
-            raise ValueError(f"c_1 must equal 1, got {self.c[0]}")
+        if c[0] != 1:
+            raise ValueError(f"c_1 must equal 1, got {c[0]}")
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "_validation", None)
 
     @property
     def D(self) -> int:
@@ -146,8 +147,7 @@ def sphere_sizes_exact(arr: IntersectionArray) -> tuple[Fraction, ...]:
     return tuple(Fraction(num, den) for num, den in _sphere_pairs(arr.b, arr.c))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of every feasibility check, plus the standing-assumption flags.
 
     validate() makes one report per array object and returns it on every
@@ -159,19 +159,51 @@ class ValidationReport:
     in (i, j) order and condition_iii_count how many there are in all.
     """
 
-    array: IntersectionArray
-    condition_i: bool
-    condition_ii: bool
-    condition_iii: bool
-    condition_iii_failures: tuple[tuple[int, int], ...]
-    condition_iii_count: int
-    integral_spheres: bool
-    non_integral_at: tuple[int, ...]
-    nonnegative_a: bool
-    negative_a_at: tuple[int, ...]
-    handshake_even: bool
-    k_ge_3: bool
-    b1_ge_2: bool
+    __slots__ = _fields = (
+        "array",
+        "condition_i",
+        "condition_ii",
+        "condition_iii",
+        "condition_iii_failures",
+        "condition_iii_count",
+        "integral_spheres",
+        "non_integral_at",
+        "nonnegative_a",
+        "negative_a_at",
+        "handshake_even",
+        "k_ge_3",
+        "b1_ge_2",
+    )
+
+    def __init__(
+        self,
+        array: IntersectionArray,
+        condition_i: bool,
+        condition_ii: bool,
+        condition_iii: bool,
+        condition_iii_failures: tuple[tuple[int, int], ...],
+        condition_iii_count: int,
+        integral_spheres: bool,
+        non_integral_at: tuple[int, ...],
+        nonnegative_a: bool,
+        negative_a_at: tuple[int, ...],
+        handshake_even: bool,
+        k_ge_3: bool,
+        b1_ge_2: bool,
+    ) -> None:
+        set_field(self, "array", array)
+        set_field(self, "condition_i", condition_i)
+        set_field(self, "condition_ii", condition_ii)
+        set_field(self, "condition_iii", condition_iii)
+        set_field(self, "condition_iii_failures", condition_iii_failures)
+        set_field(self, "condition_iii_count", condition_iii_count)
+        set_field(self, "integral_spheres", integral_spheres)
+        set_field(self, "non_integral_at", non_integral_at)
+        set_field(self, "nonnegative_a", nonnegative_a)
+        set_field(self, "negative_a_at", negative_a_at)
+        set_field(self, "handshake_even", handshake_even)
+        set_field(self, "k_ge_3", k_ge_3)
+        set_field(self, "b1_ge_2", b1_ge_2)
 
     @property
     def passed(self) -> bool:
@@ -227,14 +259,13 @@ def validate(arr: IntersectionArray) -> ValidationReport:
 def _checked(arr: IntersectionArray) -> tuple[ValidationReport, list, tuple]:
     """(report, sphere-size pairs, a-values) of `arr`, computed once and kept on it.
 
-    The tuple is not a dataclass field, so ==, hash and repr ignore it.  A
-    tuple that copy.copy took from another array holds that array's report
-    and is not reused.
+    The tuple is in a slot outside the array's fields, so ==, hash, repr,
+    copies and pickles ignore it.
     """
-    kept = getattr(arr, "_validation", None)
-    if kept is None or kept[0].array is not arr:
+    kept = arr._validation
+    if kept is None:
         kept = _validate(arr)
-        object.__setattr__(arr, "_validation", kept)
+        set_field(arr, "_validation", kept)
     return kept
 
 
@@ -287,8 +318,7 @@ def _validate(arr: IntersectionArray) -> tuple[ValidationReport, list, tuple]:
     return report, sizes, a
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(Record):
     """Parameters derived from a feasible array.
 
     a holds a_1,...,a_D (a_i = k - b_i - c_i, with a_D = k - c_D);
@@ -296,12 +326,23 @@ class DerivedParams:
     the least i in [1, D-1] with c_i >= b_i, or D if there is none.
     """
 
-    array: IntersectionArray
-    k: int
-    n: int
-    a: tuple[int, ...]
-    sphere_sizes: tuple[int, ...]
-    j: int
+    __slots__ = _fields = ("array", "k", "n", "a", "sphere_sizes", "j")
+
+    def __init__(
+        self,
+        array: IntersectionArray,
+        k: int,
+        n: int,
+        a: tuple[int, ...],
+        sphere_sizes: tuple[int, ...],
+        j: int,
+    ) -> None:
+        set_field(self, "array", array)
+        set_field(self, "k", k)
+        set_field(self, "n", n)
+        set_field(self, "a", a)
+        set_field(self, "sphere_sizes", sphere_sizes)
+        set_field(self, "j", j)
 
     @property
     def D(self) -> int:

@@ -19,10 +19,10 @@ from __future__ import annotations
 import functools
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
+from ._record import Record, set_field
 from .arrays import IntersectionArray, derive, parse_array
 from .fmt import decimal_places, decimal_str
 from .potentials import compute_profile
@@ -64,16 +64,37 @@ EXTRA_TABLE: tuple[tuple[str, int, str, None, str | None], ...] = (
 BIGGS_SMITH_NAME = "Biggs-Smith graph"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    slug: str
-    vertices: int
-    array: IntersectionArray
-    paper_ratio: str | None  # ratio rendering at its original precision
-    constructible: str | None  # registry key, e.g. "hypercube:3"
-    supplementary: bool
-    ratio: Fraction  # recomputed exact value
+class CatalogEntry(Record):
+    __slots__ = _fields = (
+        "name",
+        "slug",
+        "vertices",
+        "array",
+        "paper_ratio",
+        "constructible",
+        "supplementary",
+        "ratio",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        slug: str,
+        vertices: int,
+        array: IntersectionArray,
+        paper_ratio: str | None,  # ratio rendering at its original precision
+        constructible: str | None,  # registry key, e.g. "hypercube:3"
+        supplementary: bool,
+        ratio: Fraction,  # recomputed exact value
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "slug", slug)
+        set_field(self, "vertices", vertices)
+        set_field(self, "array", array)
+        set_field(self, "paper_ratio", paper_ratio)
+        set_field(self, "constructible", constructible)
+        set_field(self, "supplementary", supplementary)
+        set_field(self, "ratio", ratio)
 
     @property
     def extremal(self) -> bool:

@@ -36,10 +36,9 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import chain, combinations, count
-from typing import NoReturn
 
+from ._record import Record, set_field
 from .arrays import IntersectionArray, parse_array
 from .catalog import catalog_list
 
@@ -103,28 +102,46 @@ class LabeledGraph:
         return f"<LabeledGraph {label}: n={self.n}, m={len(self.edges)}>"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One counted neighborhood that broke distance-regularity."""
 
-    base: int
-    target: int
-    kind: str  # e.g. "b2" or "c1"
-    expected: int
-    observed: int
+    __slots__ = _fields = ("base", "target", "kind", "expected", "observed")
+
+    def __init__(
+        self,
+        base: int,
+        target: int,
+        kind: str,  # e.g. "b2" or "c1"
+        expected: int,
+        observed: int,
+    ) -> None:
+        set_field(self, "base", base)
+        set_field(self, "target", target)
+        set_field(self, "kind", kind)
+        set_field(self, "expected", expected)
+        set_field(self, "observed", observed)
 
 
-@dataclass(frozen=True)
-class DistancePartitionReport:
+class DistancePartitionReport(Record):
     """verify_drg's result.  The report is kept on its graph and shared by
     every later verify_drg and cross_validate of it, so it must not be
     mutated (distances included)."""
 
-    is_drg: bool
-    observed_array: IntersectionArray | None
-    violations: tuple[Violation, ...]
-    diameter: int
-    distances: list[list[int]]  # distances[u][v]
+    __slots__ = _fields = ("is_drg", "observed_array", "violations", "diameter", "distances")
+
+    def __init__(
+        self,
+        is_drg: bool,
+        observed_array: IntersectionArray | None,
+        violations: tuple[Violation, ...],
+        diameter: int,
+        distances: list[list[int]],  # distances[u][v]
+    ) -> None:
+        set_field(self, "is_drg", is_drg)
+        set_field(self, "observed_array", observed_array)
+        set_field(self, "violations", violations)
+        set_field(self, "diameter", diameter)
+        set_field(self, "distances", distances)
 
 
 def _neighbour_masks(g: LabeledGraph) -> list[int]:
@@ -407,9 +424,9 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
     _refuse_first_bad_line(lines, rows)
 
 
-def _refuse_first_bad_line(lines: list[str], rows: list[list[str]]) -> NoReturn:
+def _refuse_first_bad_line(lines: list[str], rows: list[list[str]]):
     """Raise the refusal of the first bad line of an edge list: lines[i] as
-    split at "\n", rows[i] its tokens before any '#'.
+    split at "\n", rows[i] its tokens before any '#'.  It always raises.
 
     Only text that parse_edge_list could not build reaches here, and
     each of its checks fails on some line when it fails at all, so a

@@ -19,10 +19,10 @@ and every entry stays a minor of the input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from ._record import Record, set_field
 from .arrays import derive
 from .graphs import DistancePartitionReport, LabeledGraph, verify_drg
 from .potentials import compute_profile
@@ -193,8 +193,7 @@ def _certifies(g: LabeledGraph, rows: list[list], values: dict, scale: int) -> b
     return True
 
 
-@dataclass(frozen=True)
-class ClassCheck:
+class ClassCheck(Record):
     """The formula's check for one distance class.
 
     mismatches is empty when the Kirchhoff certificate holds; otherwise
@@ -202,10 +201,19 @@ class ClassCheck:
     `expected`.
     """
 
-    distance: int
-    expected: Fraction
-    pairs_checked: int
-    mismatches: tuple[tuple[int, int, Fraction], ...]
+    __slots__ = _fields = ("distance", "expected", "pairs_checked", "mismatches")
+
+    def __init__(
+        self,
+        distance: int,
+        expected: Fraction,
+        pairs_checked: int,
+        mismatches: tuple[tuple[int, int, Fraction], ...],
+    ) -> None:
+        set_field(self, "distance", distance)
+        set_field(self, "expected", expected)
+        set_field(self, "pairs_checked", pairs_checked)
+        set_field(self, "mismatches", mismatches)
 
     @property
     def ok(self) -> bool:
@@ -222,11 +230,18 @@ class NotDistanceRegular(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class CrossValidation:
-    graph_name: str
-    drg_report: DistancePartitionReport
-    classes: tuple[ClassCheck, ...]
+class CrossValidation(Record):
+    __slots__ = _fields = ("graph_name", "drg_report", "classes")
+
+    def __init__(
+        self,
+        graph_name: str,
+        drg_report: DistancePartitionReport,
+        classes: tuple[ClassCheck, ...],
+    ) -> None:
+        set_field(self, "graph_name", graph_name)
+        set_field(self, "drg_report", drg_report)
+        set_field(self, "classes", classes)
 
     @property
     def ok(self) -> bool:

@@ -15,10 +15,10 @@ Q_i, and a Fraction is built once per returned value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
+from ._record import Record, set_field
 from .arrays import DerivedParams
 
 
@@ -54,15 +54,24 @@ def compute_potentials_explicit(params: DerivedParams) -> tuple[Fraction, ...]:
     return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class PotentialProfile:
+class PotentialProfile(Record):
     """Potentials and everything derived from them for one array."""
 
-    params: DerivedParams
-    phi: tuple[Fraction, ...]
-    resistances: tuple[Fraction, ...]
-    ratio: Fraction  # rho = (phi_1 + ... + phi_{D-1}) / phi_0
-    k_effective: Fraction  # r_D / r_1 = 1 + rho
+    __slots__ = _fields = ("params", "phi", "resistances", "ratio", "k_effective")
+
+    def __init__(
+        self,
+        params: DerivedParams,
+        phi: tuple[Fraction, ...],
+        resistances: tuple[Fraction, ...],
+        ratio: Fraction,  # rho = (phi_1 + ... + phi_{D-1}) / phi_0
+        k_effective: Fraction,  # r_D / r_1 = 1 + rho
+    ) -> None:
+        set_field(self, "params", params)
+        set_field(self, "phi", phi)
+        set_field(self, "resistances", resistances)
+        set_field(self, "ratio", ratio)
+        set_field(self, "k_effective", k_effective)
 
     def phi_sum(self, start: int) -> Fraction:
         """phi_start + ... + phi_{D-1} (0 for an empty sum), built as one Fraction.
@@ -106,13 +115,15 @@ def check_resistance_cap(profile: PotentialProfile) -> tuple[Fraction, bool]:
     return bound, profile.resistances[-1] < bound
 
 
-@dataclass(frozen=True)
-class TailSumCheck:
+class TailSumCheck(Record):
     """Tail bound phi_j + ... + phi_{D-1} <= (j - 1/2) * phi_{j-1}."""
 
-    j: int
-    lhs: Fraction
-    rhs: Fraction
+    __slots__ = _fields = ("j", "lhs", "rhs")
+
+    def __init__(self, j: int, lhs: Fraction, rhs: Fraction) -> None:
+        set_field(self, "j", j)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
     @property
     def holds(self) -> bool:
@@ -127,14 +138,22 @@ def tail_sum_check(profile: PotentialProfile) -> TailSumCheck:
     return TailSumCheck(j=j, lhs=lhs, rhs=rhs)
 
 
-@dataclass(frozen=True)
-class StepBound:
+class StepBound(Record):
     """One per-index decay inequality phi_i < bound."""
 
-    kind: str  # recursion_ratio | head_contraction | initial_drop
-    i: int
-    phi_i: Fraction
-    bound: Fraction
+    __slots__ = _fields = ("kind", "i", "phi_i", "bound")
+
+    def __init__(
+        self,
+        kind: str,  # recursion_ratio | head_contraction | initial_drop
+        i: int,
+        phi_i: Fraction,
+        bound: Fraction,
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "i", i)
+        set_field(self, "phi_i", phi_i)
+        set_field(self, "bound", bound)
 
     @property
     def holds(self) -> bool:

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._record import Record, set_field
 from .arrays import DerivedParams, is_cocktail_party
 from .catalog import table_entries
 from .fmt import approx_str
@@ -64,23 +64,23 @@ class CaseId(str, Enum):
     UNCLASSIFIED = "UNCLASSIFIED"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """One audited inequality; `holds` is always the exact comparison."""
 
-    label: str
-    lhs: Fraction
-    relation: str
-    rhs: Fraction
+    __slots__ = _fields = ("label", "lhs", "relation", "rhs")
 
-    def __post_init__(self) -> None:
-        if self.relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
+    def __init__(self, label: str, lhs: Fraction, relation: str, rhs: Fraction) -> None:
+        if relation not in _RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
         # a side that is already a Fraction skips the numbers.Rational check
-        if type(self.lhs) is not Fraction:
-            object.__setattr__(self, "lhs", Fraction(self.lhs))
-        if type(self.rhs) is not Fraction:
-            object.__setattr__(self, "rhs", Fraction(self.rhs))
+        if type(lhs) is not Fraction:
+            lhs = Fraction(lhs)
+        if type(rhs) is not Fraction:
+            rhs = Fraction(rhs)
+        set_field(self, "label", label)
+        set_field(self, "lhs", lhs)
+        set_field(self, "relation", relation)
+        set_field(self, "rhs", rhs)
 
     @property
     def holds(self) -> bool:
@@ -91,21 +91,48 @@ class TraceStep:
         return f"{self.label}: {approx_str(self.lhs)} {self.relation} {approx_str(self.rhs)} [{mark}]"
 
 
-@dataclass(frozen=True)
-class BoundTrace:
+class BoundTrace(Record):
     """A complete audited chain for one ratio bound on one array."""
 
-    case_id: CaseId
-    target: Fraction
-    rho: Fraction
-    steps: tuple[TraceStep, ...]
-    verdict: bool
-    alpha: Fraction | None = None
-    branch: str | None = None
-    extremal: bool = False
-    proof_path_available: bool = True
-    assumption_dependent: bool = False
-    notes: tuple[str, ...] = ()
+    __slots__ = _fields = (
+        "case_id",
+        "target",
+        "rho",
+        "steps",
+        "verdict",
+        "alpha",
+        "branch",
+        "extremal",
+        "proof_path_available",
+        "assumption_dependent",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        case_id: CaseId,
+        target: Fraction,
+        rho: Fraction,
+        steps: tuple[TraceStep, ...],
+        verdict: bool,
+        alpha: Fraction | None = None,
+        branch: str | None = None,
+        extremal: bool = False,
+        proof_path_available: bool = True,
+        assumption_dependent: bool = False,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        set_field(self, "case_id", case_id)
+        set_field(self, "target", target)
+        set_field(self, "rho", rho)
+        set_field(self, "steps", steps)
+        set_field(self, "verdict", verdict)
+        set_field(self, "alpha", alpha)
+        set_field(self, "branch", branch)
+        set_field(self, "extremal", extremal)
+        set_field(self, "proof_path_available", proof_path_available)
+        set_field(self, "assumption_dependent", assumption_dependent)
+        set_field(self, "notes", notes)
 
     @property
     def all_steps_hold(self) -> bool:
@@ -127,13 +154,15 @@ class BoundTrace:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class RatioBound:
+class RatioBound(Record):
     """The bound rho < target, traced by the function of this module named `prover`."""
 
-    name: str
-    target: Fraction
-    prover: str
+    __slots__ = _fields = ("name", "target", "prover")
+
+    def __init__(self, name: str, target: Fraction, prover: str) -> None:
+        set_field(self, "name", name)
+        set_field(self, "target", target)
+        set_field(self, "prover", prover)
 
     def prove(self, profile: PotentialProfile) -> BoundTrace:
         # looked up at call time, so a wrapper later set on the module is what runs
@@ -149,14 +178,22 @@ BOUNDS = (
 _OPTIMAL, _K3 = BOUNDS
 
 
-@dataclass(frozen=True)
-class CaseRow:
+class CaseRow(Record):
     """A row of `CASES`; a row with a note is settled directly by both provers."""
 
-    case: CaseId
-    test: Callable[[DerivedParams], bool]
-    chain: Callable[[PotentialProfile, CaseId], BoundTrace] | None = None
-    note: str | None = None
+    __slots__ = _fields = ("case", "test", "chain", "note")
+
+    def __init__(
+        self,
+        case: CaseId,
+        test: Callable[[DerivedParams], bool],
+        chain: Callable[[PotentialProfile, CaseId], BoundTrace] | None = None,
+        note: str | None = None,
+    ) -> None:
+        set_field(self, "case", case)
+        set_field(self, "test", test)
+        set_field(self, "chain", chain)
+        set_field(self, "note", note)
 
 
 _step = TraceStep  # a short name for the many steps below; it converts both sides to Fraction

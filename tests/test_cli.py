@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -17,6 +16,7 @@ from drg import (
     arrays,
     catalog_list,
     cli,
+    PotentialProfile,
     compute_profile,
     derive,
     format_array,
@@ -217,7 +217,7 @@ def test_oracle_counts_the_mismatches_it_does_not_print(monkeypatch, capsys):
         """The formula's profile with r_1 moved by 1/1000, so every edge mismatches."""
         profile = compute_profile(params)
         rs = (profile.resistances[0] + Fraction(1, 1000), *profile.resistances[1:])
-        return dataclasses.replace(profile, resistances=rs)
+        return PotentialProfile(profile.params, profile.phi, rs, profile.ratio, profile.k_effective)
 
     monkeypatch.setattr(oracle, "compute_profile", wrong_r1)
     code, out, _ = run(capsys, "oracle", "petersen")
@@ -457,7 +457,7 @@ def test_batch_reports_numbers_too_long_to_print_and_goes_on(tmp_path, monkeypat
     ]
     # with a tightest target of 0 every valid line is listed as extremal, with its rho
     tightest, *rest = proofs.BOUNDS
-    zero = dataclasses.replace(tightest, target=Fraction(0))
+    zero = proofs.RatioBound(tightest.name, Fraction(0), tightest.prover)
     monkeypatch.setattr(proofs, "BOUNDS", (zero, *rest))
     code, out, _ = run(capsys, "batch", str(path))
     assert out.splitlines()[-1] == (

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -14,7 +13,9 @@ from operator import sub
 import pytest
 
 from drg import (
+    DerivedParams,
     LabeledGraph,
+    PotentialProfile,
     compute_profile,
     construct,
     cross_validate,
@@ -138,11 +139,23 @@ def test_hypercube_adjacent_resistance_matches_formula(d):
     assert resistance_matrix(g)[0][1] == profile.resistances[0]
 
 
+def _with_resistances(profile: PotentialProfile, resistances) -> PotentialProfile:
+    """`profile` with its resistances replaced."""
+    return PotentialProfile(
+        profile.params, profile.phi, resistances, profile.ratio, profile.k_effective
+    )
+
+
+def _with_n(params: DerivedParams, n: int) -> DerivedParams:
+    """`params` with its vertex count replaced."""
+    return DerivedParams(params.array, params.k, n, params.a, params.sphere_sizes, params.j)
+
+
 def wrong_r1(params):
     """The formula's profile with r_1 moved by 1/1000, so the certificate fails."""
     profile = compute_profile(params)
     rs = (profile.resistances[0] + Fraction(1, 1000), *profile.resistances[1:])
-    return dataclasses.replace(profile, resistances=rs)
+    return _with_resistances(profile, rs)
 
 
 def _count_traversals(monkeypatch) -> dict[str, list]:
@@ -525,7 +538,7 @@ def test_wrong_formula_lists_the_solver_mismatches(monkeypatch, name, wrong_clas
         profile = formula(params)
         rs = list(profile.resistances)
         rs[wrong_class] += Fraction(1, 1000)
-        return dataclasses.replace(profile, resistances=tuple(rs))
+        return _with_resistances(profile, tuple(rs))
 
     monkeypatch.setattr(oracle, "compute_profile", wrong)
     g = construct(name)
@@ -541,9 +554,7 @@ def test_wrong_formula_mismatches_on_k4_are_every_pair(monkeypatch):
     monkeypatch.setattr(
         oracle,
         "compute_profile",
-        lambda params: dataclasses.replace(
-            compute_profile(params), resistances=(Fraction(1, 3),)
-        ),
+        lambda params: _with_resistances(compute_profile(params), (Fraction(1, 3),)),
     )
     (cls,) = cross_validate(construct("complete", 4)).classes
     assert cls.mismatches == tuple(
@@ -687,11 +698,11 @@ def test_an_array_of_another_order_reaches_the_solver(monkeypatch):
 
     def other_n(array):
         params = derive(array)
-        return dataclasses.replace(params, n=params.n + 1)
+        return _with_n(params, params.n + 1)
 
     monkeypatch.setattr(oracle, "derive", other_n)
     monkeypatch.setattr(
-        oracle, "compute_profile", lambda params: compute_profile(dataclasses.replace(params, n=g.n))
+        oracle, "compute_profile", lambda params: compute_profile(_with_n(params, g.n))
     )
     result = cross_validate(g)
     assert calls == [g]

@@ -36,10 +36,10 @@ def test_every_exported_name_resolves_once():
         drg.no_such_name
 
 
-def _fresh_interpreter(code: str) -> dict:
+def _fresh_interpreter(code: str, *flags: str) -> dict:
     """The JSON that `code` prints last, run in a new isolated interpreter
-    that finds drg in this checkout's src; `loaded()` lists the drg
-    submodules imported so far."""
+    (given extra `flags`) that finds drg in this checkout's src; `loaded()`
+    lists the drg submodules imported so far."""
     prelude = (
         "import json, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -47,7 +47,7 @@ def _fresh_interpreter(code: str) -> dict:
         "    return sorted(m[4:] for m in sys.modules if m.startswith('drg.'))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-c", prelude + code, str(SRC)],
+        [sys.executable, "-I", *flags, "-c", prelude + code, str(SRC)],
         capture_output=True, text=True, timeout=60, check=True,
     )
     return json.loads(done.stdout.splitlines()[-1])
@@ -81,6 +81,31 @@ def test_analyze_loads_no_graph_module():
     )
     assert run["code"] == 0 and "name: Petersen" in run["out"]
     assert {"graphs", "oracle"}.isdisjoint(run["loaded"])
+
+
+def test_no_command_loads_dataclasses_inspect_or_typing():
+    # -S: no site module, so no .pth hook of the installation imports them first
+    run = _fresh_interpreter(
+        "import contextlib, io\n"
+        "def heavy():\n"
+        "    return sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))\n"
+        "seen = {'start': heavy()}\n"
+        "import drg\n"
+        "drg.catalog_list()\n"
+        "seen['catalog_list'] = heavy()\n"
+        "import drg.cli\n"
+        "for command in ('analyze', 'oracle'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        seen[command] = drg.cli.main([command, 'petersen']), heavy()\n"
+        "print(json.dumps(seen))\n",
+        "-S",
+    )
+    assert run == {
+        "start": [],
+        "catalog_list": [],
+        "analyze": [0, []],
+        "oracle": [0, []],
+    }
 
 
 def test_submodules_resolve_before_anything_imports_them():
