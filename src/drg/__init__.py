@@ -48,6 +48,7 @@ _EXPORTS = {
         "check_resistance_cap",
         "compute_potentials_explicit",
         "compute_profile",
+        "compute_ratio",
         "step_inequalities",
         "tail_sum_check",
     ),

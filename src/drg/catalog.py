@@ -25,7 +25,7 @@ from types import MappingProxyType
 from ._record import Record, set_field
 from .arrays import IntersectionArray, derive, parse_array
 from .fmt import decimal_places, decimal_str
-from .potentials import compute_profile
+from .potentials import compute_ratio
 
 VALENCY_34_TABLE: tuple[tuple[str, int, str, str, str | None], ...] = (
     ("Cube", 8, "3,2,1;1,2,3", "0.428571", "hypercube:3"),
@@ -126,7 +126,7 @@ def _build_entry(
 ) -> CatalogEntry:
     arr = parse_array(array_text)
     params = derive(arr)
-    profile = compute_profile(params)
+    ratio = compute_ratio(params)
     if params.n != vertices:
         raise ValueError(
             f"catalog entry {name!r}: stored vertex count {vertices} "
@@ -140,12 +140,12 @@ def _build_entry(
         paper_ratio=ratio_text,
         constructible=constructible,
         supplementary=supplementary,
-        ratio=profile.ratio,
+        ratio=ratio,
     )
     if not entry.ratio_matches_stored():
         raise ValueError(
             f"catalog entry {name!r}: stored ratio {ratio_text} disagrees "
-            f"with the recomputed value {profile.ratio}"
+            f"with the recomputed value {ratio}"
         )
     return entry
 

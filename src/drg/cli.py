@@ -43,6 +43,7 @@ from .potentials import (
     check_resistance_cap,
     compute_potentials_explicit,
     compute_profile,
+    compute_ratio,
     step_inequalities,
     tail_sum_check,
 )
@@ -460,7 +461,7 @@ def cmd_batch(args) -> int:
             print(f"line {lineno}: {label}: INVALID ({reasons})")
             continue
         valid += 1
-        rho = compute_profile(derive(arr)).ratio
+        rho = compute_ratio(derive(arr))
         holds = [rho < b.target for b in bounds]
         below = [n + h for n, h in zip(below, holds)]
         if not holds[0]:

@@ -11,6 +11,11 @@ Scaled to the common denominator B = B_{D-1}, phi_i = Q_i/B with
 Q_i = P_i*b_{i+1}...b_{D-1}, so the resistances and the ratio
 rho = (phi_1+...+phi_{D-1})/phi_0 come from integer prefix sums of the
 Q_i, and a Fraction is built once per returned value.
+
+Where only rho is read (the audit of each `drg batch` line against the
+ratio targets, the catalog's check of its printed ratios),
+`compute_ratio` takes it from the same integer sums as one Fraction,
+without building the potentials and resistances of `compute_profile`.
 """
 
 from __future__ import annotations
@@ -84,16 +89,34 @@ class PotentialProfile(Record):
         return Fraction(total, common)
 
 
+def _scaled(numerators: list[tuple[int, int]]) -> list[int]:
+    """Q_i = phi_i * B = P_i * (B/B_i) for each (P_i, B_i), with B = b_1...b_{D-1}."""
+    common = numerators[-1][1]
+    scaled = []  # a loop: a comprehension costs a call more before Python 3.12
+    for p, b_prod in numerators:
+        scaled.append(p * (common // b_prod))
+    return scaled
+
+
+def _ratio(q0: int, total: int) -> Fraction:
+    """rho = (phi_1 + ... + phi_{D-1})/phi_0 from Q_0 and Q_0 + ... + Q_{D-1}."""
+    return Fraction(total - q0, q0)
+
+
+def compute_ratio(params: DerivedParams) -> Fraction:
+    """rho alone, equal to compute_profile(params).ratio: the same integer sums, one Fraction."""
+    scaled = _scaled(_numerators(params))
+    return _ratio(scaled[0], sum(scaled))
+
+
 def compute_profile(params: DerivedParams) -> PotentialProfile:
     """Build the full profile from the integer recursion (see the module docstring)."""
     numerators = _numerators(params)
-    common = numerators[-1][1]  # B = b_1...b_{D-1}
     phi = []
-    scaled = []  # Q_i = phi_i * B
     for p, b_prod in numerators:
         phi.append(Fraction(p, b_prod))
-        scaled.append(p * (common // b_prod))
-    nk_common = params.n * params.k * common
+    scaled = _scaled(numerators)
+    nk_common = params.n * params.k * numerators[-1][1]
     prefix = 0
     resistances = []
     for q in scaled:
@@ -104,7 +127,7 @@ def compute_profile(params: DerivedParams) -> PotentialProfile:
         params=params,
         phi=tuple(phi),
         resistances=tuple(resistances),
-        ratio=Fraction(prefix - q0, q0),
+        ratio=_ratio(q0, prefix),
         k_effective=Fraction(prefix, q0),
     )
 

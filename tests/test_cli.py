@@ -14,6 +14,7 @@ import pytest
 
 from drg import (
     arrays,
+    catalog,
     catalog_list,
     cli,
     PotentialProfile,
@@ -732,6 +733,21 @@ def test_batch_validates_each_line_once(monkeypatch, capsys):
     path = GOLDEN / "inputs" / "batch_mixed.txt"
     run(capsys, "batch", str(path))
     assert len(calls) == 5  # six lines, one of them unparseable
+
+
+def test_batch_and_the_catalog_build_no_potential_profile(monkeypatch, capsys):
+    # both read rho alone, which compute_ratio gives without the profile
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a PotentialProfile was built")
+
+    monkeypatch.setattr(PotentialProfile, "__init__", refuse)
+    expected = json.loads((GOLDEN / "batch_mixed.json").read_text(encoding="utf-8"))
+    monkeypatch.chdir(GOLDEN)
+    assert run(capsys, *expected["argv"]) == (
+        expected["code"], expected["stdout"], expected["stderr"]
+    )
+    rows = catalog.catalog_list.__wrapped__()
+    assert len(rows) == 26 and rows == catalog_list()
 
 
 def test_analyze_by_name_uses_the_catalog_rows_report(monkeypatch, capsys):

@@ -7,15 +7,19 @@ from fractions import Fraction
 import pytest
 
 from drg import (
+    IntersectionArray,
+    catalog_list,
     check_resistance_cap,
     compute_potentials_explicit,
     compute_profile,
+    compute_ratio,
     derive,
     parse_array,
     step_inequalities,
     tail_sum_check,
     validate,
 )
+from test_array_layer import _hamming, _johnson
 
 
 def profile_of(text: str):
@@ -58,6 +62,42 @@ def test_recursion_equals_explicit_on_corpus(corpus):
     for arr in corpus:
         p = derive(arr)
         assert compute_profile(p).phi == compute_potentials_explicit(p)
+
+
+def _assert_one_rho(arr: IntersectionArray) -> None:
+    """compute_ratio is the profile's ratio, and both are the closed form's
+    (phi_1 + ... + phi_{D-1})/phi_0, which shares no code with them."""
+    p = derive(arr)
+    phi = compute_potentials_explicit(p)
+    rho = compute_ratio(p)
+    assert type(rho) is Fraction
+    assert rho == compute_profile(p).ratio == sum(phi[1:]) / phi[0], arr
+
+
+def test_compute_ratio_is_the_profile_ratio_on_corpus_and_catalog(corpus):
+    for arr in corpus:
+        _assert_one_rho(arr)
+    rows = catalog_list()
+    assert len(rows) == 26
+    for entry in rows:
+        _assert_one_rho(entry.array)
+        assert entry.ratio == compute_profile(derive(entry.array)).ratio
+
+
+def test_compute_ratio_is_the_profile_ratio_on_families_to_diameter_60():
+    for d in range(1, 61):
+        for q in (2, 3, 7):
+            _assert_one_rho(_hamming(d, q))
+        for v in (2 * d, 2 * d + 1, 2 * d + 5):
+            _assert_one_rho(_johnson(v, d))
+
+
+def test_compute_ratio_at_the_edges():
+    assert compute_ratio(derive(parse_array("5;1"))) == 0  # D = 1: an empty sum
+    cocktail = parse_array("6,1;1,6")  # K_{4x2}, b_1 = 1
+    assert compute_ratio(derive(cocktail)) == Fraction(1, 7)
+    _assert_one_rho(cocktail)
+    _assert_one_rho(_hamming(16, 10**1000))  # entries of 1000 digits
 
 
 def test_phi0_is_n_minus_1_on_corpus(corpus):

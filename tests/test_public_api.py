@@ -131,6 +131,7 @@ def test_readme_library_snippets_give_the_values_their_comments_state(capsys):
     assert profile.phi == (13, 5, 1)
     assert profile.resistances == (Fraction(13, 21), Fraction(6, 7), Fraction(19, 21))
     assert profile.ratio == Fraction(6, 13)
+    assert scope["rho"] == profile.ratio and scope["compute_ratio"] is drg.compute_ratio
     assert capsys.readouterr().out == scope["trace"].render() + "\n"
 
     scope = {}
