@@ -27,9 +27,9 @@ def decimal_str(x: Fraction, places: int = 6) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
-def approx_str(x: Fraction, places: int = 6) -> str:
+def approx_str(x: Fraction) -> str:
     """`p/q (≈ d.dddddd)` rendering used in reports and proof traces."""
-    return f"{frac_str(x)} (≈ {decimal_str(x, places)})"
+    return f"{frac_str(x)} (≈ {decimal_str(x, 6)})"
 
 
 def decimal_places(text: str) -> int:

@@ -315,11 +315,9 @@ def _diagnose(g: LabeledGraph) -> DistancePartitionReport:
 
     Each vertex's neighbourhood is an int bitmask and _bfs counts every
     y's down and up neighbours as the popcounts of N(y) & (layer i-1)
-    and N(y) & (not yet seen).  A base whose counts equal the expected
-    rows passes by one list comparison; only a base whose rows differ,
-    which includes one that meets a value still unset, is scanned y by
-    y.  That keeps the first-observed rule and the order of the
-    violations: (x, y) order, c_i before b_i.
+    and N(y) & (not yet seen).  Every base is scanned y by y, which
+    keeps the first-observed rule and the order of the violations:
+    (x, y) order, c_i before b_i.
     """
     masks = _neighbour_masks(g)
     first = _bfs(masks, 0)
@@ -331,7 +329,7 @@ def _diagnose(g: LabeledGraph) -> DistancePartitionReport:
     if diameter == 0:
         raise ValueError("graph has a single vertex")
 
-    # b at the diameter is 0 and never counted: nothing is at distance diameter + 1
+    # b at the diameter is 0, as is every up count there: nothing lies farther out
     expected_b: list[int | None] = [None] * diameter + [0]
     expected_c: list[int | None] = [None] * (diameter + 1)
     claimed = g.claimed_array
@@ -341,23 +339,15 @@ def _diagnose(g: LabeledGraph) -> DistancePartitionReport:
     violations: list[Violation] = []
 
     for x, (row, down, up) in enumerate(counted):
-        # An unset value (None) equals no count, so rows that match leave
-        # the scan below nothing to set or report.
-        if (
-            list(map(expected_c.__getitem__, row)) == down
-            and list(map(expected_b.__getitem__, row)) == up
-        ):
-            continue
         for y, i in enumerate(row):
             if expected_c[i] is None:
                 expected_c[i] = down[y]
             elif expected_c[i] != down[y]:
                 violations.append(Violation(x, y, f"c{i}", expected_c[i], down[y]))
-            if i < diameter:
-                if expected_b[i] is None:
-                    expected_b[i] = up[y]
-                elif expected_b[i] != up[y]:
-                    violations.append(Violation(x, y, f"b{i}", expected_b[i], up[y]))
+            if expected_b[i] is None:
+                expected_b[i] = up[y]
+            elif expected_b[i] != up[y]:
+                violations.append(Violation(x, y, f"b{i}", expected_b[i], up[y]))
 
     if claimed is not None and claimed.D != diameter:
         violations.append(Violation(0, 0, "diameter", claimed.D, diameter))

@@ -1,0 +1,40 @@
+"""Property test: verify_drg gives the edge-loop reference's report or refusal on small graphs."""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from drg import LabeledGraph, parse_array, verify_drg  # noqa: E402
+from test_graphs import _report_or_refusal, edge_loop_verify  # noqa: E402
+
+# K_3, C_4, the Petersen graph and the 3-cube, and a claim right except for c_3
+_CLAIMS = (None, "2;1", "2,1;1,2", "3,2;1,1", "3,2,1;1,2,3", "3,2,1;1,2,2")
+
+
+def _graph(n: int, kept: list[bool], claim: str | None) -> LabeledGraph:
+    edges = [pair for pair, keep in zip(combinations(range(n), 2), kept) if keep]
+    claimed = None if claim is None else parse_array(claim)
+    return LabeledGraph(n, edges, claimed_array=claimed)
+
+
+# Each of the n(n-1)/2 pairs is an edge or not, so a graph may be disconnected
+_graphs = st.integers(min_value=2, max_value=9).flatmap(
+    lambda n: st.builds(
+        _graph,
+        st.just(n),
+        st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+        st.sampled_from(_CLAIMS),
+    )
+)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(_graphs)
+def test_verify_drg_matches_the_edge_loop_on_small_graphs(g):
+    # field for field, or the same ValueError message
+    assert _report_or_refusal(verify_drg, g) == _report_or_refusal(edge_loop_verify, g)
