@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import gcd
+from operator import attrgetter
 
 from ._record import Record, set_field
 
@@ -147,14 +148,27 @@ def sphere_sizes_exact(arr: IntersectionArray) -> tuple[Fraction, ...]:
     return tuple(Fraction(num, den) for num, den in _sphere_pairs(arr.b, arr.c))
 
 
+# The feasibility checks, in report order: (ValidationReport field, text label).
+# ValidationReport.failure_messages() holds each one's failure text.
+CHECKS = (
+    ("condition_i", "condition (i)  b-sequence strictly then weakly decreasing"),
+    ("condition_ii", "condition (ii) c-sequence weakly increasing from 1"),
+    ("condition_iii", "condition (iii) b_i >= c_j for i+j <= D"),
+    ("integral_spheres", "integral sphere sizes"),
+    ("nonnegative_a", "nonnegative a_i"),
+    ("handshake_even", "handshake (n*k even)"),
+)
+_CHECKED = attrgetter(*(field for field, _ in CHECKS))
+
+
 class ValidationReport(Record):
     """Outcome of every feasibility check, plus the standing-assumption flags.
 
     validate() makes one report per array object and returns it on every
     call, so a report is shared, like graphs.DistancePartitionReport.
 
-    `passed` covers the feasibility checks only; k >= 3 and b_1 >= 2 are
-    informational flags (arrays may be analyzed without them).
+    `passed` covers the feasibility checks (CHECKS) only; k >= 3 and
+    b_1 >= 2 are informational flags (arrays may be analyzed without them).
     condition_iii_failures holds the first _LISTED failing pairs (i, j)
     in (i, j) order and condition_iii_count how many there are in all.
     """
@@ -207,14 +221,7 @@ class ValidationReport(Record):
 
     @property
     def passed(self) -> bool:
-        return (
-            self.condition_i
-            and self.condition_ii
-            and self.condition_iii
-            and self.integral_spheres
-            and self.nonnegative_a
-            and self.handshake_even
-        )
+        return all(_CHECKED(self))
 
     def failure_messages(self) -> tuple[str, ...]:
         b, c = self.array.b, self.array.c

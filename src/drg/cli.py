@@ -30,6 +30,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .arrays import (
+    CHECKS,
     ArrayFormatError,
     IntersectionArray,
     derive,
@@ -91,17 +92,6 @@ def _resolve(target: str) -> tuple[IntersectionArray, CatalogEntry | None]:
 # ----------------------------------------------------------------------
 # validate / analyze: one record, rendered as JSON or as text
 
-# The six feasibility checks: (ValidationReport attribute, text label).
-_CHECKS = (
-    ("condition_i", "condition (i)  b-sequence strictly then weakly decreasing"),
-    ("condition_ii", "condition (ii) c-sequence weakly increasing from 1"),
-    ("condition_iii", "condition (iii) b_i >= c_j for i+j <= D"),
-    ("integral_spheres", "integral sphere sizes"),
-    ("nonnegative_a", "nonnegative a_i"),
-    ("handshake_even", "handshake (n*k even)"),
-)
-
-
 def _fields(obj, *names: str) -> dict:
     """The named attributes of `obj`, in the order given (the JSON key order)."""
     return {name: getattr(obj, name) for name in names}
@@ -118,7 +108,7 @@ def _record(
     set and the validation passed.
     """
     report = validate(arr)
-    validation = _fields(report, *(key for key, _ in _CHECKS), "k_ge_3", "b1_ge_2", "passed")
+    validation = _fields(report, *(key for key, _ in CHECKS), "k_ge_3", "b1_ge_2", "passed")
     validation["failures"] = report.failure_messages()
     record = {
         "array": format_array(arr),
@@ -223,7 +213,7 @@ def _text_lines(record: dict, prove: str | None, trace_text: str | None):
     yield f"array: {record['array']}"
     v = record["validation"]
     yield f"validation: {mark(v['passed'], 'PASS')}"
-    for key, label in _CHECKS:
+    for key, label in CHECKS:
         yield f"  {label}: {mark(v[key])}"
     yield f"  flags: k>=3 {yn(v['k_ge_3'])}; b1>=2 {yn(v['b1_ge_2'])}"
     for message in v["failures"]:

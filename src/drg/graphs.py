@@ -5,23 +5,24 @@ families), each carrying the intersection array it is expected to
 realize.  A fixed graph is one FIXED row, name -> edge builder, and
 claims the array of the drg.catalog entry whose construction key is
 its name, so the catalog's own array is what the oracle checks; a family
-builds its claim from its parameter.  verify_drg checks
-distance-regularity from scratch, so a registry entry's claim is never
-trusted, always re-derived: one BFS from all sources at once on packed
-rows (_certify) makes every count and accepts when each is constant,
-and only a graph it does not accept, or whose claim differs, is scanned
-by one BFS per vertex over neighbourhood bitmasks (_bfs, also behind
-distances_from) to list its violations.
+is one FAMILIES row, whose size, claim and edges are formulas in the
+member's parameter.  verify_drg checks distance-regularity from
+scratch, so a registry entry's claim is never trusted, always
+re-derived: one BFS from all sources at once on packed rows (_certify)
+makes every count and accepts when each is constant, and only a graph
+it does not accept, or whose claim differs, is scanned by one BFS per
+vertex over neighbourhood bitmasks (_bfs, also behind distances_from)
+to list its violations.
 
 verify_drg counts each graph object once: it keeps its report on the
 graph and returns that same report while g.adjacency is the same object
 and g.claimed_array is equal to the one it counted against.  Replacing
 either makes the next call count again; an exception is never kept.
 
-The fixed graphs come from three edge builders, each returning
-(n, edges): LCF notation (_lcf), a graph on a set system with an
-adjacency rule (_graph_on) and a bipartite incidence graph with a
-relation (_incidence).
+The fixed graphs and two families come from three edge builders, each
+returning (n, edges): LCF notation (_lcf), a graph on a set system
+with an adjacency rule (_graph_on) and a bipartite incidence graph
+with a relation (_incidence).
 
 No graph above MAX_VERTICES vertices or MAX_WORK = n * m is built:
 construct checks a family's n and m from its parameter and
@@ -487,31 +488,6 @@ def _incidence(left, right, related) -> tuple[int, list[tuple[int, int]]]:
     return len(left) + len(right), edges
 
 
-def complete_graph(m: int) -> LabeledGraph:
-    if m < 2:
-        raise ValueError("complete graph needs m >= 2")
-    claimed = IntersectionArray((m - 1,), (1,))
-    return LabeledGraph(*_graph_on(range(m), operator.ne), f"complete({m})", claimed)
-
-
-def cocktail_party_graph(m: int) -> LabeledGraph:
-    """K_{m x 2}: everyone adjacent except the m antipodal pairs."""
-    if m < 2:
-        raise ValueError("cocktail party graph needs m >= 2")
-    claimed = IntersectionArray((2 * m - 2, 1), (1, 2 * m - 2))
-    edges = _graph_on(range(2 * m), lambda u, v: v - u != m)
-    return LabeledGraph(*edges, f"cocktail_party({m})", claimed)
-
-
-def hypercube_graph(d: int) -> LabeledGraph:
-    if d < 2:
-        raise ValueError("hypercube needs dimension >= 2")
-    n = 1 << d
-    edges = [(u, u ^ (1 << bit)) for u in range(n) for bit in range(d) if u < u ^ (1 << bit)]
-    claimed = IntersectionArray(range(d, 0, -1), range(1, d + 1))
-    return LabeledGraph(n, edges, f"hypercube({d})", claimed)
-
-
 # Vertex sets are built once, at import: construct runs on every oracle call.
 _PAIRS = tuple(map(frozenset, combinations(range(5), 2)))
 _TRIPLES = tuple(map(frozenset, combinations(range(5), 3)))
@@ -521,13 +497,27 @@ _NON_LINES = tuple(
 )
 _PETERSEN_EDGES = tuple(map(frozenset, sorted(_graph_on(_PAIRS, frozenset.isdisjoint)[1])))
 
-# name -> (builder, default_param, size) of a parameterized family, whose
-# builder makes the graph and its claim; size(param) = (n, m), its vertex
-# and edge counts, with n never less than param.
+# name -> (least, default, size, claim, edges) of a parameterized family,
+# whose members take a parameter p >= least, default when none is given:
+# size(p) = (n, m), the vertex and edge counts, with n never less than p;
+# claim(p) = (b, c), the member's intersection array; edges(p) = (n, edges).
 FAMILIES: dict[str, tuple] = {
-    "complete": (complete_graph, 4, lambda m: (m, m * (m - 1) // 2)),
-    "cocktail_party": (cocktail_party_graph, 3, lambda m: (2 * m, 2 * m * (m - 1))),
-    "hypercube": (hypercube_graph, 3, lambda d: (2**d, d * 2 ** (d - 1))),
+    "complete": (
+        2, 4, lambda m: (m, m * (m - 1) // 2), lambda m: ((m - 1,), (1,)),
+        lambda m: _graph_on(range(m), operator.ne),
+    ),
+    # K_{m x 2}: everyone adjacent except the m antipodal pairs
+    "cocktail_party": (
+        2, 3, lambda m: (2 * m, 2 * m * (m - 1)), lambda m: ((2 * m - 2, 1), (1, 2 * m - 2)),
+        lambda m: _graph_on(range(2 * m), lambda u, v: v - u != m),
+    ),
+    # the d-bit words, adjacent when one bit apart: n*d bit flips, not _graph_on's n^2 tests
+    "hypercube": (
+        2, 3, lambda d: (2**d, d * 2 ** (d - 1)), lambda d: (range(d, 0, -1), range(1, d + 1)),
+        lambda d: (1 << d, [
+            (u, u ^ (1 << bit)) for u in range(1 << d) for bit in range(d) if u < u ^ (1 << bit)
+        ]),
+    ),
 }
 
 # name -> (edge builder, *its arguments) of a fixed graph; the builder
@@ -561,9 +551,10 @@ def registry_names() -> tuple[str, ...]:
 def construct(name: str, param: int | None = None) -> LabeledGraph:
     """Build a registry graph; parameterized families take `param`.
 
-    A fixed graph claims its catalog row's array.  A family member above
-    MAX_VERTICES vertices or MAX_WORK = n * m is refused before it is
-    built.
+    A fixed graph claims its catalog row's array.  Every family member is
+    built from its FAMILIES row by one path: a parameter below the row's
+    least, and then a member above MAX_VERTICES vertices or MAX_WORK =
+    n * m, is refused before it is built.
     """
     if name in FIXED:
         if param is not None:
@@ -572,12 +563,14 @@ def construct(name: str, param: int | None = None) -> LabeledGraph:
         claim = next(e.array for e in catalog_list() if e.constructible == name)
         return LabeledGraph(*builder(*args), name, claim)
     try:
-        builder, default, size = FAMILIES[name]
+        least, default, size, claim, edges = FAMILIES[name]
     except KeyError:
         known = ", ".join(registry_names())
         raise ValueError(f"unknown construction {name!r}; known: {known}") from None
     if param is None:
         param = default
+    if param < least:
+        raise ValueError(f"{name} needs a parameter >= {least}, got {param}")
     # n >= param, so a huge param is refused without computing size(param)
     n, m = size(param) if param <= MAX_VERTICES else (param, 0)
     if n > MAX_VERTICES:
@@ -588,4 +581,4 @@ def construct(name: str, param: int | None = None) -> LabeledGraph:
         raise ValueError(
             f"{name}({param}) has n*m = {n}*{m}, beyond the work cap of {MAX_WORK}"
         )
-    return builder(param)
+    return LabeledGraph(*edges(param), f"{name}({param})", IntersectionArray(*claim(param)))

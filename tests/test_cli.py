@@ -680,7 +680,7 @@ def test_hypercube_at_the_default_cap():
     assert graphs.construct("hypercube", 10).n == 1024
     with pytest.raises(ValueError, match="cap of 1024 vertices"):
         graphs.construct("hypercube", 11)
-    with pytest.raises(ValueError, match="needs dimension >= 2"):
+    with pytest.raises(ValueError, match="hypercube needs a parameter >= 2, got -3"):
         graphs.construct("hypercube", -3)
 
 

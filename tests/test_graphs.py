@@ -10,8 +10,6 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from drg import (
     ArrayFormatError,
@@ -73,24 +71,6 @@ def test_petersen_shape():
     assert all(g.degree(v) == 3 for v in range(10))
 
 
-@settings(database=None, deadline=None)
-@given(
-    st.integers(1, 40).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
-        )
-    )
-)
-def test_adjacency_lists_come_out_sorted(case):
-    n, pairs = case
-    # each unordered pair once, in either order, with no loop
-    edges = list({frozenset(e): e for e in pairs if e[0] != e[1]}.values())
-    g = LabeledGraph(n, edges)
-    for v in range(n):
-        assert g.adjacency[v] == tuple(sorted(u for e in edges for u in e if v in e and u != v))
-
-
 def test_line_of_petersen_shape():
     g = construct("line_of_petersen")
     assert g.n == 15
@@ -119,12 +99,30 @@ def test_invalid_parameters():
         construct("hypercube", 1)
     with pytest.raises(ValueError):
         construct("complete", 1)
-    with pytest.raises(ValueError, match="cocktail party graph needs m >= 2"):
+    with pytest.raises(ValueError, match="cocktail_party needs a parameter >= 2, got 1"):
         construct("cocktail_party", 1)
     with pytest.raises(ValueError):
         construct("no_such_graph")
     with pytest.raises(ValueError):
         construct("petersen", 3)
+
+
+# the largest member of each family under both caps
+@pytest.mark.parametrize("name, top", [("complete", 219), ("cocktail_party", 109), ("hypercube", 10)])
+def test_family_rows_build_their_members(name, top):
+    least, _, size, _, _ = graphs.FAMILIES[name]
+    assert least == 2
+    for p in [*range(least, min(top, 12) + 1), top]:
+        g = construct(name, p)
+        assert g.name == f"{name}({p})"
+        assert size(p) == (g.n, len(g.edges))
+        report = verify_drg(g)
+        assert report.is_drg and g.claimed_array == report.observed_array
+    with pytest.raises(ValueError, match="cap of"):
+        construct(name, top + 1)
+    for p in (least - 1, -10**9):
+        with pytest.raises(ValueError, match=re.escape(f"{name} needs a parameter >= {least}, got {p}")):
+            construct(name, p)
 
 
 def test_near_miss_is_not_distance_regular():

@@ -1,4 +1,5 @@
-"""Property test: verify_drg gives the edge-loop reference's report or refusal on small graphs."""
+"""Property tests on small graphs: verify_drg gives the edge-loop reference's
+report or refusal, and LabeledGraph's adjacency lists come out sorted."""
 
 from __future__ import annotations
 
@@ -38,3 +39,21 @@ _graphs = st.integers(min_value=2, max_value=9).flatmap(
 def test_verify_drg_matches_the_edge_loop_on_small_graphs(g):
     # field for field, or the same ValueError message
     assert _report_or_refusal(verify_drg, g) == _report_or_refusal(edge_loop_verify, g)
+
+
+@hypothesis.settings(database=None, deadline=None)
+@hypothesis.given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+        )
+    )
+)
+def test_adjacency_lists_come_out_sorted(case):
+    n, pairs = case
+    # each unordered pair once, in either order, with no loop
+    edges = list({frozenset(e): e for e in pairs if e[0] != e[1]}.values())
+    g = LabeledGraph(n, edges)
+    for v in range(n):
+        assert g.adjacency[v] == tuple(sorted(u for e in edges for u in e if v in e and u != v))
