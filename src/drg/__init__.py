@@ -49,6 +49,7 @@ _EXPORTS = {
         "compute_potentials_explicit",
         "compute_profile",
         "compute_ratio",
+        "compute_resistances",
         "step_inequalities",
         "tail_sum_check",
     ),

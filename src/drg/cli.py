@@ -417,14 +417,18 @@ def _named_array_lines(text: str) -> Iterator[tuple[int, str, str]]:
     """(lineno, name, array) per `name | array` or bare-array line; `#` comments.
 
     A line with an empty name is named by its array text, or by the
-    whole line when that is empty too.
+    whole line when that is empty too.  A label longer than 80 characters
+    is cut to its first 77 characters and "...".
     Lines end at "\n", as in the line numbers of _read_text.
     """
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             name, bar, array_text = (part.strip() for part in line.partition("|"))
-            yield lineno, name or array_text or line, array_text if bar else line
+            label = name or array_text or line
+            if len(label) > 80:
+                label = label[:77] + "..."
+            yield lineno, label, array_text if bar else line
 
 
 def cmd_batch(args) -> int:

@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement
 from ._record import Record, set_field
 from .arrays import derive
 from .graphs import DistancePartitionReport, LabeledGraph, verify_drg
-from .potentials import compute_profile
+from .potentials import compute_resistances
 
 Matrix = list[list[int]]
 
@@ -279,7 +279,7 @@ def cross_validate(g: LabeledGraph) -> CrossValidation:
         raise NotDistanceRegular(g.name or "graph", report)
 
     params = derive(report.observed_array)
-    resistances = compute_profile(params).resistances
+    resistances = compute_resistances(params)
     scale = math.lcm(*(r.denominator for r in resistances))
     per_class = [0] + [r.numerator * (scale // r.denominator) for r in resistances]
     # verify_drg has refused a disconnected g

@@ -16,6 +16,9 @@ Where only rho is read (the audit of each `drg batch` line against the
 ratio targets, the catalog's check of its printed ratios),
 `compute_ratio` takes it from the same integer sums as one Fraction,
 without building the potentials and resistances of `compute_profile`.
+Where only the resistances are read (the oracle's check of a graph),
+`compute_resistances` builds them from those sums without the
+potentials, rho and k_effective.
 """
 
 from __future__ import annotations
@@ -109,6 +112,25 @@ def compute_ratio(params: DerivedParams) -> Fraction:
     return _ratio(scaled[0], sum(scaled))
 
 
+def _resistances(
+    params: DerivedParams, numerators: list[tuple[int, int]], scaled: list[int]
+) -> tuple[tuple[Fraction, ...], int]:
+    """(r_1, ..., r_D), r_j = 2*(Q_0 + ... + Q_{j-1})/(n*k*B), and Q_0 + ... + Q_{D-1}."""
+    nk_common = params.n * params.k * numerators[-1][1]
+    prefix = 0
+    resistances = []
+    for q in scaled:
+        prefix += q
+        resistances.append(Fraction(2 * prefix, nk_common))
+    return tuple(resistances), prefix
+
+
+def compute_resistances(params: DerivedParams) -> tuple[Fraction, ...]:
+    """The resistances alone, equal to compute_profile(params).resistances, from the same sums."""
+    numerators = _numerators(params)
+    return _resistances(params, numerators, _scaled(numerators))[0]
+
+
 def compute_profile(params: DerivedParams) -> PotentialProfile:
     """Build the full profile from the integer recursion (see the module docstring)."""
     numerators = _numerators(params)
@@ -116,19 +138,14 @@ def compute_profile(params: DerivedParams) -> PotentialProfile:
     for p, b_prod in numerators:
         phi.append(Fraction(p, b_prod))
     scaled = _scaled(numerators)
-    nk_common = params.n * params.k * numerators[-1][1]
-    prefix = 0
-    resistances = []
-    for q in scaled:
-        prefix += q
-        resistances.append(Fraction(2 * prefix, nk_common))
+    resistances, total = _resistances(params, numerators, scaled)
     q0 = scaled[0]
     return PotentialProfile(
         params=params,
         phi=tuple(phi),
-        resistances=tuple(resistances),
-        ratio=_ratio(q0, prefix),
-        k_effective=Fraction(prefix, q0),
+        resistances=resistances,
+        ratio=_ratio(q0, total),
+        k_effective=Fraction(total, q0),
     )
 
 

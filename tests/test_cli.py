@@ -19,6 +19,7 @@ from drg import (
     cli,
     PotentialProfile,
     compute_profile,
+    compute_resistances,
     derive,
     format_array,
     graphs,
@@ -215,12 +216,11 @@ def test_oracle_graph_file_missing(capsys):
 
 def test_oracle_counts_the_mismatches_it_does_not_print(monkeypatch, capsys):
     def wrong_r1(params):
-        """The formula's profile with r_1 moved by 1/1000, so every edge mismatches."""
-        profile = compute_profile(params)
-        rs = (profile.resistances[0] + Fraction(1, 1000), *profile.resistances[1:])
-        return PotentialProfile(profile.params, profile.phi, rs, profile.ratio, profile.k_effective)
+        """The formula's resistances with r_1 moved by 1/1000, so every edge mismatches."""
+        rs = compute_resistances(params)
+        return (rs[0] + Fraction(1, 1000), *rs[1:])
 
-    monkeypatch.setattr(oracle, "compute_profile", wrong_r1)
+    monkeypatch.setattr(oracle, "compute_resistances", wrong_r1)
     code, out, _ = run(capsys, "oracle", "petersen")
     assert code == 1
     assert out.splitlines()[3:] == [
@@ -463,6 +463,29 @@ def test_batch_reports_numbers_too_long_to_print_and_goes_on(tmp_path, monkeypat
     code, out, _ = run(capsys, "batch", str(path))
     assert out.splitlines()[-1] == (
         "  extremal entries (rho >= 0): X (rho = too long to print); Cube (rho = 3/7)"
+    )
+
+
+def test_batch_cuts_a_label_longer_than_80_characters(tmp_path, monkeypatch, capsys):
+    biggs = "3,2,2,2,1,1,1;1,1,1,1,1,1,3"  # rho = 94/101, an extremal entry
+    cube30 = _long_array_text(30)  # a bare array line of 161 characters
+    path = tmp_path / "labels.txt"
+    path.write_text(f"{'A' * 80} | {biggs}\n{'B' * 81} | {biggs}\n{cube30}\n")
+    code, out, _ = run(capsys, "batch", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    labels = ["A" * 80, "B" * 77 + "...", cube30[:77] + "..."]
+    assert [line.split(": ")[1] for line in lines[:3]] == labels
+    assert lines[-1] == (
+        f"  extremal entries (rho >= 93/100): {labels[0]} (rho = 94/101); {labels[1]} (rho = 94/101)"
+    )
+    # with a tightest target of 0 the bare line is extremal too, under the same cut label
+    tightest, *rest = proofs.BOUNDS
+    zero = proofs.RatioBound(tightest.name, Fraction(0), tightest.prover)
+    monkeypatch.setattr(proofs, "BOUNDS", (zero, *rest))
+    _, out, _ = run(capsys, "batch", str(path))
+    assert out.splitlines()[-1].endswith(
+        f"; {labels[2]} (rho = 388393249044137669/10420170304546437435)"
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 import sys
@@ -153,14 +154,44 @@ def test_disconnected_graph_rejected():
 
 
 def test_graph_structural_errors():
-    with pytest.raises(ValueError):
-        LabeledGraph(3, [(0, 0)])  # loop
-    with pytest.raises(ValueError):
-        LabeledGraph(3, [(0, 1), (1, 0)])  # duplicate
-    with pytest.raises(ValueError):
-        LabeledGraph(3, [(0, 5)])  # out of range
+    with pytest.raises(ValueError, match=r"^loop at vertex 0$"):
+        LabeledGraph(3, [(0, 0)])
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+        LabeledGraph(3, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match=r"^edge \(0,5\) out of range for n=3$"):
+        LabeledGraph(3, [(0, 5)])
     with pytest.raises(ValueError, match="need at least one vertex"):
         LabeledGraph(0, [])
+
+
+def _graph_on_reference(n: int, adjacent) -> tuple[list, tuple]:
+    """The edges and adjacency lists of the graph on 0..n-1 with i ~ j iff
+    adjacent(i, j), for i < j, as graphs._graph_on and LabeledGraph built
+    the dense families before they took their edges from combinations."""
+    edges = [(i, j) for j in range(n) for i in range(j) if adjacent(i, j)]
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    return sorted(edges), tuple(tuple(sorted(nb)) for nb in neighbours)
+
+
+# the family's vertex count and the adjacency rule it was built from, per parameter m
+_DENSE_RULES = {
+    "complete": lambda m: (m, operator.ne),
+    "cocktail_party": lambda m: (2 * m, lambda u, v: v - u != m),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_RULES))
+def test_dense_families_keep_the_graphs_of_their_adjacency_rules(name):
+    for m in range(2, 41):
+        g = construct(name, m)
+        n, adjacent = _DENSE_RULES[name](m)
+        edges, adjacency = _graph_on_reference(n, adjacent)
+        assert g.n == n
+        assert g.edges == tuple(edges)
+        assert g.adjacency == adjacency
 
 
 def test_repr_names_the_graph_and_its_counts():

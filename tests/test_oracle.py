@@ -17,6 +17,7 @@ from drg import (
     LabeledGraph,
     PotentialProfile,
     compute_profile,
+    compute_resistances,
     construct,
     cross_validate,
     derive,
@@ -139,23 +140,15 @@ def test_hypercube_adjacent_resistance_matches_formula(d):
     assert resistance_matrix(g)[0][1] == profile.resistances[0]
 
 
-def _with_resistances(profile: PotentialProfile, resistances) -> PotentialProfile:
-    """`profile` with its resistances replaced."""
-    return PotentialProfile(
-        profile.params, profile.phi, resistances, profile.ratio, profile.k_effective
-    )
-
-
 def _with_n(params: DerivedParams, n: int) -> DerivedParams:
     """`params` with its vertex count replaced."""
     return DerivedParams(params.array, params.k, n, params.a, params.sphere_sizes, params.j)
 
 
 def wrong_r1(params):
-    """The formula's profile with r_1 moved by 1/1000, so the certificate fails."""
-    profile = compute_profile(params)
-    rs = (profile.resistances[0] + Fraction(1, 1000), *profile.resistances[1:])
-    return _with_resistances(profile, rs)
+    """The formula's resistances with r_1 moved by 1/1000, so the certificate fails."""
+    rs = compute_resistances(params)
+    return (rs[0] + Fraction(1, 1000), *rs[1:])
 
 
 def _count_traversals(monkeypatch) -> dict[str, list]:
@@ -178,14 +171,27 @@ def test_cross_validate_runs_one_bfs_per_vertex(monkeypatch):
     calls = _count_traversals(monkeypatch)
     # certified, and solved for the mismatches that the wrong r_1 leaves:
     # resistance_matrix checks its own premise, g connected, by one BFS from 0
-    for formula, ok, solver_bfs in ((compute_profile, True, []), (wrong_r1, False, [0])):
-        monkeypatch.setattr(oracle, "compute_profile", formula)
+    for formula, ok, solver_bfs in ((compute_resistances, True, []), (wrong_r1, False, [0])):
+        monkeypatch.setattr(oracle, "compute_resistances", formula)
         for record in calls.values():
             record.clear()
         g = construct("petersen")  # a fresh graph, which verify_drg has not counted
         assert cross_validate(g).ok is ok
         # one kernel run gives the distance matrix and shows g connected; no per-base BFS
         assert calls == {"_certify": [g], "_bfs": solver_bfs}
+
+
+def test_cross_validate_builds_no_potential_profile(monkeypatch):
+    # it reads the resistances alone, which compute_resistances gives without the profile
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a PotentialProfile was built")
+
+    monkeypatch.setattr(PotentialProfile, "__init__", refuse)
+    for name in registry_names():
+        assert cross_validate(construct(name)).ok
+    # the failure path, where the solver lists the mismatches, reads them too
+    monkeypatch.setattr(oracle, "compute_resistances", wrong_r1)
+    assert not cross_validate(construct("petersen")).ok
 
 
 def test_cross_validate_scans_a_non_drg_graph_base_by_base(monkeypatch):
@@ -447,7 +453,7 @@ def test_packed_certificate_matches_the_row_rule(name, param):
     scaled, scale, _ = scaled_candidate(g)
     assert both_certificates(g, scaled, scale) == (True, True)
     report = verify_drg(g)
-    rs = wrong_r1(derive(report.observed_array)).resistances
+    rs = wrong_r1(derive(report.observed_array))
     wrong_scale = math.lcm(*(r.denominator for r in rs))
     per_class = [0] + [int(r * wrong_scale) for r in rs]
     wrong = [[per_class[d] for d in row] for row in report.distances]
@@ -532,19 +538,18 @@ def reference_mismatches(g, resistances):
 @pytest.mark.parametrize("name", ("complete", "petersen", "hypercube", "heawood"))
 @pytest.mark.parametrize("wrong_class", (0, -1), ids=("r_1", "r_D"))
 def test_wrong_formula_lists_the_solver_mismatches(monkeypatch, name, wrong_class):
-    formula = oracle.compute_profile
+    formula = oracle.compute_resistances
 
     def wrong(params):
-        profile = formula(params)
-        rs = list(profile.resistances)
+        rs = list(formula(params))
         rs[wrong_class] += Fraction(1, 1000)
-        return _with_resistances(profile, tuple(rs))
+        return tuple(rs)
 
-    monkeypatch.setattr(oracle, "compute_profile", wrong)
+    monkeypatch.setattr(oracle, "compute_resistances", wrong)
     g = construct(name)
     result = cross_validate(g)
     assert not result.ok
-    wrong_rs = wrong(derive(g.claimed_array)).resistances
+    wrong_rs = wrong(derive(g.claimed_array))
     assert [c.mismatches for c in result.classes] == reference_mismatches(g, wrong_rs)
     assert [c.expected for c in result.classes] == list(wrong_rs)
     assert sum(c.pairs_checked for c in result.classes) == g.n * (g.n - 1) // 2
@@ -553,8 +558,8 @@ def test_wrong_formula_lists_the_solver_mismatches(monkeypatch, name, wrong_clas
 def test_wrong_formula_mismatches_on_k4_are_every_pair(monkeypatch):
     monkeypatch.setattr(
         oracle,
-        "compute_profile",
-        lambda params: _with_resistances(compute_profile(params), (Fraction(1, 3),)),
+        "compute_resistances",
+        lambda params: (Fraction(1, 3),),
     )
     (cls,) = cross_validate(construct("complete", 4)).classes
     assert cls.mismatches == tuple(
@@ -702,7 +707,7 @@ def test_an_array_of_another_order_reaches_the_solver(monkeypatch):
 
     monkeypatch.setattr(oracle, "derive", other_n)
     monkeypatch.setattr(
-        oracle, "compute_profile", lambda params: compute_profile(_with_n(params, g.n))
+        oracle, "compute_resistances", lambda params: compute_resistances(_with_n(params, g.n))
     )
     result = cross_validate(g)
     assert calls == [g]

@@ -13,12 +13,16 @@ from drg import (
     compute_potentials_explicit,
     compute_profile,
     compute_ratio,
+    compute_resistances,
+    construct,
     derive,
     parse_array,
+    registry_names,
     step_inequalities,
     tail_sum_check,
     validate,
 )
+from drg.graphs import FAMILIES
 from test_array_layer import _hamming, _johnson
 
 
@@ -90,6 +94,29 @@ def test_compute_ratio_is_the_profile_ratio_on_families_to_diameter_60():
             _assert_one_rho(_hamming(d, q))
         for v in (2 * d, 2 * d + 1, 2 * d + 5):
             _assert_one_rho(_johnson(v, d))
+
+
+def _assert_resistances(arr: IntersectionArray) -> None:
+    """compute_resistances is the profile's resistances, and both are
+    r_j = 2*(phi_0 + ... + phi_{j-1})/(nk) from the closed form."""
+    p = derive(arr)
+    phi = compute_potentials_explicit(p)
+    rs = compute_resistances(p)
+    assert type(rs) is tuple and {type(r) for r in rs} == {Fraction}
+    assert rs == compute_profile(p).resistances, arr
+    assert rs == tuple(2 * sum(phi[:j]) / (p.n * p.k) for j in range(1, arr.D + 1)), arr
+
+
+def test_compute_resistances_are_the_profile_resistances(corpus):
+    for arr in corpus:
+        _assert_resistances(arr)
+    for entry in catalog_list():
+        _assert_resistances(entry.array)
+    for name in registry_names():
+        _assert_resistances(construct(name).claimed_array)
+    for _, _, _, claim, _ in FAMILIES.values():
+        for p in range(2, 41):
+            _assert_resistances(IntersectionArray(*claim(p)))
 
 
 def test_compute_ratio_at_the_edges():

@@ -132,6 +132,7 @@ def test_readme_library_snippets_give_the_values_their_comments_state(capsys):
     assert profile.resistances == (Fraction(13, 21), Fraction(6, 7), Fraction(19, 21))
     assert profile.ratio == Fraction(6, 13)
     assert scope["rho"] == profile.ratio and scope["compute_ratio"] is drg.compute_ratio
+    assert scope["resistances"] == profile.resistances
     assert capsys.readouterr().out == scope["trace"].render() + "\n"
 
     scope = {}

@@ -1,5 +1,6 @@
 """Property tests on small graphs: verify_drg gives the edge-loop reference's
-report or refusal, and LabeledGraph's adjacency lists come out sorted."""
+report or refusal, LabeledGraph's adjacency lists come out sorted, and
+LabeledGraph builds or refuses an edge list as a tuple-keyed edge loop does."""
 
 from __future__ import annotations
 
@@ -57,3 +58,64 @@ def test_adjacency_lists_come_out_sorted(case):
     g = LabeledGraph(n, edges)
     for v in range(n):
         assert g.adjacency[v] == tuple(sorted(u for e in edges for u in e if v in e and u != v))
+
+
+def _tuple_keyed_graph(n: int, edges) -> tuple | str:
+    """(edges, adjacency) of the graph, or the refusal of its first bad edge,
+    from a loop that keys each edge by the tuple (u, v), u < v."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) out of range for n={n}"
+        if u == v:
+            return f"loop at vertex {u}"
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return f"duplicate edge {key}"
+        seen.add(key)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(seen):
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(sorted(seen)), tuple(map(tuple, adj))
+
+
+@st.composite
+def _edge_lists(draw) -> tuple[int, list[tuple[int, int]]]:
+    """n and a list of distinct edges with up to three bad entries put
+    anywhere: a pair that may leave the range, a loop, or a repeat of a
+    listed edge in either orientation."""
+    n = draw(st.integers(1, 16))
+    vertex = st.integers(0, n - 1)
+    edges = draw(
+        st.lists(
+            st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+            max_size=30 if n > 1 else 0,
+            unique_by=frozenset,
+        )
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("range", "loop", "repeat") if edges else ("range", "loop")))
+        if kind == "range":
+            bad = draw(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)))
+        elif kind == "loop":
+            w = draw(st.integers(-1, n))
+            bad = (w, w)
+        else:
+            u, v = draw(st.sampled_from(edges))
+            bad = draw(st.sampled_from(((u, v), (v, u))))
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
+
+
+@hypothesis.settings(max_examples=500, deadline=None)
+@hypothesis.given(_edge_lists())
+def test_labeled_graph_matches_the_tuple_keyed_loop(case):
+    n, edges = case
+    try:
+        g = LabeledGraph(n, edges)
+    except ValueError as exc:
+        built = str(exc)
+    else:
+        built = g.edges, g.adjacency
+    assert built == _tuple_keyed_graph(n, edges)
