@@ -45,10 +45,12 @@ from .arrays import IntersectionArray, parse_array
 from .catalog import catalog_list
 
 # The most vertices a constructed or parsed graph may have, and the most
-# work n * m: verify_drg adds a packed row of n fields for every
-# (vertex, neighbour) incidence once per distance level, and the oracle's
-# check once.  GH(3,3), with 728 vertices, fits; so does the 10-cube, the
-# largest graph at both caps at once (n * m = 1024 * 5120).
+# work n * m: once per distance level, verify_drg adds a packed row of n
+# fields for every (vertex, neighbour) incidence, 2m rows, or on a graph
+# with 4m > n(n - 1) one row per vertex and per (vertex, non-neighbour)
+# pair, n + n^2 - 2m rows, which is fewer (neighbour_sums); the oracle's
+# check does the same once.  GH(3,3), with 728 vertices, fits; so does the
+# 10-cube, the largest graph at both caps at once (n * m = 1024 * 5120).
 MAX_VERTICES = 1024
 MAX_WORK = 1024 * 5120
 
@@ -96,6 +98,8 @@ class LabeledGraph:
         self.adjacency = tuple(map(tuple, adj))
         # verify_drg's (adjacency, claimed_array, report) for this graph, once counted
         self._drg_report: tuple | None = None
+        # neighbour_sums' (adjacency, closed non-neighbourhoods) of a dense graph, once listed
+        self._closed_non_neighbours: tuple | None = None
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -192,6 +196,36 @@ def _bfs(masks: list[int], source: int) -> tuple[list[int], list[int], list[int]
     return dist, down, up
 
 
+def neighbour_sums(g: LabeledGraph, rows: list[int]) -> list[int]:
+    """[sum(rows[w] for w ~ x) for x in range(n)]: each vertex's sum of its neighbours' rows.
+
+    The one place where rows are summed over neighbours: verify_drg's
+    kernel (_certify) per level and the oracle's Kirchhoff check.  When
+    the average degree is above (n - 1) / 2, that is 4m > n(n - 1), each
+    sum is taken instead as sum(rows) less the rows of x's closed
+    non-neighbourhood (x and its non-neighbours), the shorter list:
+    n + n^2 - 2m additions in all against 2m.  Both forms are one integer
+    sum regrouped, so they return the same integers.
+
+    Only g.adjacency is read.  The closed non-neighbourhoods are listed
+    once per graph and kept on it while g.adjacency is the same object,
+    as verify_drg keeps its report: one kernel level or one Kirchhoff
+    check of a dense graph then costs its additions alone.
+    """
+    adjacency = g.adjacency
+    n = len(adjacency)
+    pick = rows.__getitem__
+    if 2 * sum(map(len, adjacency)) <= n * (n - 1):
+        return [sum(map(pick, nb)) for nb in adjacency]
+    kept = g._closed_non_neighbours
+    if kept is None or kept[0] is not adjacency:
+        everyone = set(range(n))
+        kept = (adjacency, [tuple(everyone.difference(nb)) for nb in adjacency])
+        g._closed_non_neighbours = kept
+    total = sum(rows)
+    return [total - sum(map(pick, others)) for others in kept[1]]
+
+
 def _unpack16(row: int, n: int) -> list[int]:
     """The n 16-bit fields of a packed row, least significant first, on either byte order."""
     fields = array("H", row.to_bytes(2 * n, "little"))
@@ -209,8 +243,11 @@ def _certify(g: LabeledGraph) -> tuple[list[list[int]], list[int], list[int]] | 
 
         T_x = sum(A_i[w] for w ~ x),  field y of T_x = |N(x) & S_i(y)|,
 
-    so the whole run is O(n * D) Python steps on n*w-bit ints, where a
-    BFS per base is O(n^2).  For y with d(x, y) = i + 1 that field is
+    from neighbour_sums, which on a graph with 4m > n(n - 1) takes it as
+    sum(A_i) less the rows of x's closed non-neighbourhood: the same
+    integer, so the width argument below holds for both.  The whole run
+    is O(n * D) Python steps on n*w-bit ints, where a BFS per base is
+    O(n^2).  For y with d(x, y) = i + 1 that field is
     c_{i+1}(y, x), the neighbours of x one step nearer to y, and it is
     at least 1 (the first step of a shortest path from x to y); for
     d(x, y) > i + 1 it is 0.  So the next row is the nonzero fields of
@@ -254,9 +291,8 @@ def _certify(g: LabeledGraph) -> tuple[list[list[int]], list[int], list[int]] | 
     first = [0]  # base 0's first y at each distance
     b: list[int] = []
     c: list[int] = []
-    adjacency = g.adjacency
     for i in count():
-        sums = [sum(map(level.__getitem__, nb)) for nb in adjacency]
+        sums = neighbour_sums(g, level)
         ahead = [((t + half) >> shift) & u for t, u in zip(sums, unseen)]
         if ahead[0]:
             first.append(((ahead[0] & -ahead[0]).bit_length() - 1) // width)
@@ -379,6 +415,12 @@ def _diagnose(g: LabeledGraph) -> DistancePartitionReport:
 # ----------------------------------------------------------------------
 # constructions
 
+# str(i) -> i for every vertex index below the cap, so that an edge list
+# of canonical indices is converted by dict lookups; parse_edge_list
+# converts any other token (leading zeros, past the cap) by int().
+_INDICES = {str(i): i for i in range(MAX_VERTICES)}
+
+
 def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> LabeledGraph:
     """Build a graph from `u v` lines of ASCII digits (0-based); '#' comments and blanks allowed.
 
@@ -391,25 +433,30 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
 
     The text is split into lines and tokens once, and the rows are
     checked at once: every line has 0 or 2 tokens, the tokens together
-    are ASCII digits, and the caps hold for the final largest index and
-    edge count, which pass on every line when they pass at the end, as
-    both only grow.  LabeledGraph then builds the graph, and the claim
-    is read last, so every refusal of the edges comes before one of the
-    claim.  Text that fails the check, or whose graph LabeledGraph
-    refuses (a loop or a repeated edge), goes to _refuse_first_bad_line,
-    which walks the rows already split and raises the refusal of the
-    first bad line.
+    are ASCII digits (each is looked up in _INDICES, and only when one
+    is missing are they all checked and converted by int()), and the
+    caps hold for the final largest index and edge count, which pass on
+    every line when they pass at the end, as both only grow.
+    LabeledGraph then builds the graph, and the claim is read last, so
+    every refusal of the edges comes before one of the claim.  Text that
+    fails the check, or whose graph LabeledGraph refuses (a loop or a
+    repeated edge), goes to _refuse_first_bad_line, which walks the rows
+    already split and raises the refusal of the first bad line.
     """
     lines = text.split("\n")
     rows = list(map(str.split, [line.split("#", 1)[0] for line in lines] if "#" in text else lines))
     tokens = list(chain.from_iterable(rows))
-    digits = "".join(tokens)
     numbers: list[int] = []
-    if set(map(len, rows)) <= {0, 2} and digits.isascii() and digits.isdigit():
+    if set(map(len, rows)) <= {0, 2}:
         try:
-            numbers = list(map(int, tokens))
-        except ValueError:  # beyond sys.get_int_max_str_digits()
-            pass
+            numbers = list(map(_INDICES.__getitem__, tokens))
+        except KeyError:  # a token that is not str(i) for an i below the cap
+            digits = "".join(tokens)
+            if digits.isascii() and digits.isdigit():
+                try:
+                    numbers = list(map(int, tokens))
+                except ValueError:  # beyond sys.get_int_max_str_digits()
+                    pass
     top = max(numbers, default=MAX_VERTICES)
     if top < MAX_VERTICES and (top + 1) * (len(numbers) // 2) <= MAX_WORK:
         pairs = iter(numbers)
@@ -432,7 +479,7 @@ def _refuse_first_bad_line(lines: list[str], rows: list[list[str]]):
     each of its checks fails on some line when it fails at all, so a
     walk that finds no bad line has found no edge.
     """
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()  # the edge (u, v), u < v, as u * MAX_VERTICES + v
     top = -1
     for lineno, (raw, parts) in enumerate(zip(lines, rows), start=1):
         if not parts:
@@ -453,9 +500,9 @@ def _refuse_first_bad_line(lines: list[str], rows: list[list[str]]):
             )
         if u == v:
             raise ValueError(f"line {lineno}: loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
+        key = u * MAX_VERTICES + v if u < v else v * MAX_VERTICES + u
         if key in seen:
-            raise ValueError(f"line {lineno}: duplicate edge {key}")
+            raise ValueError(f"line {lineno}: duplicate edge {divmod(key, MAX_VERTICES)}")
         seen.add(key)
         top = max(top, u, v)
         if (top + 1) * len(seen) > MAX_WORK:

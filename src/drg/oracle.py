@@ -3,15 +3,15 @@
 cross_validate builds the candidate resistance matrix from the
 potential-based formula r_j = 2*(phi_0+...+phi_{j-1})/(nk), one value
 per distance class, and certifies it exactly with Kirchhoff's law
-(kirchhoff_certifies), in O(n + m) operations on rows packed into one
-integer each.  It builds no n x n matrix of values: each row is packed
-straight from verify_drg's distance row through a table of D + 1 byte
-fields, one per distance class, and the certificate's premises (n
-rows of n, a zero diagonal, the array's n is g.n) are checked on the
-distance rows.  Only when the certificate fails does it
-solve for the resistances by fraction-free integer elimination on the
-grounded Laplacian (resistance_matrix), the O(n^3) diagnostic that
-lists every mismatching pair.  fraction_free_solve is that elimination
+(kirchhoff_certifies), in O(n + min(m, n^2 - 2m)) operations on rows
+packed into one integer each.  It builds no n x n matrix of values:
+each row is packed straight from verify_drg's distance row through a
+table of D + 1 byte fields, one per distance class, and the
+certificate's premises (n rows of n, a zero diagonal, the array's n is
+g.n) are checked on the distance rows.  Only when the certificate fails
+does it solve for the resistances by fraction-free integer elimination
+on the grounded Laplacian (resistance_matrix), the O(n^3) diagnostic
+that lists every mismatching pair.  fraction_free_solve is that elimination
 (Bareiss): every update is an exact integer division, so no gcd is taken
 and every entry stays a minor of the input.
 """
@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 
 from ._record import Record, set_field
 from .arrays import derive
-from .graphs import DistancePartitionReport, LabeledGraph, verify_drg
+from .graphs import DistancePartitionReport, LabeledGraph, neighbour_sums, verify_drg
 from .potentials import compute_resistances
 
 Matrix = list[list[int]]
@@ -116,8 +116,12 @@ def kirchhoff_certifies(g: LabeledGraph, scaled: list[list[int]], scale: int) ->
     exactly, with no bias left, as its coefficients sum to
     deg(u) - deg(u) = 0.  It passes iff K_u equals k_0 * ones,
     ones = 1 + 2^w + ... + 2^(w (n-1)) and k_0 its entry at vertex 0
-    with row 0 of S read as column 0.  That is O(n + m) operations on
-    n * w-bit integers, with no list of n entries built per row.
+    with row 0 of S read as column 0.  The sums over w ~ u, of the P[w]
+    and of the k_0 terms alike, come from graphs.neighbour_sums: 2m
+    additions, or on a graph with 4m > n(n - 1) the sum of all rows less
+    each closed non-neighbourhood, n + n^2 - 2m, which gives the same
+    integers.  That is O(n + min(m, n^2 - 2m)) operations on n * w-bit
+    integers, with no list of n entries built per row.
 
     Width.  Let S hold values from low to low + spread (at most D + 1
     values when S is cross_validate's candidate), so max S - min S is
@@ -184,10 +188,11 @@ def _certifies(g: LabeledGraph, rows: list[list], values: dict, scale: int) -> b
     packed = [int.from_bytes(b"".join(map(field.__getitem__, row)), "little") for row in rows]
     ones = int.from_bytes((b"\1" + bytes(size - 1)) * n, "little")
     first = list(map(values.__getitem__, rows[0]))  # row 0, read as column 0
+    sums = neighbour_sums(g, packed)
+    first_sums = neighbour_sums(g, first)
     for u, nb in enumerate(g.adjacency):
-        kirchhoff = len(nb) * packed[u] - sum(map(packed.__getitem__, nb))
-        kirchhoff += (2 * scale) << (8 * size * u)
-        k0 = len(nb) * first[u] - sum(map(first.__getitem__, nb)) + (2 * scale if u == 0 else 0)
+        kirchhoff = len(nb) * packed[u] - sums[u] + ((2 * scale) << (8 * size * u))
+        k0 = len(nb) * first[u] - first_sums[u] + (2 * scale if u == 0 else 0)
         if kirchhoff != k0 * ones:
             return False
     return True

@@ -194,6 +194,73 @@ def test_dense_families_keep_the_graphs_of_their_adjacency_rules(name):
         assert g.adjacency == adjacency
 
 
+def edge_loop_neighbour_sums(g, rows):
+    """Each vertex's sum of its neighbours' rows, one edge at a time."""
+    sums = [0] * g.n
+    for u, v in g.edges:
+        sums[u] += rows[v]
+        sums[v] += rows[u]
+    return sums
+
+
+class _CountedRows(list):
+    """Rows that count how many are read one at a time by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+# the star K_{1,3}, C_5 and an 8- and a 9-vertex graph have 4m = n(n-1)
+# exactly, so their sums still run over neighbours; one edge more and
+# they run over closed non-neighbourhoods
+_DENSITY_GRAPHS = {
+    "one-vertex": LabeledGraph(1, []),
+    "isolated": LabeledGraph(6, [(1, 4)]),
+    "star-4": LabeledGraph(4, [(0, 1), (0, 2), (0, 3)]),
+    "star-4-and-an-edge": LabeledGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]),
+    "C5": LabeledGraph(5, [(i, (i + 1) % 5) for i in range(5)]),
+    "C5-and-a-chord": LabeledGraph(5, [*((i, (i + 1) % 5) for i in range(5)), (0, 2)]),
+    "n8-m14": LabeledGraph(8, list(combinations(range(8), 2))[:14]),
+    "n8-m15": LabeledGraph(8, list(combinations(range(8), 2))[:15]),
+    "n9-m18": LabeledGraph(9, list(combinations(range(9), 2))[::2]),
+    "n9-m19": LabeledGraph(9, list(combinations(range(9), 2))[:19]),
+    "K5-and-an-isolated-vertex": LabeledGraph(6, list(combinations(range(5), 2))),
+    "complete-24": construct("complete", 24),
+    "cocktail_party-16": construct("cocktail_party", 16),
+    "hypercube-6": construct("hypercube", 6),
+}
+
+
+@pytest.mark.parametrize("key", _DENSITY_GRAPHS)
+def test_neighbour_sums_read_the_shorter_side(key):
+    g = _DENSITY_GRAPHS[key]
+    n, m = g.n, len(g.edges)
+    rows = _CountedRows(random.Random(key).randrange(-(2**80), 2**80) for _ in range(n))
+    assert graphs.neighbour_sums(g, rows) == edge_loop_neighbour_sums(g, list(rows))
+    # closed non-neighbourhoods when the average degree is above (n - 1) / 2
+    assert rows.reads == (n * n - 2 * m if 4 * m > n * (n - 1) else 2 * m)
+
+
+def test_neighbour_sums_list_the_non_neighbourhoods_once_per_adjacency():
+    g = construct("cocktail_party", 5)
+    rows = list(range(1, g.n + 1))
+    assert graphs.neighbour_sums(g, rows) == edge_loop_neighbour_sums(g, rows)
+    kept = g._closed_non_neighbours
+    assert kept[0] is g.adjacency
+    assert list(map(set, kept[1])) == [{x, (x + 5) % 10} for x in range(10)]
+    doubled = [2 * r for r in rows]
+    assert graphs.neighbour_sums(g, doubled) == edge_loop_neighbour_sums(g, doubled)
+    assert g._closed_non_neighbours is kept
+    # a replaced adjacency is listed again: K_10 less another perfect matching
+    other = LabeledGraph(10, [(u, v) for u, v in combinations(range(10), 2) if v != u ^ 1])
+    g.adjacency = other.adjacency
+    assert graphs.neighbour_sums(g, rows) == edge_loop_neighbour_sums(other, rows)
+    assert g._closed_non_neighbours[0] is other.adjacency
+
+
 def test_repr_names_the_graph_and_its_counts():
     assert repr(construct("petersen")) == "<LabeledGraph petersen: n=10, m=15>"
     assert repr(LabeledGraph(3, [(0, 1)])) == "<LabeledGraph graph: n=3, m=1>"
@@ -436,6 +503,18 @@ def _edge_loop_cases():
     return cases + _kernel_edge_cases()
 
 
+def johnson_5_2(claimed=None):
+    """J(5,2), the complement of the Petersen graph, from its edge list as text:
+    the 2-subsets of a 5-set, adjacent when they meet."""
+    pairs = list(combinations(range(5), 2))
+    text = "".join(
+        f"{i} {j}\n" for (i, p), (j, q) in combinations(enumerate(pairs), 2) if set(p) & set(q)
+    )
+    g = parse_edge_list(text, name="J(5,2)")
+    g.claimed_array = claimed
+    return g
+
+
 def cycle(n, claimed=None):
     return LabeledGraph(n, [(i, (i + 1) % n) for i in range(n)], name=f"C{n}", claimed_array=claimed)
 
@@ -462,6 +541,10 @@ def _kernel_edge_cases():
         relabelled(construct("hypercube", 5), parse_array("5,4,3,2,1;1,2,3,4,4")),
         # a claim of the wrong diameter on a graph the kernel certifies
         cycle(9, parse_array("2,1,1;1,1,2")),
+        # J(5,2), the complement of Petersen: dense, so the kernel sums
+        # non-neighbourhoods; with its array, and with one edge moved
+        johnson_5_2(parse_array("6,2;1,4")),
+        one_edge_moved(johnson_5_2(), 5, parse_array("6,2;1,4")),
         # 16-bit distance rows that the kernel certifies, with a wrong diameter
         cycle(300, parse_array("2;1")),
     ]
@@ -614,6 +697,13 @@ EDGE_TEXTS = {
     "index-1023": "0 1023\n",
     "index-1024": "0 1\n0 1024\n",
     "index-1024-late": "0 1\n1 2\n1024 3\n0 1\n",
+    # tokens that are not str(i) for a vertex index i below the cap
+    "leading-zeros": "007 1\n00 1\n",
+    "leading-zeros-repeat": "7 1\n1 007\n",
+    "leading-zeros-1023": "0 01023\n",
+    "leading-zeros-1024": "0 1\n0 001024\n",
+    "too-long-4301": "0 1\n0 " + "1" * 4301 + "\n",
+    "arabic-indic-last": "0 1\n1 \u0662\n",
     # the work cap: n*m = 1024 * 5120 exactly, then one edge past it
     "work-at-cap": _CUBE_10,
     "work-past-cap": _CUBE_10 + "0 3\n",

@@ -28,6 +28,7 @@ from drg import (
     verify_drg,
 )
 from drg import graphs, oracle
+from test_graphs import johnson_5_2
 
 
 def test_complete_graph_resistance():
@@ -638,10 +639,11 @@ def _solver_calls(monkeypatch) -> list:
     return calls
 
 
-def _mutated(mutate):
-    """A fresh Petersen graph whose kept report's distances `mutate` has changed,
-    with (v, w): a neighbour of vertex 0 and a vertex at distance 2 from it."""
-    g = construct("petersen")
+def _mutated(mutate, name="petersen"):
+    """A fresh registry graph (of diameter 2) whose kept report's distances
+    `mutate` has changed, with (v, w): a neighbour of vertex 0 and a vertex
+    at distance 2 from it."""
+    g = construct(name)
     distances = verify_drg(g).distances
     v = distances[0].index(1)
     w = distances[0].index(2)
@@ -663,7 +665,7 @@ def _swapped(distances, v, w):
     distances[0][w] = distances[w][0] = 1
 
 
-@pytest.mark.parametrize(
+_MUTATIONS = pytest.mark.parametrize(
     "mutate, expected",
     [
         (_asymmetric, lambda v, w, r1, r2: ((), ((0, v, r1),))),
@@ -672,27 +674,67 @@ def _swapped(distances, v, w):
     ],
     ids=("asymmetric", "diagonal", "swapped"),
 )
-def test_a_mutated_report_reaches_the_solver(monkeypatch, mutate, expected):
+
+
+def _check_mutated(monkeypatch, mutate, expected, name, pairs_checked):
     calls = _solver_calls(monkeypatch)
-    g, v, w = _mutated(mutate)
+    g, v, w = _mutated(mutate, name)
     result = cross_validate(g)
     assert calls == [g]
     assert not result.ok
     r1, r2 = (c.expected for c in result.classes)
     assert [c.mismatches for c in result.classes] == list(expected(v, w, r1, r2))
-    assert [c.pairs_checked for c in result.classes] == [15, 30]
+    assert [c.pairs_checked for c in result.classes] == pairs_checked
+
+
+@_MUTATIONS
+def test_a_mutated_report_reaches_the_solver(monkeypatch, mutate, expected):
+    _check_mutated(monkeypatch, mutate, expected, "petersen", [15, 30])
+
+
+@_MUTATIONS
+def test_a_mutated_dense_report_reaches_the_solver(monkeypatch, mutate, expected):
+    # the octahedron, 4m = 48 > n(n-1) = 30: the certificate sums non-neighbourhoods
+    _check_mutated(monkeypatch, mutate, expected, "cocktail_party", [12, 3])
 
 
 def _asymmetric_below(distances, v, w):
     distances[v][0] = 2  # d(0, v) stays 1
 
 
-def test_an_asymmetric_lower_triangle_reaches_the_solver(monkeypatch):
+def _check_asymmetric_below(monkeypatch, name):
     # the solver lists pairs u <= v, so it reads d(v, 0) only through the premise
     calls = _solver_calls(monkeypatch)
-    g, v, w = _mutated(_asymmetric_below)
+    g, v, w = _mutated(_asymmetric_below, name)
     cross_validate(g)
     assert calls == [g]
+
+
+def test_an_asymmetric_lower_triangle_reaches_the_solver(monkeypatch):
+    _check_asymmetric_below(monkeypatch, "petersen")
+
+
+def test_an_asymmetric_lower_triangle_of_a_dense_graph_reaches_the_solver(monkeypatch):
+    _check_asymmetric_below(monkeypatch, "cocktail_party")
+
+
+def test_johnson_5_2_passes_the_oracle_at_every_pair(monkeypatch):
+    # J(5,2), the complement of Petersen and outside the registry, is dense:
+    # 4m = 120 > n(n-1) = 90, so both packed kernels sum non-neighbourhoods
+    calls = _solver_calls(monkeypatch)
+    g = johnson_5_2(parse_array("6,2;1,4"))
+    report = verify_drg(g)
+    assert report.is_drg and report.observed_array == parse_array("6,2;1,4")
+    result = cross_validate(g)
+    assert calls == [] and result.ok and result.drg_report is report
+    assert [c.pairs_checked for c in result.classes] == [30, 15]
+    per_class = (0, *(c.expected for c in result.classes))
+    rmat = resistance_matrix(g)
+    assert all(
+        rmat[u][v] == per_class[d]
+        for u, row in enumerate(report.distances)
+        for v, d in enumerate(row)
+    )
 
 
 def test_an_array_of_another_order_reaches_the_solver(monkeypatch):

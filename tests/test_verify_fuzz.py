@@ -1,6 +1,7 @@
 """Property tests on small graphs: verify_drg gives the edge-loop reference's
-report or refusal, LabeledGraph's adjacency lists come out sorted, and
-LabeledGraph builds or refuses an edge list as a tuple-keyed edge loop does."""
+report or refusal, LabeledGraph's adjacency lists come out sorted,
+LabeledGraph builds or refuses an edge list as a tuple-keyed edge loop does,
+and neighbour_sums gives the edge loop's sums at every density."""
 
 from __future__ import annotations
 
@@ -12,7 +13,12 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from drg import LabeledGraph, parse_array, verify_drg  # noqa: E402
-from test_graphs import _report_or_refusal, edge_loop_verify  # noqa: E402
+from drg.graphs import neighbour_sums  # noqa: E402
+from test_graphs import (  # noqa: E402
+    _report_or_refusal,
+    edge_loop_neighbour_sums,
+    edge_loop_verify,
+)
 
 # K_3, C_4, the Petersen graph and the 3-cube, and a claim right except for c_3
 _CLAIMS = (None, "2;1", "2,1;1,2", "3,2;1,1", "3,2,1;1,2,3", "3,2,1;1,2,2")
@@ -119,3 +125,35 @@ def test_labeled_graph_matches_the_tuple_keyed_loop(case):
     else:
         built = g.edges, g.adjacency
     assert built == _tuple_keyed_graph(n, edges)
+
+
+@st.composite
+def _graphs_with_rows(draw) -> tuple[LabeledGraph, list[int]]:
+    """A graph on n <= 40 vertices with m drawn from 0..n(n-1)/2, so every
+    density, and one int row per vertex."""
+    n = draw(st.integers(1, 40))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.randoms(use_true_random=False)).sample(pairs, draw(st.integers(0, len(pairs))))
+    rows = draw(st.lists(st.integers(-(2**90), 2**90), min_size=n, max_size=n))
+    return LabeledGraph(n, edges), rows
+
+
+def _star(n: int) -> LabeledGraph:
+    return LabeledGraph(n, [(0, v) for v in range(1, n)])
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(_graphs_with_rows())
+# 4m = n(n-1) exactly, one edge either side of it, stars and isolated vertices
+@hypothesis.example((_star(4), [1, 2, 4, 8]))
+@hypothesis.example((LabeledGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), [1, 2, 4, 8]))
+@hypothesis.example((LabeledGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), [3, -1, 4, -1, 5]))
+@hypothesis.example((LabeledGraph(8, list(combinations(range(8), 2))[:13]), list(range(8))))
+@hypothesis.example((LabeledGraph(8, list(combinations(range(8), 2))[:14]), list(range(8))))
+@hypothesis.example((LabeledGraph(8, list(combinations(range(8), 2))[:15]), list(range(8))))
+@hypothesis.example((_star(40), list(range(40))))
+@hypothesis.example((LabeledGraph(40, []), list(range(40))))
+@hypothesis.example((LabeledGraph(40, list(combinations(range(39), 2))), list(range(40))))
+def test_neighbour_sums_match_the_edge_loop(case):
+    g, rows = case
+    assert neighbour_sums(g, rows) == edge_loop_neighbour_sums(g, rows)
