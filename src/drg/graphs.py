@@ -160,8 +160,7 @@ class DistancePartitionReport(Record):
 
 def _neighbour_masks(g: LabeledGraph) -> list[int]:
     """Each vertex's neighbourhood as an int with bit w set for each neighbour w."""
-    bit = [1 << v for v in range(g.n)]
-    return [sum(map(bit.__getitem__, nb)) for nb in g.adjacency]
+    return neighbour_sums(g, [1 << v for v in range(g.n)])
 
 
 def _bfs(masks: list[int], source: int) -> tuple[list[int], list[int], list[int]]:
@@ -200,7 +199,8 @@ def neighbour_sums(g: LabeledGraph, rows: list[int]) -> list[int]:
     """[sum(rows[w] for w ~ x) for x in range(n)]: each vertex's sum of its neighbours' rows.
 
     The one place where rows are summed over neighbours: verify_drg's
-    kernel (_certify) per level and the oracle's Kirchhoff check.  When
+    kernel (_certify) per level, the oracle's Kirchhoff check and the
+    neighbourhood bitmasks of _bfs (rows 1 << v).  When
     the average degree is above (n - 1) / 2, that is 4m > n(n - 1), each
     sum is taken instead as sum(rows) less the rows of x's closed
     non-neighbourhood (x and its non-neighbours), the shorter list:
