@@ -43,24 +43,22 @@ _EXPORTS = {
     "oracle": ("cross_validate", "kirchhoff_certifies", "resistance_matrix"),
     "potentials": (
         "PotentialProfile",
-        "StepBound",
-        "TailSumCheck",
-        "check_resistance_cap",
         "compute_potentials_explicit",
         "compute_profile",
         "compute_ratio",
         "compute_resistances",
-        "step_inequalities",
-        "tail_sum_check",
     ),
     "proofs": (
         "BIGGS_SMITH_RATIO",
         "BoundTrace",
         "CaseId",
         "TraceStep",
+        "check_resistance_cap",
         "classify_case",
         "prove_k3",
         "prove_optimal",
+        "step_inequalities",
+        "tail_sum_check",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -9,10 +9,12 @@ when stdout closes early.  A command refuses input by raising _Refusal;
 `main` alone turns it into exit code 2 and an `error:` line on stderr.
 
 validate and analyze build one record per array (`_record`), a dict that
-keeps exact `Fraction` and `BoundTrace` values.  `--json` prints it with
-`_to_json`, which writes what `json.dumps(record, indent=2)` would, each
-rational as {"num", "den"} strings; the text form is rendered from the
-same dict by `_text_lines`.  The ratio bounds are the rows of
+keeps exact `Fraction`, `TraceStep` and `BoundTrace` values.  `--json`
+prints it with `_to_json`, which writes what `json.dumps(record,
+indent=2)` would, each rational as {"num", "den"} strings and each
+audited inequality, an analysis check or a trace step alike, in the one
+shape `_json_default` gives a `TraceStep`; the text form is rendered
+from the same dict by `_text_lines`.  The ratio bounds are the rows of
 `proofs.BOUNDS`: `--prove` takes their names, and batch marks and counts
 each target.  Only `oracle` imports the graph side (`graphs` and
 `oracle`), when it runs, so the other commands start without it.
@@ -40,16 +42,9 @@ from .arrays import (
 )
 from .catalog import CatalogEntry, catalog_list, lookup
 from .fmt import approx_str, decimal_str, frac_str
-from .potentials import (
-    check_resistance_cap,
-    compute_potentials_explicit,
-    compute_profile,
-    compute_ratio,
-    step_inequalities,
-    tail_sum_check,
-)
+from .potentials import compute_potentials_explicit, compute_profile, compute_ratio
 from . import proofs
-from .proofs import BoundTrace
+from .proofs import BoundTrace, TraceStep, check_resistance_cap, step_inequalities, tail_sum_check
 
 
 class _Refusal(Exception):
@@ -102,10 +97,10 @@ def _record(
 ) -> tuple[dict, str | None]:
     """The report on one array and the rendered text of its proof trace.
 
-    The record keeps Fraction and BoundTrace values as they are; the text
-    is None when there is no trace.  Keys are in JSON output order.  The
-    analysis keys (from "derived" on) are present only when `analyze` is
-    set and the validation passed.
+    The record keeps Fraction, TraceStep and BoundTrace values as they
+    are; the text is None when there is no trace.  Keys are in JSON
+    output order.  The analysis keys (from "derived" on) are present only
+    when `analyze` is set and the validation passed.
     """
     report = validate(arr)
     validation = _fields(report, *(key for key, _ in CHECKS), "k_ge_3", "b1_ge_2", "passed")
@@ -120,8 +115,6 @@ def _record(
 
     params = derive(arr)
     profile = compute_profile(params)
-    cap, cap_holds = check_resistance_cap(profile)
-    tail = tail_sum_check(profile)
     record["derived"] = _fields(params, "k", "n", "D", "a", "sphere_sizes", "j")
     record["potentials"] = {
         "phi": profile.phi,
@@ -130,14 +123,9 @@ def _record(
     record["resistances"] = profile.resistances
     record["ratio"] = profile.ratio
     record["k_effective"] = profile.k_effective
-    record["resistance_cap"] = {"bound": cap, "holds": cap_holds}
-    record["tail_bound"] = _fields(tail, "j", "lhs", "rhs", "holds")
-    if report.b1_ge_2:
-        record["step_inequalities"] = [
-            _fields(s, "kind", "i", "phi_i", "bound", "holds") for s in step_inequalities(profile)
-        ]
-    else:
-        record["step_inequalities"] = None
+    record["resistance_cap"] = check_resistance_cap(profile)
+    record["tail_bound"] = tail_sum_check(profile)
+    record["step_inequalities"] = step_inequalities(profile) if report.b1_ge_2 else None
     record["trace"] = None
     text = None
     if prove:
@@ -153,14 +141,16 @@ def _record(
 
 
 def _json_default(x):
-    """A rational as {"num", "den"} strings, a trace as a dict; TypeError otherwise."""
+    """A rational as {"num", "den"} strings, a step or a trace as a dict; TypeError otherwise."""
     if isinstance(x, Fraction):
         return {"num": str(x.numerator), "den": str(x.denominator)}
+    if isinstance(x, TraceStep):
+        return _fields(x, "label", "lhs", "relation", "rhs", "holds")
     if isinstance(x, BoundTrace):
         return {
             "case_id": x.case_id.value,
             **_fields(x, "branch", "alpha", "target", "rho"),
-            "steps": [_fields(s, "label", "lhs", "relation", "rhs", "holds") for s in x.steps],
+            "steps": x.steps,
             **_fields(x, "verdict", "extremal", "proof_path_available", "assumption_dependent"),
             "notes": x.notes,
         }
@@ -234,23 +224,20 @@ def _text_lines(record: dict, prove: str | None, trace_text: str | None):
     yield f"k_effective: {approx_str(record['k_effective'])}"
     cap = record["resistance_cap"]
     yield (
-        f"max-resistance cap: r_D = {approx_str(record['resistances'][-1])} "
-        f"< 4/k = {approx_str(cap['bound'])} [{mark(cap['holds'], 'OK')}]"
+        f"max-resistance cap: r_D = {approx_str(cap.lhs)} {cap.relation} "
+        f"4/k = {approx_str(cap.rhs)} [{mark(cap.holds, 'OK')}]"
     )
     tail = record["tail_bound"]
     yield (
-        f"tail bound (j={tail['j']}): {approx_str(tail['lhs'])} <= {approx_str(tail['rhs'])} "
-        f"[{mark(tail['holds'], 'OK')}]"
+        f"tail bound (j={d['j']}): {approx_str(tail.lhs)} {tail.relation} "
+        f"{approx_str(tail.rhs)} [{mark(tail.holds, 'OK')}]"
     )
     if record["step_inequalities"] is None:
         yield "step inequalities: skipped (require D >= 2 and b_1 >= 2)"
     else:
         yield "step inequalities:"
-        for s in record["step_inequalities"]:
-            yield (
-                f"  {s['kind']}[{s['i']}]: {approx_str(s['phi_i'])} < {approx_str(s['bound'])} "
-                f"[{mark(s['holds'], 'OK')}]"
-            )
+        for step in record["step_inequalities"]:
+            yield "  " + step.render()
     if trace_text is not None:
         yield f"proof trace ({prove}):"
         for line in trace_text.splitlines():

@@ -148,80 +148,3 @@ def compute_profile(params: DerivedParams) -> PotentialProfile:
         k_effective=Fraction(total, q0),
     )
 
-
-def check_resistance_cap(profile: PotentialProfile) -> tuple[Fraction, bool]:
-    """The 4/k cap on the maximal resistance: returns (4/k, r_D < 4/k)."""
-    bound = Fraction(4, profile.params.k)
-    return bound, profile.resistances[-1] < bound
-
-
-class TailSumCheck(Record):
-    """Tail bound phi_j + ... + phi_{D-1} <= (j - 1/2) * phi_{j-1}."""
-
-    __slots__ = _fields = ("j", "lhs", "rhs")
-
-    def __init__(self, j: int, lhs: Fraction, rhs: Fraction) -> None:
-        set_field(self, "j", j)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs
-
-
-def tail_sum_check(profile: PotentialProfile) -> TailSumCheck:
-    """Evaluate the tail bound at the head/tail split index j (empty sum if j = D)."""
-    j = profile.params.j
-    lhs = profile.phi_sum(j)
-    rhs = (j - Fraction(1, 2)) * profile.phi[j - 1]
-    return TailSumCheck(j=j, lhs=lhs, rhs=rhs)
-
-
-class StepBound(Record):
-    """One per-index decay inequality phi_i < bound."""
-
-    __slots__ = _fields = ("kind", "i", "phi_i", "bound")
-
-    def __init__(
-        self,
-        kind: str,  # recursion_ratio | head_contraction | initial_drop
-        i: int,
-        phi_i: Fraction,
-        bound: Fraction,
-    ) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "i", i)
-        set_field(self, "phi_i", phi_i)
-        set_field(self, "bound", bound)
-
-    @property
-    def holds(self) -> bool:
-        return self.phi_i < self.bound
-
-
-def step_inequalities(profile: PotentialProfile) -> tuple[StepBound, ...]:
-    """Per-step decay bounds on the potential sequence.
-
-    recursion_ratio: phi_i < (c_i/b_i) phi_{i-1}     for 1 <= i <= D-1
-    head_contraction: phi_i < ((b_1-1)/b_1) phi_{i-1} where b_i > c_i
-    initial_drop:    phi_1 < phi_0 / b_1
-    Requires D >= 2 and b_1 >= 2.
-    """
-    b, c = profile.params.array.b, profile.params.array.c
-    if len(b) < 2:
-        raise ValueError("step inequalities need D >= 2")
-    b1 = b[1]
-    if b1 < 2:
-        raise ValueError("step inequalities need b_1 >= 2")
-    alpha = Fraction(b1 - 1, b1)
-    out: list[StepBound] = []
-    for i in range(1, len(b)):
-        prev = profile.phi[i - 1]
-        here = profile.phi[i]
-        out.append(StepBound("recursion_ratio", i, here, Fraction(c[i - 1], b[i]) * prev))
-        if b[i] > c[i - 1]:
-            out.append(StepBound("head_contraction", i, here, alpha * prev))
-        if i == 1:
-            out.append(StepBound("initial_drop", i, here, prev / b1))
-    return tuple(out)

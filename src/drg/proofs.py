@@ -16,7 +16,12 @@ direct trace.  `classify_case` and `_prove`, which starts both provers,
 take the first row whose test holds.
 
 Each trace records every intermediate inequality with both sides
-evaluated exactly, so a reader can audit the whole chain.
+evaluated exactly, so a reader can audit the whole chain.  The three
+checks `drg analyze` prints for every array are the same kind of record:
+`check_resistance_cap` (r_D < 4/k, `resistance_cap`), `tail_sum_check`
+(the tail bound at the split index j, `tail_bound`) and
+`step_inequalities` (`recursion_ratio[i]`, `head_contraction[i]`,
+`initial_drop[1]`) each return `TraceStep`s.  No chain cites them yet.
 
 A chain takes `(profile, case)`, so only case 2 names a case itself (its
 `UNCLASSIFIED` fallback), and is put together from shared pieces.
@@ -89,6 +94,49 @@ class TraceStep(Record):
     def render(self) -> str:
         mark = "OK" if self.holds else "FAIL"
         return f"{self.label}: {approx_str(self.lhs)} {self.relation} {approx_str(self.rhs)} [{mark}]"
+
+
+# ----------------------------------------------------------------------
+# the analysis checks: inequalities `drg analyze` audits on every array
+
+def check_resistance_cap(profile: PotentialProfile) -> TraceStep:
+    """The 4/k cap on the maximal resistance, r_D < 4/k; no chain cites it."""
+    return TraceStep("resistance_cap", profile.resistances[-1], "<", Fraction(4, profile.params.k))
+
+
+def tail_sum_check(profile: PotentialProfile) -> TraceStep:
+    """The tail bound phi_j + ... + phi_{D-1} <= (j - 1/2) * phi_{j-1} at the
+    head/tail split index j (an empty sum if j = D)."""
+    j = profile.params.j
+    rhs = (j - Fraction(1, 2)) * profile.phi[j - 1]
+    return TraceStep("tail_bound", profile.phi_sum(j), "<=", rhs)
+
+
+def step_inequalities(profile: PotentialProfile) -> tuple[TraceStep, ...]:
+    """Per-step decay bounds on the potential sequence, labelled `kind[i]`.
+
+    recursion_ratio: phi_i < (c_i/b_i) phi_{i-1}     for 1 <= i <= D-1
+    head_contraction: phi_i < ((b_1-1)/b_1) phi_{i-1} where b_i > c_i
+    initial_drop:    phi_1 < phi_0 / b_1
+    Requires D >= 2 and b_1 >= 2.
+    """
+    b, c = profile.params.array.b, profile.params.array.c
+    if len(b) < 2:
+        raise ValueError("step inequalities need D >= 2")
+    b1 = b[1]
+    if b1 < 2:
+        raise ValueError("step inequalities need b_1 >= 2")
+    alpha = Fraction(b1 - 1, b1)
+    out: list[TraceStep] = []
+    for i in range(1, len(b)):
+        prev = profile.phi[i - 1]
+        here = profile.phi[i]
+        out.append(TraceStep(f"recursion_ratio[{i}]", here, "<", Fraction(c[i - 1], b[i]) * prev))
+        if b[i] > c[i - 1]:
+            out.append(TraceStep(f"head_contraction[{i}]", here, "<", alpha * prev))
+        if i == 1:
+            out.append(TraceStep("initial_drop[1]", here, "<", prev / b1))
+    return tuple(out)
 
 
 class BoundTrace(Record):

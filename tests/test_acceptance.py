@@ -136,7 +136,7 @@ def test_criterion_4_property_suite(corpus):
             terms = telescoped_groups(params, i)
             if any(t < 0 for t in terms[:-1]) or terms[-1] <= 0:
                 failures.append(f"{label}: telescoped group negative at {i}")
-        if not check_resistance_cap(profile)[1]:
+        if not check_resistance_cap(profile).holds:
             failures.append(f"{label}: r_D >= 4/k")
         if not tail_sum_check(profile).holds:
             failures.append(f"{label}: tail bound fails")

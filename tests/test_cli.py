@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from drg import (
     proofs,
 )
 from drg.cli import main
+from drg.fmt import approx_str
 from drg.proofs import BoundTrace, CaseId, TraceStep, prove_k3
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,6 +104,13 @@ def test_analyze_json_shape(capsys):
     assert payload["potentials"]["phi"][0] == {"num": "7", "den": "1"}
     assert payload["potentials"]["methods_agree"] is True
     assert payload["resistances"][2] == {"num": "5", "den": "6"}
+    assert payload["resistance_cap"] == {
+        "label": "resistance_cap",
+        "lhs": {"num": "5", "den": "6"},
+        "relation": "<",
+        "rhs": {"num": "4", "den": "3"},
+        "holds": True,
+    }
     assert payload["resistance_cap"]["holds"] is True
     assert payload["trace"]["case_id"] == "CASE2_SMALL_VALENCY"
     assert payload["trace"]["verdict"] is True
@@ -935,6 +944,55 @@ def test_to_json_refuses_an_int_past_the_digit_limit_like_json_dumps(value):
 def test_to_json_refuses_a_float():
     with pytest.raises(TypeError, match="float is not JSON serializable"):
         cli._to_json({"ratio": [0.5]})
+
+
+# ----------------------------------------------------------------------
+# every audited inequality, an analysis check or a trace step, in one shape
+
+STEP_KEYS = ["label", "lhs", "relation", "rhs", "holds"]
+RELATIONS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _decoded(step: dict) -> tuple[Fraction, Fraction]:
+    return tuple(Fraction(int(step[side]["num"]), int(step[side]["den"])) for side in ("lhs", "rhs"))
+
+
+def _line(step: dict, between: str = "") -> str:
+    """The text form's `lhs relation [between]rhs [mark]`, from the JSON step alone."""
+    lhs, rhs = _decoded(step)
+    mark = "OK" if step["holds"] else "FAIL"
+    return f"{approx_str(lhs)} {step['relation']} {between}{approx_str(rhs)} [{mark}]"
+
+
+def test_analysis_checks_and_trace_steps_share_one_shape(corpus, capsys):
+    targets = [entry.slug for entry in catalog_list()]
+    targets += [format_array(arr) for arr in corpus[::4]]
+    for target in targets:
+        code, out, _ = run(capsys, "analyze", target, "--json", "--prove", "optimal")
+        assert code == 0, target
+        payload = json.loads(out)
+        cap, tail = payload["resistance_cap"], payload["tail_bound"]
+        assert (cap["label"], tail["label"]) == ("resistance_cap", "tail_bound")
+        checks = [cap, tail, *(payload["step_inequalities"] or ())]
+        trace = payload["trace"]
+        for step in checks + (trace["steps"] if trace else []):
+            assert list(step) == STEP_KEYS, (target, step)
+            assert step["holds"] is RELATIONS[step["relation"]](*_decoded(step)), (target, step)
+
+        code, text, _ = run(capsys, "analyze", target, "--prove", "optimal")
+        assert code == 0, target
+        lines = text.splitlines()
+        assert f"max-resistance cap: r_D = {_line(cap, '4/k = ')}" in lines, target
+        j = payload["derived"]["j"]
+        assert f"tail bound (j={j}): {_line(tail)}" in lines, target
+        for step in payload["step_inequalities"] or ():
+            assert f"  {step['label']}: {_line(step)}" in lines, (target, step)
 
 
 # ----------------------------------------------------------------------

@@ -212,43 +212,53 @@ def test_k_effective_identity_on_corpus(corpus):
 
 
 def test_resistance_cap_examples():
-    cap, holds = check_resistance_cap(profile_of("3,2,1;1,2,3"))
-    assert cap == Fraction(4, 3) and holds
-    cap, holds = check_resistance_cap(profile_of("3;1"))
-    assert cap == Fraction(4, 3) and holds
+    cap = check_resistance_cap(profile_of("3,2,1;1,2,3"))
+    assert cap.label == "resistance_cap"
+    assert (cap.lhs, cap.relation, cap.rhs) == (Fraction(5, 6), "<", Fraction(4, 3))
+    assert cap.holds
+    cap = check_resistance_cap(profile_of("3;1"))
+    assert (cap.lhs, cap.relation, cap.rhs) == (Fraction(1, 2), "<", Fraction(4, 3))
+    assert cap.holds
 
 
 def test_resistance_cap_biggs_smith():
     prof = profile_of("3,2,2,2,1,1,1;1,1,1,1,1,1,3")
     assert prof.resistances[-1] == Fraction(65, 51)
-    cap, holds = check_resistance_cap(prof)
-    assert holds and prof.resistances[-1] < cap
+    cap = check_resistance_cap(prof)
+    assert cap.lhs == prof.resistances[-1]
+    assert cap.holds and prof.resistances[-1] < cap.rhs
 
 
 def test_resistance_cap_on_corpus(corpus):
     for arr in corpus:
-        _, holds = check_resistance_cap(compute_profile(derive(arr)))
-        assert holds, arr
+        assert check_resistance_cap(compute_profile(derive(arr))).holds, arr
 
 
 def test_tail_bound_cube():
-    check = tail_sum_check(profile_of("3,2,1;1,2,3"))
-    assert (check.j, check.lhs, check.rhs) == (2, 1, 3)
+    prof = profile_of("3,2,1;1,2,3")
+    check = tail_sum_check(prof)
+    assert prof.params.j == 2
+    assert (check.label, check.lhs, check.relation, check.rhs) == ("tail_bound", 1, "<=", 3)
     assert check.holds
 
 
 def test_tail_bound_petersen_empty_tail():
-    check = tail_sum_check(profile_of("3,2;1,1"))
-    assert check.j == 2
+    prof = profile_of("3,2;1,1")
+    check = tail_sum_check(prof)
+    assert prof.params.j == 2
+    assert check.label == "tail_bound"
     assert check.lhs == 0
+    assert check.relation == "<="
     assert check.rhs == Fraction(9, 2)
     assert check.holds
 
 
 def test_tail_bound_dodecahedron():
     # split at j = 2: phi_2 + phi_3 + phi_4 = 8 against (3/2) * phi_1 = 12
-    check = tail_sum_check(profile_of("3,2,1,1,1;1,1,1,2,3"))
-    assert (check.j, check.lhs, check.rhs) == (2, 8, 12)
+    prof = profile_of("3,2,1,1,1;1,1,1,2,3")
+    check = tail_sum_check(prof)
+    assert prof.params.j == 2
+    assert (check.label, check.lhs, check.relation, check.rhs) == ("tail_bound", 8, "<=", 12)
     assert check.holds
 
 
@@ -264,22 +274,23 @@ def test_ratio_below_two_on_corpus(corpus):
 
 def test_step_inequalities_cube():
     steps = step_inequalities(profile_of("3,2,1;1,2,3"))
-    by_key = {(s.kind, s.i): s for s in steps}
-    s = by_key[("recursion_ratio", 1)]
-    assert (s.phi_i, s.bound) == (2, Fraction(7, 2))
-    s = by_key[("initial_drop", 1)]
-    assert (s.phi_i, s.bound) == (2, Fraction(7, 2))
+    by_label = {s.label: s for s in steps}
+    assert len(by_label) == len(steps)
+    s = by_label["recursion_ratio[1]"]
+    assert (s.lhs, s.relation, s.rhs) == (2, "<", Fraction(7, 2))
+    s = by_label["initial_drop[1]"]
+    assert (s.lhs, s.relation, s.rhs) == (2, "<", Fraction(7, 2))
     # c_2 >= b_2, so no head contraction at i = 2
-    assert ("head_contraction", 2) not in by_key
-    s = by_key[("recursion_ratio", 2)]
-    assert (s.phi_i, s.bound) == (1, 4)
+    assert "head_contraction[2]" not in by_label
+    s = by_label["recursion_ratio[2]"]
+    assert (s.lhs, s.relation, s.rhs) == (1, "<", 4)
     assert all(s.holds for s in steps)
 
 
 def test_step_inequalities_heawood():
     steps = step_inequalities(profile_of("3,2,2;1,1,3"))
-    drop = next(s for s in steps if s.kind == "initial_drop")
-    assert (drop.phi_i, drop.bound) == (5, Fraction(13, 2))
+    drop = next(s for s in steps if s.label == "initial_drop[1]")
+    assert (drop.lhs, drop.relation, drop.rhs) == (5, "<", Fraction(13, 2))
     assert all(s.holds for s in steps)
 
 
@@ -306,8 +317,7 @@ def test_unrealizable_array_can_break_resistance_cap():
     assert validate(arr).passed
     prof = compute_profile(derive(arr))
     assert prof.resistances[-1] == Fraction(19, 14) > Fraction(4, 3)
-    _, holds = check_resistance_cap(prof)
-    assert not holds
+    assert not check_resistance_cap(prof).holds
 
 
 def test_unrealizable_array_can_break_tail_bound():

@@ -19,8 +19,6 @@ from drg import (
     derive,
     parse_array,
     proofs,
-    step_inequalities,
-    tail_sum_check,
     validate,
     verify_drg,
 )
@@ -35,10 +33,6 @@ K3_REPORT = (
     "violations=(), diameter=1, distances=[[0, 1, 1], [1, 0, 1], [1, 1, 0]])"
 )
 K3_CLASS = "ClassCheck(distance=1, expected=Fraction(2, 3), pairs_checked=3, mismatches=())"
-
-
-def _petersen_profile():
-    return compute_profile(derive(parse_array("3,2;1,1")))
 
 
 # (build one instance, its repr as the frozen dataclasses printed it)
@@ -56,14 +50,6 @@ RECORDS = {
         lambda: compute_profile(derive(parse_array("3;1"))),
         f"PotentialProfile(params={K4_PARAMS}, phi=(Fraction(3, 1),), "
         "resistances=(Fraction(1, 2),), ratio=Fraction(0, 1), k_effective=Fraction(1, 1))",
-    ),
-    "TailSumCheck": (
-        lambda: tail_sum_check(_petersen_profile()),
-        "TailSumCheck(j=2, lhs=Fraction(0, 1), rhs=Fraction(9, 2))",
-    ),
-    "StepBound": (
-        lambda: step_inequalities(_petersen_profile())[0],
-        "StepBound(kind='recursion_ratio', i=1, phi_i=Fraction(3, 1), bound=Fraction(9, 2))",
     ),
     "TraceStep": (
         lambda: TraceStep("x", 1, "<", Fraction(3, 2)),
