@@ -21,7 +21,11 @@ checks `drg analyze` prints for every array are the same kind of record:
 `check_resistance_cap` (r_D < 4/k, `resistance_cap`), `tail_sum_check`
 (the tail bound at the split index j, `tail_bound`) and
 `step_inequalities` (`recursion_ratio[i]`, `head_contraction[i]`,
-`initial_drop[1]`) each return `TraceStep`s.  No chain cites them yet.
+`initial_drop[1]`) each return `TraceStep`s.  The optimal chains cite
+these steps: `initial_drop[1]` in cases 1 and 6, the j = 2 split and the
+quadrangle chain, `tail_bound` in the j = 2 split and the j = 3 close,
+and `head_contraction[2]` in case 4 [c3_gt_b3].  The K = 3 chain cites
+none yet.
 
 A chain takes `(profile, case)`, so only case 2 names a case itself (its
 `UNCLASSIFIED` fallback), and is put together from shared pieces.
@@ -108,8 +112,20 @@ def tail_sum_check(profile: PotentialProfile) -> TraceStep:
     """The tail bound phi_j + ... + phi_{D-1} <= (j - 1/2) * phi_{j-1} at the
     head/tail split index j (an empty sum if j = D)."""
     j = profile.params.j
-    rhs = (j - Fraction(1, 2)) * profile.phi[j - 1]
+    rhs = Fraction(2 * j - 1, 2) * profile.phi[j - 1]
     return TraceStep("tail_bound", profile.phi_sum(j), "<=", rhs)
+
+
+def _initial_drop(profile: PotentialProfile) -> TraceStep:
+    """phi_1 < phi_0 / b_1, the step inequality `initial_drop[1]`."""
+    phi = profile.phi
+    return TraceStep("initial_drop[1]", phi[1], "<", phi[0] / profile.params.array.b[1])
+
+
+def _head_contraction(profile: PotentialProfile, i: int) -> TraceStep:
+    """phi_i < ((b_1-1)/b_1) phi_{i-1}, the step inequality `head_contraction[i]`."""
+    b1, phi = profile.params.array.b[1], profile.phi
+    return TraceStep(f"head_contraction[{i}]", phi[i], "<", Fraction(b1 - 1, b1) * phi[i - 1])
 
 
 def step_inequalities(profile: PotentialProfile) -> tuple[TraceStep, ...]:
@@ -123,19 +139,17 @@ def step_inequalities(profile: PotentialProfile) -> tuple[TraceStep, ...]:
     b, c = profile.params.array.b, profile.params.array.c
     if len(b) < 2:
         raise ValueError("step inequalities need D >= 2")
-    b1 = b[1]
-    if b1 < 2:
+    if b[1] < 2:
         raise ValueError("step inequalities need b_1 >= 2")
-    alpha = Fraction(b1 - 1, b1)
+    phi = profile.phi
     out: list[TraceStep] = []
     for i in range(1, len(b)):
-        prev = profile.phi[i - 1]
-        here = profile.phi[i]
-        out.append(TraceStep(f"recursion_ratio[{i}]", here, "<", Fraction(c[i - 1], b[i]) * prev))
+        ratio = Fraction(c[i - 1], b[i])
+        out.append(TraceStep(f"recursion_ratio[{i}]", phi[i], "<", ratio * phi[i - 1]))
         if b[i] > c[i - 1]:
-            out.append(TraceStep(f"head_contraction[{i}]", here, "<", alpha * prev))
+            out.append(_head_contraction(profile, i))
         if i == 1:
-            out.append(TraceStep("initial_drop[1]", here, "<", prev / b1))
+            out.append(_initial_drop(profile))
     return tuple(out)
 
 
@@ -358,9 +372,8 @@ def prove_optimal(profile: PotentialProfile) -> BoundTrace:
 
 def _optimal_case1(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     b1 = profile.params.array.b[1]
-    phi = profile.phi
     steps = (
-        _step("initial_drop", phi[1], "<", phi[0] / b1),
+        _initial_drop(profile),
         *_cap_ending(profile.ratio, Fraction(1, b1), Fraction(1, 2), "half_cap"),
     )
     return _trace(profile, case, steps)
@@ -391,21 +404,21 @@ def _optimal_case2(profile: PotentialProfile, case: CaseId) -> BoundTrace:
 
 def _split_j2_steps(profile: PotentialProfile) -> tuple[TraceStep, ...]:
     """Shared j = 2 chain: tail bound plus the initial drop give rho <= (5/2)/b1."""
-    phi = profile.phi
-    b1 = profile.params.array.b[1]
     return (
-        _step("tail_split", profile.phi_sum(2), "<=", Fraction(3, 2) * phi[1]),
-        _step("sum_cap", profile.phi_sum(1), "<=", Fraction(5, 2) * phi[1]),
-        _step("initial_drop", phi[1], "<", phi[0] / b1),
-        *_cap_ending(profile.ratio, Fraction(5, 2) / b1, Fraction(5, 6)),
+        tail_sum_check(profile),
+        _step("sum_cap", profile.phi_sum(1), "<=", Fraction(5, 2) * profile.phi[1]),
+        _initial_drop(profile),
+        *_cap_ending(profile.ratio, Fraction(5, 2) / profile.params.array.b[1], Fraction(5, 6)),
     )
 
 
 def _j3_sum_cap(profile: PotentialProfile) -> list[TraceStep]:
-    """Shared j = 3 close: the tail split and phi_2 < phi_1/2 give rho < (11/4)/b1."""
+    """Shared j = 3 close: the tail bound and phi_2 < phi_1/2 give rho < (11/4)/b1."""
     phi = profile.phi
     b1 = profile.params.array.b[1]
     return [
+        tail_sum_check(profile),
+        _step("half_drop", phi[2], "<", phi[1] / 2),
         _step("sum_cap", profile.phi_sum(1), "<=", phi[1] + Fraction(7, 2) * phi[2]),
         *_cap_ending(profile.ratio, Fraction(11, 4) / b1, Fraction(11, 12)),
     ]
@@ -414,19 +427,13 @@ def _j3_sum_cap(profile: PotentialProfile) -> list[TraceStep]:
 def _optimal_case3(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     params = profile.params
     b = params.array.b
-    phi = profile.phi
     j = params.j
 
     if j == 2:
         return _trace(profile, case, _split_j2_steps(profile), branch="j2")
 
     if j == 3:
-        steps = (
-            _step("b2_ge_2", b[2], ">=", 2),
-            _step("half_drop", phi[2], "<", phi[1] / 2),
-            _step("tail_split", profile.phi_sum(3), "<=", Fraction(5, 2) * phi[2]),
-            *_j3_sum_cap(profile),
-        )
+        steps = (_step("b2_ge_2", b[2], ">=", 2), *_j3_sum_cap(profile))
         return _trace(profile, case, steps, branch="j3")
 
     # j >= 4: two deep-head subcases, both contracting by alpha2 = (b1-2)/(b1-1).
@@ -558,12 +565,11 @@ def _optimal_case4(profile: PotentialProfile, case: CaseId) -> BoundTrace:
 
     if c3 > b3:
         branch = "c3_gt_b3"
-        alpha = Fraction(b1 - 1, b1)
         cap = Fraction(4 * b1 - 3, b1 * b1)
         steps += [
             _step("diameter_cap", D, "<=", 5),
-            _step("head_contraction_2", phi[2], "<", alpha * phi[1]),
-            _step("phi2_cap", phi[2], "<", alpha / b1 * phi[0]),
+            _head_contraction(profile, 2),
+            _step("phi2_cap", phi[2], "<", Fraction(b1 - 1, b1 * b1) * phi[0]),
             _step("interior_count", profile.phi_sum(2), "<=", 3 * phi[2]),
         ]
         if b1 >= 4:
@@ -583,8 +589,6 @@ def _optimal_case4(profile: PotentialProfile, case: CaseId) -> BoundTrace:
         branch = "c3_eq_b3_half"
         steps += [
             _step("ratio_half", Fraction(c2, b2), "<=", Fraction(1, 2)),
-            _step("tail_split", profile.phi_sum(3), "<=", Fraction(5, 2) * phi[2]),
-            _step("half_drop", phi[2], "<", phi[1] / 2),
             *_j3_sum_cap(profile),
         ]
     else:
@@ -613,7 +617,7 @@ def _quadrangle_chain(profile: PotentialProfile) -> list[TraceStep]:
         _step("c3_growth", arr.c[2], ">=", Fraction(3, 2) * c2),
         _step("ratio_23", Fraction(c2, b2), "<=", Fraction(2, 3)),
         _step("interior_count", profile.phi_sum(2), "<=", (b1 - 1) * phi[2]),
-        _step("initial_drop", phi[1], "<", phi[0] / b1),
+        _initial_drop(profile),
         _step("phi2_cap", phi[2], "<", Fraction(2, 3) * phi[1]),
         *_cap_ending(profile.ratio, final, Fraction(2 * b1 + 1, 3 * b1), "final_value", "=="),
     ]
@@ -649,7 +653,7 @@ def _optimal_case6(profile: PotentialProfile, case: CaseId) -> BoundTrace:
         _step("k_cap", params.k, ">=", 50 * (c2 - 1)),
         _step("b1_large", b1, ">", 20),
         _step("interior_tail_cap", profile.phi_sum(2), "<", 9 * phi[1]),
-        _step("initial_drop", phi[1], "<", phi[0] / b1),
+        _initial_drop(profile),
         _step("rho_ten", profile.ratio, "<", ten_ratio),
         *_target_gap("ten_half", ten_ratio, "<", Fraction(1, 2)),
     )

@@ -16,10 +16,13 @@ from drg import (
     parse_array,
     prove_k3,
     prove_optimal,
+    step_inequalities,
+    tail_sum_check,
 )
 from drg.arrays import is_cocktail_party
 from drg.proofs import CASES, TraceStep, _deep_head, f_ratio
-from test_array_layer import TRACES, _johnson, f_value
+from test_array_layer import TRACES, _johnson, _named_or_parsed, f_value
+from test_golden import PROOF_ARRAYS
 
 OPTIMAL = Fraction(93, 100)
 
@@ -369,6 +372,25 @@ def test_trace_rho_matches_profile_on_corpus(corpus):
             assert trace.verdict == (trace.rho < OPTIMAL)
         k3 = prove_k3(prof)
         assert k3.verdict == (prof.ratio < 2)
+
+
+def test_chains_cite_the_analysis_steps(corpus):
+    """A trace step under an analysis label equals that analysis step; the old labels are gone."""
+    cited = set()
+    for arr in [*corpus, *map(_named_or_parsed, PROOF_ARRAYS.values())]:
+        if arr.k < 3:
+            continue
+        prof = compute_profile(derive(arr))
+        has_steps = arr.D >= 2 and arr.b[1] >= 2
+        analysis = {s.label: s for s in step_inequalities(prof)} if has_steps else {}
+        analysis["tail_bound"] = tail_sum_check(prof)
+        for prover in (prove_k3, prove_optimal):
+            for step in prover(prof).steps:
+                assert step.label not in ("initial_drop", "tail_split", "head_contraction_2"), arr
+                if step.label in analysis:
+                    assert step == analysis[step.label], (arr, step)
+                    cited.add(step.label)
+    assert cited >= {"initial_drop[1]", "tail_bound", "head_contraction[2]"}
 
 
 def test_trace_render_format():
