@@ -161,10 +161,12 @@ def catalog_list() -> tuple[CatalogEntry, ...]:
 
 
 def lookup(name: str) -> CatalogEntry | None:
-    """Find an entry by slug or (case-insensitive) display name."""
-    slug, want = slugify(name), name.strip().lower()
+    """Find an entry by slug.  A display name in any case, padded or not,
+    finds its entry too: slugify reads only name.lower() and drops outer
+    whitespace, so it maps the name to the entry's slug."""
+    slug = slugify(name)
     for entry in catalog_list():
-        if entry.slug == slug or entry.name.lower() == want:
+        if entry.slug == slug:
             return entry
     return None
 

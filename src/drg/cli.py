@@ -342,8 +342,8 @@ def _oracle_one(g) -> bool:
     for cls in result.classes:
         status = "OK" if cls.ok else "FAIL"
         print(
-            f"   d={cls.distance}: formula {approx_str(cls.expected)} "
-            f"vs solver, {cls.pairs_checked} pair(s) [{status}]"
+            f"   d={cls.distance}: formula {approx_str(cls.expected)}, "
+            f"{cls.pairs_checked} pair(s) [{status}]"
         )
         for u, v, got in cls.mismatches[:5]:
             print(f"      mismatch at ({u},{v}): solver {approx_str(got)}")

@@ -26,11 +26,13 @@ relation (_incidence).  The complete and cocktail-party graphs take
 their edges from itertools.combinations, with no rule called per pair.
 
 No graph above MAX_VERTICES vertices or MAX_WORK = n * m is built:
-construct checks a family's n and m from its parameter and
-parse_edge_list checks the caps on all the rows of the text at once,
-split once, before any edge list or n x n matrix exists.  It walks
-those rows line by line only to refuse text it cannot build, names the
-line of every refusal but an empty list, and reads a claim last.
+construct checks a family's n and m from its parameter, and
+parse_edge_list checks them before any edge list or n x n matrix
+exists.  It splits the text once and takes one of two paths: a fast
+one that checks all the rows at once, reads canonical indices through
+a table and builds the graph, and a line reader for any other text,
+which builds the graph or refuses the first bad line by its number.
+Only an empty list is refused with no line.  The claim is read last.
 """
 
 from __future__ import annotations
@@ -415,9 +417,8 @@ def _diagnose(g: LabeledGraph) -> DistancePartitionReport:
 # ----------------------------------------------------------------------
 # constructions
 
-# str(i) -> i for every vertex index below the cap, so that an edge list
-# of canonical indices is converted by dict lookups; parse_edge_list
-# converts any other token (leading zeros, past the cap) by int().
+# str(i) -> i for every vertex index below the cap: parse_edge_list's fast
+# path converts an edge list of canonical indices by dict lookups alone.
 _INDICES = {str(i): i for i in range(MAX_VERTICES)}
 
 
@@ -431,54 +432,40 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
     so is the line whose edge takes (largest index + 1) * (edges so far)
     above MAX_WORK.
 
-    The text is split into lines and tokens once, and the rows are
-    checked at once: every line has 0 or 2 tokens, the tokens together
-    are ASCII digits (each is looked up in _INDICES, and only when one
-    is missing are they all checked and converted by int()), and the
-    caps hold for the final largest index and edge count, which pass on
-    every line when they pass at the end, as both only grow.
-    LabeledGraph then builds the graph, and the claim is read last, so
-    every refusal of the edges comes before one of the claim.  Text that
-    fails the check, or whose graph LabeledGraph refuses (a loop or a
-    repeated edge), goes to _refuse_first_bad_line, which walks the rows
-    already split and raises the refusal of the first bad line.
+    The text is split into lines and tokens once.  The fast path checks
+    the rows at once: every line has 0 or 2 tokens, every token is in
+    _INDICES, and the caps hold for the final largest index and edge
+    count, which pass on every line when they pass at the end, as both
+    only grow; LabeledGraph then builds the graph.  Any other text (a
+    token not in the table, a failed cap, a loop or a repeated edge that
+    LabeledGraph refuses, no edge at all) goes to _read_line_by_line,
+    which returns the graph or raises the refusal of the first bad line.
+    The claim is read last, so every refusal of the edges comes before
+    one of the claim.
     """
     lines = text.split("\n")
     rows = list(map(str.split, [line.split("#", 1)[0] for line in lines] if "#" in text else lines))
-    tokens = list(chain.from_iterable(rows))
-    numbers: list[int] = []
+    g = None
     if set(map(len, rows)) <= {0, 2}:
         try:
-            numbers = list(map(_INDICES.__getitem__, tokens))
-        except KeyError:  # a token that is not str(i) for an i below the cap
-            digits = "".join(tokens)
-            if digits.isascii() and digits.isdigit():
-                try:
-                    numbers = list(map(int, tokens))
-                except ValueError:  # beyond sys.get_int_max_str_digits()
-                    pass
-    top = max(numbers, default=MAX_VERTICES)
-    if top < MAX_VERTICES and (top + 1) * (len(numbers) // 2) <= MAX_WORK:
-        pairs = iter(numbers)
-        try:
-            g = LabeledGraph(top + 1, zip(pairs, pairs), name=name)
-        except ValueError:  # a loop or a repeated edge, refused on its line below
+            numbers = list(map(_INDICES.__getitem__, chain.from_iterable(rows)))
+            top = max(numbers, default=MAX_VERTICES)
+            if top < MAX_VERTICES and (top + 1) * (len(numbers) // 2) <= MAX_WORK:
+                pairs = iter(numbers)
+                g = LabeledGraph(top + 1, zip(pairs, pairs), name=name)
+        except (KeyError, ValueError):  # a token not in the table; a loop or a repeated edge
             pass
-        else:
-            # a fresh graph has no kept report, so the claim may be set now
-            g.claimed_array = parse_array(claimed) if claimed else None
-            return g
-    _refuse_first_bad_line(lines, rows)
+    if g is None:
+        g = _read_line_by_line(lines, rows, name)
+    # a fresh graph has no kept report, so the claim may be set now
+    g.claimed_array = parse_array(claimed) if claimed else None
+    return g
 
 
-def _refuse_first_bad_line(lines: list[str], rows: list[list[str]]):
-    """Raise the refusal of the first bad line of an edge list: lines[i] as
-    split at "\n", rows[i] its tokens before any '#'.  It always raises.
-
-    Only text that parse_edge_list could not build reaches here, and
-    each of its checks fails on some line when it fails at all, so a
-    walk that finds no bad line has found no edge.
-    """
+def _read_line_by_line(lines: list[str], rows: list[list[str]], name: str) -> LabeledGraph:
+    """The graph of an edge list read line by line, every check on every
+    line in order, or the refusal of its first bad line: lines[i] as split
+    at "\n", rows[i] its tokens before any '#'."""
     seen: set[int] = set()  # the edge (u, v), u < v, as u * MAX_VERTICES + v
     top = -1
     for lineno, (raw, parts) in enumerate(zip(lines, rows), start=1):
@@ -510,7 +497,9 @@ def _refuse_first_bad_line(lines: list[str], rows: list[list[str]]):
                 f"line {lineno}: n*m = {top + 1}*{len(seen)} is beyond the "
                 f"work cap of {MAX_WORK}"
             )
-    raise ValueError("edge list is empty")
+    if not seen:
+        raise ValueError("edge list is empty")
+    return LabeledGraph(top + 1, (divmod(key, MAX_VERTICES) for key in seen), name=name)
 
 
 def _lcf(pattern: list[int], repeats: int) -> tuple[int, set[tuple[int, int]]]:

@@ -73,6 +73,14 @@ def test_lookup_variants():
     assert lookup("no-such-thing") is None
 
 
+@pytest.mark.parametrize(
+    "spell", (str.upper, str.lower, lambda name: f"  {name}\t "), ids=("upper", "lower", "padded")
+)
+def test_every_entry_resolves_from_its_display_name(spell):
+    for e in catalog_list():
+        assert lookup(spell(e.name)) is e
+
+
 def test_slugs_are_unique():
     entries = catalog_list()
     slugs = [e.slug for e in entries]

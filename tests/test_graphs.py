@@ -730,11 +730,20 @@ def test_parse_edge_list_matches_the_per_line_reader(key):
 
 
 def test_valid_text_is_not_read_line_by_line(monkeypatch):
-    def refuse(lines, rows):
+    def refuse(lines, rows, name):
         raise AssertionError("read line by line")
 
-    monkeypatch.setattr(graphs, "_refuse_first_bad_line", refuse)
+    monkeypatch.setattr(graphs, "_read_line_by_line", refuse)
     assert parse_edge_list("0 1\n1 2\n2 0\n").edges == ((0, 1), (0, 2), (1, 2))
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_zero_padded_indices_build_the_canonical_graph(name):
+    edges = construct(name).edges
+    canonical = parse_edge_list("".join(f"{u} {v}\n" for u, v in edges))
+    padded = parse_edge_list("".join(f"{u:03} {v:04}\n" for u, v in edges))
+    assert canonical.edges == edges
+    assert (padded.n, padded.edges) == (canonical.n, canonical.edges)
 
 
 @pytest.mark.parametrize(

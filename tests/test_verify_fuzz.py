@@ -1,7 +1,8 @@
 """Property tests on small graphs: verify_drg gives the edge-loop reference's
 report or refusal, LabeledGraph's adjacency lists come out sorted,
 LabeledGraph builds or refuses an edge list as a tuple-keyed edge loop does,
-and neighbour_sums gives the edge loop's sums at every density."""
+neighbour_sums gives the edge loop's sums at every density, and
+parse_edge_list reads edge-list text as the per-line reference does."""
 
 from __future__ import annotations
 
@@ -12,12 +13,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from drg import LabeledGraph, parse_array, verify_drg  # noqa: E402
+from drg import LabeledGraph, parse_array, parse_edge_list, verify_drg  # noqa: E402
 from drg.graphs import neighbour_sums  # noqa: E402
 from test_graphs import (  # noqa: E402
+    _graph_or_refusal,
     _report_or_refusal,
     edge_loop_neighbour_sums,
     edge_loop_verify,
+    per_line_parse_edge_list,
 )
 
 # K_3, C_4, the Petersen graph and the 3-cube, and a claim right except for c_3
@@ -157,3 +160,29 @@ def _star(n: int) -> LabeledGraph:
 def test_neighbour_sums_match_the_edge_loop(case):
     g, rows = case
     assert neighbour_sums(g, rows) == edge_loop_neighbour_sums(g, rows)
+
+
+@st.composite
+def _edge_texts(draw) -> str:
+    """An edge list of _edge_lists as text: indices zero-padded or not, and
+    comments, blank lines and CRLF or LF breaks anywhere."""
+    _, edges = draw(_edge_lists())
+    zeros = st.integers(0, 3).map(lambda k: "0" * k)
+    lines = []
+    for u, v in edges:
+        lines += draw(st.lists(st.sampled_from(("", "  ", "# a comment", "\t# 1 2")), max_size=2))
+        comment = draw(st.sampled_from(("", " # c", "#0 1")))
+        lines.append(f"{draw(zeros)}{u} {draw(zeros)}{v}{comment}")
+    breaks = st.sampled_from(("\n", "\r\n"))
+    return "".join(line + draw(breaks) for line in lines)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(_edge_texts())
+@hypothesis.example("0 1\r\n001 2\r\n2 0000\r\n")
+@hypothesis.example("0 1\n# c\n\n01 001 # 1 1\n")
+@hypothesis.example("0 1\n1 2\n\n01 2\n")
+def test_parse_edge_list_matches_the_per_line_reader_on_small_texts(text):
+    assert _graph_or_refusal(parse_edge_list, text) == _graph_or_refusal(
+        per_line_parse_edge_list, text
+    )
