@@ -29,16 +29,23 @@ none yet.
 
 A chain takes `(profile, case)`, so only case 2 names a case itself (its
 `UNCLASSIFIED` fallback), and is put together from shared pieces.
-`_trace` builds every BoundTrace with alpha = (b_1-1)/b_1 (None when D =
-1 or b_1 = 1); only the deep case-3 subcases give alpha2 =
-(b_1-2)/(b_1-1) instead.  An optimal chain ends in `_target_gap` (value <
-93/100), most of them through `_cap_ending` (rho < cap <= value).
+`_trace` gives a BoundTrace alpha = (b_1-1)/b_1 (None when D = 1 or
+b_1 = 1) unless the chain passes its own: the K = 3 chain passes the
+alpha of its lemma, and the deep case-3 subcases alpha2 =
+(b_1-2)/(b_1-1).  Six of the eight K = 3 steps, `geometric_head` to
+`total_lt_target`, read only (b_1, j): `_k3_lemma` builds them once per
+pair and every trace with that pair shares the same step objects.  An
+entry holds eight integers of up to j*log2(b_1) bits and a few small
+ones, and the cache keeps the last 256 pairs (`maxsize=256`).  An
+optimal chain ends in `_target_gap` (value < 93/100), most of them
+through `_cap_ending` (rho < cap <= value).
 `_deep_head` gives the case-3 deep-head sum and its geometric limit for
 both deep subcases.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Callable
 from enum import Enum
@@ -327,7 +334,11 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
     summing to 1; the tail obeys phi_j+...+phi_{D-1} <= (j-1/2) phi_{j-1},
     whose weight f rises up to i = b_1 and falls after it, so it is at most
     its value at m = min(j, b_1), itself below 1.  Every power in the trace
-    has an exponent of at most j <= D.
+    has an exponent of at most j <= D.  Only `head_tail_bound` and
+    `rho_lt_target` read rho; the six steps between them are built once
+    per (b_1, j) and shared by every trace with that pair (`_k3_lemma`:
+    eight integers of up to j*log2(b_1) bits per pair, the last 256 pairs
+    kept).
     Raises ValueError for k < 3.
     """
     return _prove(profile, _K3.target, _k3_chain)
@@ -336,8 +347,21 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
 def _k3_chain(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     params = profile.params
     rho = profile.ratio
-    b1 = params.array.b[1]
-    j = params.j  # >= 2 whenever b_1 >= 2
+    alpha, bound, lemma = _k3_lemma(params.array.b[1], params.j)  # j >= 2 as b_1 >= 2
+    steps = (
+        _step("head_tail_bound", rho, "<=", bound),
+        *lemma,
+        _step("rho_lt_target", rho, "<", _K3.target),
+    )
+    return _trace(profile, case, steps, _K3.target, alpha=alpha)
+
+
+@functools.lru_cache(maxsize=256)
+def _k3_lemma(b1: int, j: int) -> tuple[Fraction, Fraction, tuple[TraceStep, ...]]:
+    """alpha, head + tail and the six steps from `geometric_head` to `total_lt_target`.
+
+    They read only (b_1, j), so every array with that pair shares them.
+    """
     m = min(j, b1)
     alpha = Fraction(b1 - 1, b1)
     # with alpha = (b1-1)/b1: head = (1 + ... + alpha^(j-2))/b1 = 1 - alpha^(j-1),
@@ -348,18 +372,15 @@ def _k3_chain(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     tail = Fraction(tail_num, 2 * bottom)
     peak_cap = Fraction(2 * m - 1, 2 * b1)
     peak_tail = peak_cap * alpha ** (m - 2)
-
     steps = (
-        _step("head_tail_bound", rho, "<=", Fraction(2 * head_num + tail_num, 2 * bottom)),
         _step("geometric_head", Fraction(1, b1) / (1 - alpha), "==", 1),
         _step("f_falling", f_ratio(b1, b1), "<", 1),
         _step("tail_peak", tail, "<=", peak_tail),
         _step("peak_drop", peak_tail, "<=", peak_cap),
         _step("peak_lt_1", peak_cap, "<", 1),
         _step("total_lt_target", Fraction(2 * bottom + tail_num, 2 * bottom), "<", _K3.target),
-        _step("rho_lt_target", rho, "<", _K3.target),
     )
-    return _trace(profile, case, steps, _K3.target)
+    return alpha, Fraction(2 * head_num + tail_num, 2 * bottom), steps
 
 
 # ----------------------------------------------------------------------

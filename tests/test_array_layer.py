@@ -28,6 +28,7 @@ import pytest
 
 from conftest import small_feasible_arrays
 from drg import (
+    CaseId,
     IntersectionArray,
     ValidationReport,
     catalog_list,
@@ -73,8 +74,8 @@ def _odd(m: int) -> IntersectionArray:
 def _corpus_arrays() -> list[IntersectionArray]:
     """The D <= 4 corpus, the catalog rows and family members up to D = 60.
 
-    J(80,40) has b_1 = 1521, the largest proved; H(3,1002) has b_1 = 2002,
-    which prove_k3 refuses.  Members with k < 3 pin the provers' refusal.
+    H(3,1002) has b_1 = 2002, the largest, and J(80,40) has b_1 = 1521;
+    prove_k3 closes both.  Members with k < 3 pin the provers' refusal.
     """
     out = small_feasible_arrays()
     out += [entry.array for entry in catalog_list()]
@@ -172,6 +173,17 @@ def test_trace_digests_match(pinned, feasible, perturbed):
         format_array(a) for a in feasible + perturbed if digests(a) != pinned.get(format_array(a))
     ]
     assert changed == []
+
+
+@pytest.mark.parametrize(
+    "arr, b1", ((_hamming(3, 1002), 2002), (_johnson(80, 40), 1521)), ids=("H(3,1002)", "J(80,40)")
+)
+def test_k3_closes_at_large_b1(arr, b1):
+    """The K = 3 chain, not a direct trace, holds step by step at these b_1."""
+    assert arr.b[1] == b1
+    trace = prove_k3(compute_profile(derive(arr)))
+    assert trace.case_id not in (CaseId.D1_TRIVIAL, CaseId.COCKTAIL)
+    assert trace.verdict and trace.all_steps_hold
 
 
 # ----------------------------------------------------------------------

@@ -13,15 +13,17 @@ from drg import (
     classify_case,
     compute_profile,
     derive,
+    format_array,
     parse_array,
+    proofs,
     prove_k3,
     prove_optimal,
     step_inequalities,
     tail_sum_check,
 )
 from drg.arrays import is_cocktail_party
-from drg.proofs import CASES, TraceStep, _deep_head, f_ratio
-from test_array_layer import TRACES, _johnson, _named_or_parsed, f_value
+from drg.proofs import CASES, TraceStep, _deep_head, _k3_lemma, f_ratio
+from test_array_layer import TRACES, _corpus_arrays, _johnson, _named_or_parsed, f_value
 from test_golden import PROOF_ARRAYS
 
 OPTIMAL = Fraction(93, 100)
@@ -168,6 +170,47 @@ def test_k3_petersen_full_trace():
     trace = prove_k3(profile_of("3,2;1,1"))
     assert trace.rho == Fraction(1, 3)
     assert trace.verdict and trace.all_steps_hold
+
+
+# the K = 3 lemma: the steps that read only (b_1, j), built once per pair
+
+LEMMA = slice(1, 7)  # geometric_head .. total_lt_target
+
+
+def test_k3_lemma_warm_equals_cold():
+    """A trace built from a cached lemma equals one built from an empty cache."""
+    profiles = [compute_profile(derive(arr)) for arr in _corpus_arrays() if arr.k >= 3]
+    _k3_lemma.cache_clear()
+    warm = [repr(prove_k3(prof)) for prof in profiles]
+    assert _k3_lemma.cache_info().hits > 0  # arrays sharing (b_1, j) with an earlier one
+    for prof, want in zip(profiles, warm):
+        _k3_lemma.cache_clear()
+        assert repr(prove_k3(prof)) == want, format_array(prof.params.array)
+
+
+def test_k3_lemma_steps_are_shared():
+    """Petersen and the cube both have (b_1, j) = (2, 2): one lemma, the same objects."""
+    petersen, cube = prove_k3(profile_of("3,2;1,1")), prove_k3(profile_of("3,2,1;1,2,3"))
+    assert [s.label for s in petersen.steps[LEMMA]] == [
+        "geometric_head", "f_falling", "tail_peak", "peak_drop", "peak_lt_1", "total_lt_target"
+    ]
+    assert all(a is b for a, b in zip(petersen.steps[LEMMA], cube.steps[LEMMA], strict=True))
+    assert petersen.alpha is cube.alpha
+    assert petersen.steps[0] is not cube.steps[0]  # head_tail_bound reads rho
+
+
+def test_k3_lemma_is_keyed_by_j():
+    """Petersen (j = 2) then Heawood (j = 3), both b_1 = 2: the tail peaks differ."""
+    petersen, heawood = profile_of("3,2;1,1"), profile_of("3,2,2;1,1,3")
+    assert (petersen.params.j, heawood.params.j) == (2, 3)
+    tail_peaks = [steps_by_label(prove_k3(prof))["tail_peak"] for prof in (petersen, heawood)]
+    assert [s.lhs for s in tail_peaks] == [Fraction(3, 4), Fraction(5, 8)]
+
+
+def test_k3_lemma_cache_bound_is_documented():
+    maxsize = _k3_lemma.cache_info().maxsize
+    assert maxsize == 256
+    assert f"maxsize={maxsize}" in proofs.__doc__
 
 
 # ----------------------------------------------------------------------
