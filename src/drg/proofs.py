@@ -29,18 +29,47 @@ none yet.
 
 A chain takes `(profile, case)`, so only case 2 names a case itself (its
 `UNCLASSIFIED` fallback), and is put together from shared pieces.
-`_trace` gives a BoundTrace alpha = (b_1-1)/b_1 (None when D = 1 or
-b_1 = 1) unless the chain passes its own: the K = 3 chain passes the
-alpha of its lemma, and the deep case-3 subcases alpha2 =
-(b_1-2)/(b_1-1).  Six of the eight K = 3 steps, `geometric_head` to
-`total_lt_target`, read only (b_1, j): `_k3_lemma` builds them once per
-pair and every trace with that pair shares the same step objects.  An
-entry holds eight integers of up to j*log2(b_1) bits and a few small
-ones, and the cache keeps the last 256 pairs (`maxsize=256`).  An
-optimal chain ends in `_target_gap` (value < 93/100), most of them
-through `_cap_ending` (rho < cap <= value).
-`_deep_head` gives the case-3 deep-head sum and its geometric limit for
-both deep subcases.
+`_trace` builds the BoundTrace, with the verdict rho < target unless the
+chain passes its own (case 2's extremal row), and alpha = (b_1-1)/b_1
+from `_alpha` (None when D = 1) unless the chain passes its own: the
+K = 3 chain passes the alpha of its lemma, and the deep case-3 subcases
+alpha2 = (b_1-2)/(b_1-1).
+
+What a chain reads only from b_1, (b_1, j) or (b_1, j, s) is built once
+per key under a `functools.lru_cache`, and every trace with that key
+shares the same immutable objects; per array a chain builds only the
+steps that read the array, the potentials or rho.  Each cache keeps the
+last 256 keys:
+
+* `_alpha(b_1)`: alpha (None for b_1 = 1), also the factor of
+  `head_contraction[i]`: one Fraction of two integers of log2(b_1) bits
+  (`maxsize=256`).
+* `_k3_lemma(b_1, j)`: six of the eight K = 3 steps, `geometric_head` to
+  `total_lt_target`, with alpha and the right side of `head_tail_bound`.
+  An entry holds eight integers of up to j*log2(b_1) bits and a few
+  small ones (`maxsize=256`).
+* `_ending(name, b_1)`: the close of five optimal chains, the `_ENDINGS`
+  rows: case 1 (`half_cap`), the j = 2 split and the j = 3 close
+  (`cap_value`), case 4 [c3_gt_b3] with b_1 >= 4 (`cap_value`) and the
+  quadrangle chain (`final_value`).  It holds the cap and the last two
+  steps, `label: cap relation value` and `target_gap`; `_close` adds
+  `rho_cap`, rho < cap, per array.  An entry holds a few integers of up
+  to 2*log2(b_1) bits (`maxsize=256`).
+* `_deep_lemma(b_1, j, s)`: the deep case-3 subcases, s = 3 for
+  [subcase1_ratio3] and s = 4 for [subcase2_product4].  It holds alpha2,
+  the `chain` and bound values and every step that reads only the key
+  (`geometric_head`, `tail_peak`, `peak_cap`, `j4_value`, `half_cap`,
+  `alpha_cap`, `final_value`, `cap_value`, `target_gap`, as the branch
+  has them); `sub_cond`, `half_cond` and `head_ratio_cap` read the array
+  and `chain` and `bound_peak`/`bound_j5` read rho, so they are built per
+  array.  `_deep_head` is its arithmetic: the deep-head sum and its
+  geometric limit.  An entry holds about twenty integers of up to
+  (j - s + 1)*log2(b_1) bits (`maxsize=256`).
+
+So a cached chain takes no `Fraction` power and builds no alpha.  The
+caches bound the number of entries, not their size: a caller proving
+many distinct arrays with huge b_1 and long j keeps up to 256 such
+entries in each.
 """
 
 from __future__ import annotations
@@ -131,8 +160,8 @@ def _initial_drop(profile: PotentialProfile) -> TraceStep:
 
 def _head_contraction(profile: PotentialProfile, i: int) -> TraceStep:
     """phi_i < ((b_1-1)/b_1) phi_{i-1}, the step inequality `head_contraction[i]`."""
-    b1, phi = profile.params.array.b[1], profile.phi
-    return TraceStep(f"head_contraction[{i}]", phi[i], "<", Fraction(b1 - 1, b1) * phi[i - 1])
+    alpha, phi = _alpha(profile.params.array.b[1]), profile.phi
+    return TraceStep(f"head_contraction[{i}]", phi[i], "<", alpha * phi[i - 1])
 
 
 def step_inequalities(profile: PotentialProfile) -> tuple[TraceStep, ...]:
@@ -269,15 +298,45 @@ _step = TraceStep  # a short name for the many steps below; it converts both sid
 
 
 def _trace(
-    profile: PotentialProfile, case: CaseId, steps, target: Fraction = _OPTIMAL.target, **fields
+    profile: PotentialProfile,
+    case: CaseId,
+    steps,
+    target: Fraction = _OPTIMAL.target,
+    *,
+    verdict: bool | None = None,
+    alpha: Fraction | None = None,
+    branch: str | None = None,
+    extremal: bool = False,
+    proof_path_available: bool = True,
+    assumption_dependent: bool = False,
+    notes: tuple[str, ...] = (),
 ) -> BoundTrace:
-    """A trace for `profile`; verdict rho < target and alpha (b_1-1)/b_1 unless given."""
+    """A trace for `profile`; verdict rho < target and alpha `_alpha(b_1)` unless given."""
     rho = profile.ratio
-    fields.setdefault("verdict", rho < target)
-    if "alpha" not in fields:
+    if verdict is None:
+        verdict = rho < target
+    if alpha is None:
         b = profile.params.array.b
-        fields["alpha"] = Fraction(b[1] - 1, b[1]) if len(b) > 1 and b[1] > 1 else None
-    return BoundTrace(case_id=case, target=target, rho=rho, steps=tuple(steps), **fields)
+        alpha = _alpha(b[1]) if len(b) > 1 else None
+    return BoundTrace(
+        case,
+        target,
+        rho,
+        tuple(steps),
+        verdict,
+        alpha,
+        branch,
+        extremal,
+        proof_path_available,
+        assumption_dependent,
+        notes,
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _alpha(b1: int) -> Fraction | None:
+    """alpha = (b_1-1)/b_1, built once per b_1 (None for b_1 = 1)."""
+    return Fraction(b1 - 1, b1) if b1 > 1 else None
 
 
 def _target_gap(label: str, lhs: Fraction, relation: str, value: Fraction) -> list[TraceStep]:
@@ -285,19 +344,47 @@ def _target_gap(label: str, lhs: Fraction, relation: str, value: Fraction) -> li
     return [_step(label, lhs, relation, value), _step("target_gap", value, "<", _OPTIMAL.target)]
 
 
-def _cap_ending(
-    rho: Fraction, cap: Fraction, value: Fraction, label: str = "cap_value", relation: str = "<="
-) -> list[TraceStep]:
-    """rho < cap, then the target gap of cap: the close of most optimal-bound chains."""
-    return [_step("rho_cap", rho, "<", cap), *_target_gap(label, cap, relation, value)]
+# The close rho < cap, cap relation value, value < 93/100 of five optimal chains;
+# cap and value read only b_1.  name -> b_1 -> (label, relation, cap, value).
+_ENDINGS = {
+    "case1": lambda b1: ("half_cap", "<=", Fraction(1, b1), Fraction(1, 2)),
+    "j2": lambda b1: ("cap_value", "<=", Fraction(5, 2 * b1), Fraction(5, 6)),
+    "j3": lambda b1: ("cap_value", "<=", Fraction(11, 4 * b1), Fraction(11, 12)),
+    "c3_gt_b3": lambda b1: ("cap_value", "<=", Fraction(4 * b1 - 3, b1 * b1), Fraction(13, 16)),
+    "quadrangle": lambda b1: (
+        "final_value",
+        "==",
+        Fraction(1, b1) + Fraction(2 * (b1 - 1), 3 * b1),
+        Fraction(2 * b1 + 1, 3 * b1),
+    ),
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _ending(name: str, b1: int) -> tuple[Fraction, tuple[TraceStep, ...]]:
+    """The cap of the `_ENDINGS` row `name` and its last two steps, built once per (name, b_1)."""
+    label, relation, cap, value = _ENDINGS[name](b1)
+    return cap, tuple(_target_gap(label, cap, relation, value))
+
+
+def _close(profile: PotentialProfile, ending: str) -> tuple[TraceStep, ...]:
+    """rho < cap, then the two steps of `_ending(ending, b_1)`: the close of an optimal chain."""
+    cap, steps = _ending(ending, profile.params.array.b[1])
+    return (_step("rho_cap", profile.ratio, "<", cap), *steps)
 
 
 def _direct(
-    profile: PotentialProfile, case: CaseId, note: str, target: Fraction = _OPTIMAL.target, **fields
+    profile: PotentialProfile,
+    case: CaseId,
+    note: str,
+    target: Fraction = _OPTIMAL.target,
+    proof_path_available: bool = True,
 ) -> BoundTrace:
     """The one-step trace rho < target, checked on the exact ratio alone."""
     step = _step("rho_lt_target", profile.ratio, "<", target)
-    return _trace(profile, case, (step,), target, notes=(note,), **fields)
+    return _trace(
+        profile, case, (step,), target, proof_path_available=proof_path_available, notes=(note,)
+    )
 
 
 _QUADRANGLE_NOTE = "quadrangle presence inferred from c_2/b_2 > 1/2 (sufficient condition only)"
@@ -363,7 +450,7 @@ def _k3_lemma(b1: int, j: int) -> tuple[Fraction, Fraction, tuple[TraceStep, ...
     They read only (b_1, j), so every array with that pair shares them.
     """
     m = min(j, b1)
-    alpha = Fraction(b1 - 1, b1)
+    alpha = _alpha(b1)
     # with alpha = (b1-1)/b1: head = (1 + ... + alpha^(j-2))/b1 = 1 - alpha^(j-1),
     # tail = (j - 1/2) alpha^(j-2)/b1 and peak_tail is tail at j = m (equal when j <= b1)
     top, bottom = (b1 - 1) ** (j - 2), b1 ** (j - 1)
@@ -387,17 +474,24 @@ def _k3_lemma(b1: int, j: int) -> tuple[Fraction, Fraction, tuple[TraceStep, ...
 # rho < 93/100 (the optimal bound), case by case
 
 def prove_optimal(profile: PotentialProfile) -> BoundTrace:
-    """Audit the per-case chain for rho < 93/100 (94/101 only for Biggs-Smith)."""
+    """Audit the per-case chain for rho < 93/100 (94/101 only for Biggs-Smith).
+
+    Steps that read only b_1, or (b_1, j, s) in the deep case-3 subcases,
+    are built once per key and shared by every trace with that key: the
+    last two steps of five chain endings (`_ending`, keyed by (ending,
+    b_1): a few integers of up to 2*log2(b_1) bits per entry), the
+    deep-subcase steps after `chain` that read no rho (`_deep_lemma`:
+    about twenty integers of up to (j - s + 1)*log2(b_1) bits per entry)
+    and alpha (`_alpha`, per b_1).  Each cache keeps the last 256 keys.
+    Per array a chain builds only the steps that read the array, the
+    potentials or rho.
+    Raises ValueError for k < 3.
+    """
     return _prove(profile, _OPTIMAL.target)
 
 
 def _optimal_case1(profile: PotentialProfile, case: CaseId) -> BoundTrace:
-    b1 = profile.params.array.b[1]
-    steps = (
-        _initial_drop(profile),
-        *_cap_ending(profile.ratio, Fraction(1, b1), Fraction(1, 2), "half_cap"),
-    )
-    return _trace(profile, case, steps)
+    return _trace(profile, case, (_initial_drop(profile), *_close(profile, "case1")))
 
 
 def _optimal_case2(profile: PotentialProfile, case: CaseId) -> BoundTrace:
@@ -429,25 +523,25 @@ def _split_j2_steps(profile: PotentialProfile) -> tuple[TraceStep, ...]:
         tail_sum_check(profile),
         _step("sum_cap", profile.phi_sum(1), "<=", Fraction(5, 2) * profile.phi[1]),
         _initial_drop(profile),
-        *_cap_ending(profile.ratio, Fraction(5, 2) / profile.params.array.b[1], Fraction(5, 6)),
+        *_close(profile, "j2"),
     )
 
 
 def _j3_sum_cap(profile: PotentialProfile) -> list[TraceStep]:
     """Shared j = 3 close: the tail bound and phi_2 < phi_1/2 give rho < (11/4)/b1."""
     phi = profile.phi
-    b1 = profile.params.array.b[1]
     return [
         tail_sum_check(profile),
         _step("half_drop", phi[2], "<", phi[1] / 2),
         _step("sum_cap", profile.phi_sum(1), "<=", phi[1] + Fraction(7, 2) * phi[2]),
-        *_cap_ending(profile.ratio, Fraction(11, 4) / b1, Fraction(11, 12)),
+        *_close(profile, "j3"),
     ]
 
 
 def _optimal_case3(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     params = profile.params
-    b = params.array.b
+    arr = params.array
+    b, c = arr.b, arr.c
     j = params.j
 
     if j == 2:
@@ -461,11 +555,20 @@ def _optimal_case3(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     # One of them always applies.  With c_2 = 1 and c_i < b_i for i <= 3 (as
     # j >= 4), b_2 < 3 forces b_2 = 2; then c_2 <= c_3 < b_3 <= b_2 forces
     # b_3 = 2 and c_3 = 1, so b_2 b_3/(c_2 c_3) = 4.
-    alpha2 = Fraction(b[1] - 2, b[1] - 1)
     if b[2] >= 3:  # b_2/c_2 >= 3, as c_2 = 1
-        steps, branch = _ratio3_steps(profile, alpha2), "subcase1_ratio3"
+        s, branch = 3, "subcase1_ratio3"
+        steps = [_step("sub_cond", Fraction(b[2], c[1]), ">=", 3)]
     else:
-        steps, branch = _product4_steps(profile, alpha2), "subcase2_product4"
+        s, branch = 4, "subcase2_product4"
+        steps = [
+            _step("sub_cond", Fraction(b[2] * b[3], c[1] * c[2]), ">=", 4),
+            _step("half_cond", Fraction(b[2], c[1]), ">=", 2),
+        ]
+    alpha2, chain, head, bound, rest = _deep_lemma(b[1], j, s)
+    rho = profile.ratio
+    steps += [*_head_ratio_cap(arr, s, j - 1, alpha2), _step("chain", rho, "<=", chain), *head]
+    if bound is not None:  # subcase 2 with j >= 5: rho < the chain's tail-peak bound
+        steps += [_step(bound[0], rho, "<", bound[1]), *rest]
     return _trace(profile, case, steps, alpha=alpha2, branch=branch)
 
 
@@ -496,53 +599,47 @@ def _deep_head(b1: int, j: int, s: int) -> tuple[Fraction, Fraction]:
     return Fraction(rest + 2 * (w * w_pow - u * u_pow), den), Fraction(rest + 2 * w * w_pow, den)
 
 
-def _ratio3_steps(profile: PotentialProfile, alpha2: Fraction) -> list[TraceStep]:
-    params = profile.params
-    arr = params.array
-    b1 = arr.b[1]
-    j = params.j
-    chain, geo = _deep_head(b1, j, 3)
-    # the tail weight rises up to i = b1 - 1 and falls after it, so it is at most its
-    # value at m = min(j, b1 - 1); for b1 = 3 the peak is below j >= 4, so j = 4 dominates
-    m = min(j, b1 - 1)
-    peak = (m - Fraction(1, 2)) * alpha2 ** (m - 3) if b1 >= 4 else Fraction(7, 2) * alpha2
-    head = Fraction(1, b1) + Fraction(b1 - 1, 3 * b1)  # geo less its tail term
-    steps = [
-        _step("sub_cond", Fraction(arr.b[2], arr.c[1]), ">=", 3),
-        *_head_ratio_cap(arr, 3, j - 1, alpha2),
-        _step("chain", profile.ratio, "<=", chain),
-        _step("geometric_head", chain, "<", geo),
-        _step("tail_peak", (j - Fraction(1, 2)) * alpha2 ** (j - 3), "<=", peak),
-    ]
-    if b1 >= 4:
-        steps += [
-            _step("peak_cap", peak / (3 * b1), "<=", Fraction(1, 3)),
-            *_target_gap("final_value", head + Fraction(1, 3), "==", Fraction(2 * b1 + 2, 3 * b1)),
+@functools.lru_cache(maxsize=256)
+def _deep_lemma(
+    b1: int, j: int, s: int
+) -> tuple[
+    Fraction, Fraction, tuple[TraceStep, ...], tuple[str, Fraction] | None, tuple[TraceStep, ...]
+]:
+    """What a deep case-3 subcase (s = 3 or 4) reads only from (b_1, j, s).
+
+    Returns alpha2, the `chain` value, the steps after `chain`, the label and
+    value of the step rho < bound (None unless s = 4 and j >= 5) and the steps
+    after that one.  Every array with that key shares them.
+    """
+    alpha2 = Fraction(b1 - 2, b1 - 1)
+    chain, geo = _deep_head(b1, j, s)
+    if s == 3:
+        # the tail weight rises up to i = b1 - 1 and falls after it, so it is at most its
+        # value at m = min(j, b1 - 1); for b1 = 3 the peak is below j >= 4, so j = 4 dominates
+        m = min(j, b1 - 1)
+        peak = (m - Fraction(1, 2)) * alpha2 ** (m - 3) if b1 >= 4 else Fraction(7, 2) * alpha2
+        head = Fraction(1, b1) + Fraction(b1 - 1, 3 * b1)  # geo less its tail term
+        steps = [
+            _step("geometric_head", chain, "<", geo),
+            _step("tail_peak", (j - Fraction(1, 2)) * alpha2 ** (j - 3), "<=", peak),
         ]
-    else:
-        steps += _target_gap("final_value", head + peak / (3 * b1), "==", Fraction(3, 4))
-    return steps
+        if b1 >= 4:
+            steps += [
+                _step("peak_cap", peak / (3 * b1), "<=", Fraction(1, 3)),
+                *_target_gap(
+                    "final_value", head + Fraction(1, 3), "==", Fraction(2 * b1 + 2, 3 * b1)
+                ),
+            ]
+        else:
+            steps += _target_gap("final_value", head + peak / (3 * b1), "==", Fraction(3, 4))
+        return alpha2, chain, tuple(steps), None, ()
 
-
-def _product4_steps(profile: PotentialProfile, alpha2: Fraction) -> list[TraceStep]:
-    params = profile.params
-    arr = params.array
-    b, c = arr.b, arr.c
-    rho = profile.ratio
-    b1 = b[1]
-    j = params.j
-    chain, _ = _deep_head(b1, j, 4)
-    steps = [
-        _step("sub_cond", Fraction(b[2] * b[3], c[1] * c[2]), ">=", 4),
-        _step("half_cond", Fraction(b[2], c[1]), ">=", 2),
-        *_head_ratio_cap(arr, 4, j - 1, alpha2),
-        _step("chain", rho, "<=", chain),
-    ]
     if j == 4:
-        return steps + [
+        steps = (
             _step("j4_value", chain, "==", Fraction(21, 2) / (4 * b1)),
             *_target_gap("cap_value", Fraction(21, 2) / (4 * b1), "<=", Fraction(7, 8)),
-        ]
+        )
+        return alpha2, chain, steps, None, ()
 
     # the tail weight rises up to i = b1 - 1 and falls after it, so it is at most its
     # value at m = min(j, b1 - 1); for b1 <= 5 the peak is below j >= 5, so j = 5 dominates
@@ -550,25 +647,18 @@ def _product4_steps(profile: PotentialProfile, alpha2: Fraction) -> list[TraceSt
     peak = (m - Fraction(1, 2)) * alpha2 ** (m - 4) if b1 >= 6 else Fraction(9, 2) * alpha2
     head = Fraction(3, 2 * b1) + Fraction(b1 - 1, 4 * b1)  # the geometric limit less its tail term
     bound = head + peak / (4 * b1)
-    steps += [
-        _step("tail_peak", (j - Fraction(1, 2)) * alpha2 ** (j - 4), "<=", peak),
-        _step("bound_peak" if b1 >= 6 else "bound_j5", rho, "<", bound),
-    ]
+    tail_peak = _step("tail_peak", (j - Fraction(1, 2)) * alpha2 ** (j - 4), "<=", peak)
     if b1 == 3:  # alpha2 = 1/2 exactly
-        steps += _target_gap("final_value", bound, "==", Fraction(41, 48))
+        rest = _target_gap("final_value", bound, "==", Fraction(41, 48))
     elif b1 <= 5:
-        steps += _target_gap("alpha_cap", bound, "<", head + Fraction(9, 2) / (4 * b1))
+        rest = _target_gap("alpha_cap", bound, "<", head + Fraction(9, 2) / (4 * b1))
     else:
-        steps += [
-            _step(
-                "half_cap",
-                Fraction(b1 - 1, 4 * b1) + peak / (4 * b1),
-                "<",
-                Fraction(1, 2),
-            ),
+        rest = [
+            _step("half_cap", Fraction(b1 - 1, 4 * b1) + peak / (4 * b1), "<", Fraction(1, 2)),
             *_target_gap("final_value", Fraction(3, 2 * b1) + Fraction(1, 2), "<=", Fraction(3, 4)),
         ]
-    return steps
+    label = "bound_peak" if b1 >= 6 else "bound_j5"
+    return alpha2, chain, (tail_peak,), (label, bound), tuple(rest)
 
 
 def _optimal_case4(profile: PotentialProfile, case: CaseId) -> BoundTrace:
@@ -586,7 +676,7 @@ def _optimal_case4(profile: PotentialProfile, case: CaseId) -> BoundTrace:
 
     if c3 > b3:
         branch = "c3_gt_b3"
-        cap = Fraction(4 * b1 - 3, b1 * b1)
+        close = _close(profile, "c3_gt_b3")
         steps += [
             _step("diameter_cap", D, "<=", 5),
             _head_contraction(profile, 2),
@@ -594,14 +684,11 @@ def _optimal_case4(profile: PotentialProfile, case: CaseId) -> BoundTrace:
             _step("interior_count", profile.phi_sum(2), "<=", 3 * phi[2]),
         ]
         if b1 >= 4:
-            steps += _cap_ending(rho, cap, Fraction(13, 16))
+            steps += close
         else:
             # b1 = 3 with c2 > 1 contradicts the classification facts for
             # real graphs; the stated 5/6 cap is still evaluated here.
-            steps += [
-                _step("rho_cap", rho, "<", cap),
-                *_target_gap("stated_cap", rho, "<", Fraction(5, 6)),
-            ]
+            steps += [close[0], *_target_gap("stated_cap", rho, "<", Fraction(5, 6))]
             notes = (
                 "b_1 = 3 with c_2 > 1 cannot occur for an actual graph in "
                 "this case; the cap is evaluated as stated",
@@ -630,7 +717,6 @@ def _quadrangle_chain(profile: PotentialProfile) -> list[TraceStep]:
     k = params.k
     b1, b2 = arr.b[1], arr.b[2]
     c2 = arr.c[1]
-    final = Fraction(1, b1) + Fraction(2, 3) * Fraction(b1 - 1, b1)
     return [
         _step("quad_cond", Fraction(c2, b2), ">", Fraction(1, 2)),
         _step("diameter_quad", arr.D, "<=", Fraction(2 * k, k + 1 - b1)),
@@ -640,7 +726,7 @@ def _quadrangle_chain(profile: PotentialProfile) -> list[TraceStep]:
         _step("interior_count", profile.phi_sum(2), "<=", (b1 - 1) * phi[2]),
         _initial_drop(profile),
         _step("phi2_cap", phi[2], "<", Fraction(2, 3) * phi[1]),
-        *_cap_ending(profile.ratio, final, Fraction(2 * b1 + 1, 3 * b1), "final_value", "=="),
+        *_close(profile, "quadrangle"),
     ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,23 @@ from drg import (
     tail_sum_check,
 )
 from drg.arrays import is_cocktail_party
-from drg.proofs import CASES, TraceStep, _deep_head, _k3_lemma, f_ratio
-from test_array_layer import TRACES, _corpus_arrays, _johnson, _named_or_parsed, f_value
+from drg.proofs import (
+    CASES,
+    TraceStep,
+    _alpha,
+    _deep_head,
+    _deep_lemma,
+    _ending,
+    _k3_lemma,
+    f_ratio,
+)
+from test_array_layer import (
+    TRACES,
+    _johnson,
+    _named_or_parsed,
+    f_value,
+    feasible_arrays,
+)
 from test_golden import PROOF_ARRAYS
 
 OPTIMAL = Fraction(93, 100)
@@ -172,20 +188,36 @@ def test_k3_petersen_full_trace():
     assert trace.verdict and trace.all_steps_hold
 
 
-# the K = 3 lemma: the steps that read only (b_1, j), built once per pair
+# the proof caches: steps that read only b_1, (b_1, j) or (b_1, j, s), built once per key
 
 LEMMA = slice(1, 7)  # geometric_head .. total_lt_target
+PROOF_CACHES = (_alpha, _ending, _deep_lemma, _k3_lemma)
+
+
+def _clear_proof_caches() -> None:
+    for cache in PROOF_CACHES:
+        cache.cache_clear()
+
+
+def _warm_equals_cold(prover, caches) -> None:
+    """Over the corpus, the catalog and PROOF_ARRAYS, a trace built with filled
+    caches equals the one built from empty caches."""
+    profiles = [compute_profile(derive(arr)) for arr in feasible_arrays() if arr.k >= 3]
+    _clear_proof_caches()
+    warm = [repr(prover(prof)) for prof in profiles]
+    for cache in caches:  # arrays sharing a key with an earlier one
+        assert cache.cache_info().hits > 0, cache.__name__
+    for prof, want in zip(profiles, warm):
+        _clear_proof_caches()
+        assert repr(prover(prof)) == want, format_array(prof.params.array)
 
 
 def test_k3_lemma_warm_equals_cold():
-    """A trace built from a cached lemma equals one built from an empty cache."""
-    profiles = [compute_profile(derive(arr)) for arr in _corpus_arrays() if arr.k >= 3]
-    _k3_lemma.cache_clear()
-    warm = [repr(prove_k3(prof)) for prof in profiles]
-    assert _k3_lemma.cache_info().hits > 0  # arrays sharing (b_1, j) with an earlier one
-    for prof, want in zip(profiles, warm):
-        _k3_lemma.cache_clear()
-        assert repr(prove_k3(prof)) == want, format_array(prof.params.array)
+    _warm_equals_cold(prove_k3, (_k3_lemma,))
+
+
+def test_optimal_caches_warm_equal_cold():
+    _warm_equals_cold(prove_optimal, (_alpha, _ending, _deep_lemma))
 
 
 def test_k3_lemma_steps_are_shared():
@@ -199,6 +231,40 @@ def test_k3_lemma_steps_are_shared():
     assert petersen.steps[0] is not cube.steps[0]  # head_tail_bound reads rho
 
 
+# Two arrays with one key of `_ending` (ending, b_1) or `_deep_lemma` (b_1, j, s),
+# across cases where a row has two, and the labels of the steps that key builds.
+SHARED = {
+    "case1": (("3,2;1,1", "4,2;1,1"), ["half_cap", "target_gap"]),
+    "j2": (("5,4,1;1,1,1", "5,4,1;1,2,5"), ["cap_value", "target_gap"]),  # case 3, case 5
+    "j3": (("5,4,2;1,1,1", "5,4,2;1,1,2"), ["cap_value", "target_gap"]),
+    "c3_gt_b3": (("5,4,3;1,2,3", "6,4,3;1,2,2"), ["cap_value", "target_gap"]),
+    "quadrangle": (("5,4,3,2;1,2,2,2", "5,4,3,3;1,2,2,3"), ["final_value", "target_gap"]),
+    "ratio3": (
+        ("5,4,3,2;1,1,1,1", "5,4,3,2;1,1,1,2"),
+        ["geometric_head", "tail_peak", "peak_cap", "final_value", "target_gap"],
+    ),
+    "product4_j4": (
+        ("5,4,2,2;1,1,1,1", "5,4,2,2;1,1,1,2"), ["j4_value", "cap_value", "target_gap"]
+    ),
+    "product4_j5": (
+        ("7,6,2,2,2;1,1,1,1,1", "7,6,2,2,2;1,1,1,1,7"),
+        ["tail_peak", "half_cap", "final_value", "target_gap"],
+    ),
+}
+READ_RHO = ("rho_cap", "chain", "bound_peak")
+
+
+@pytest.mark.parametrize("key", SHARED)
+def test_optimal_key_steps_are_shared(key):
+    """Two arrays with one key hold the same step objects for what the key builds."""
+    texts, shared = SHARED[key]
+    traces = [prove_optimal(profile_of(text)) for text in texts]
+    assert traces[0].alpha is traces[1].alpha  # alpha or alpha2, built once per key too
+    one, two = (steps_by_label(trace) for trace in traces)
+    assert all(one[label] is two[label] for label in shared)
+    assert all(one[label] is not two[label] for label in READ_RHO if label in one)
+
+
 def test_k3_lemma_is_keyed_by_j():
     """Petersen (j = 2) then Heawood (j = 3), both b_1 = 2: the tail peaks differ."""
     petersen, heawood = profile_of("3,2;1,1"), profile_of("3,2,2;1,1,3")
@@ -207,10 +273,36 @@ def test_k3_lemma_is_keyed_by_j():
     assert [s.lhs for s in tail_peaks] == [Fraction(3, 4), Fraction(5, 8)]
 
 
-def test_k3_lemma_cache_bound_is_documented():
-    maxsize = _k3_lemma.cache_info().maxsize
+@pytest.mark.parametrize(
+    "texts, keys",
+    [
+        # b_1 = 6, s = 3: j = 4 then j = 6
+        (("7,6,5,4;1,1,1,7", "7,6,6,5,5,4;1,1,2,2,3,3"), [(6, 4, 3), (6, 6, 3)]),
+        # b_1 = 5, j = 5: s = 3 then s = 4
+        (("6,5,5,4,4;1,1,2,2,3", "6,5,2,2,2;1,1,1,1,6"), [(5, 5, 3), (5, 5, 4)]),
+    ],
+    ids=("j", "s"),
+)
+def test_deep_lemma_is_keyed_by_j_and_s(texts, keys):
+    """Two deep keys with one b_1, built in a row: the tail peaks differ."""
+    _clear_proof_caches()
+    profiles = [profile_of(text) for text in texts]
+    traces = [prove_optimal(prof) for prof in profiles]
+    s_of = {"subcase1_ratio3": 3, "subcase2_product4": 4}
+    got = [(p.params.array.b[1], p.params.j, s_of[t.branch]) for p, t in zip(profiles, traces)]
+    assert got == keys
+    one, two = (steps_by_label(t)["tail_peak"] for t in traces)
+    assert one.lhs != two.lhs
+
+
+@pytest.mark.parametrize("cache", PROOF_CACHES, ids=lambda cache: cache.__name__)
+def test_proof_cache_bound_is_documented(cache):
+    """Each cache is bounded, and the module docstring's item for it gives the bound."""
+    maxsize = cache.cache_info().maxsize
     assert maxsize == 256
-    assert f"maxsize={maxsize}" in proofs.__doc__
+    item = re.search(rf"^\* `{cache.__name__}\(.*?(?=^\S|^\* |\Z)", proofs.__doc__, re.M | re.S)
+    assert item is not None, cache.__name__
+    assert f"maxsize={maxsize}" in item.group()
 
 
 # ----------------------------------------------------------------------
