@@ -23,6 +23,7 @@ from drg import (
     tail_sum_check,
 )
 from drg.arrays import is_cocktail_party
+from drg.potentials import PotentialProfile
 from drg.proofs import (
     CASES,
     TraceStep,
@@ -407,6 +408,30 @@ def test_optimal_case3_subcase2_deep_b1_3():
     trace = prove_optimal(profile_of("6,3,2,2,2;1,1,1,1,6"))
     assert trace.branch == "subcase2_product4"
     assert trace.verdict and trace.all_steps_hold
+
+
+def test_optimal_case3_subcase2_peak_at_b1_minus_1():
+    """j = b_1 = 6: the tail weight peaks at m = b_1 - 1 = 5, not at j."""
+    profile = profile_of("7,6,2,2,2,2;1,1,1,1,1,1")
+    trace = prove_optimal(profile)
+    key = (trace.branch, profile.params.array.b[1], profile.params.j)
+    assert key == ("subcase2_product4", 6, 6)
+    steps = steps_by_label(trace)
+    assert steps["tail_peak"].rhs == Fraction(18, 5)
+    assert steps["bound_peak"].rhs == Fraction(73, 120)
+    assert trace.verdict and trace.all_steps_hold
+
+
+@pytest.mark.parametrize("bound", proofs.BOUNDS, ids=lambda bound: bound.name)
+def test_direct_verdict_is_strict(bound):
+    """A ratio equal to the target fails: the verdict is rho < target, not rho <= target."""
+    real = profile_of("4,1;1,4")
+    target = bound.target
+    profile = PotentialProfile(real.params, real.phi, real.resistances, target, 1 + target)
+    trace = proofs._direct(profile, CaseId.COCKTAIL, "ratio set to the target", target)
+    assert trace.verdict is False
+    (step,) = trace.steps
+    assert (step.label, step.lhs, step.rhs, step.holds) == ("rho_lt_target", target, target, False)
 
 
 def test_optimal_case4_branch_deep_c3_real_hamming():
