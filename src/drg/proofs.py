@@ -32,39 +32,34 @@ A chain takes `(profile, case)`, so only case 2 names a case itself (its
 `_trace` builds the BoundTrace, with the verdict rho < target unless the
 chain passes its own (case 2's extremal row), and alpha = (b_1-1)/b_1
 from `_alpha` (None when D = 1) unless the chain passes its own: the
-K = 3 chain passes the alpha of its lemma, and the deep case-3 subcases
-alpha2 = (b_1-2)/(b_1-1).
+deep case-3 subcases pass alpha2 = (b_1-2)/(b_1-1), which is
+`_alpha(b_1 - 1)`.
 
-What a chain reads only from b_1, (b_1, j) or (b_1, j, s) is built once
-per key under a `functools.lru_cache`, and every trace with that key
-shares the same immutable objects; per array a chain builds only the
-steps that read the array, the potentials or rho.  Each cache keeps the
-last 256 keys:
+`_LEMMAS` is the one table of what a chain reads only from b_1 or (b_1, j):
+each row maps a kind to the builder of that chain's key-only steps, in
+chain order.  The kinds are `k3` (the K = 3 chain: `head_tail_bound` to
+`rho_lt_target`), the five endings rho < cap, cap relation value,
+value < 93/100 (`case1`, `j2`, `j3`, `c3_gt_b3` and `quadrangle`, keyed
+by b_1 alone, so cases 4 and 5 share the quadrangle close) and the deep
+case-3 subcases (`subcase1_ratio3` and `subcase2_product4`, from `chain`
+on).  A step that reads rho is written (label, relation, rhs), and
+`_apply_lemma` makes it rho relation rhs for one profile; every other
+step is built once per key, and every trace with that key shares the
+same immutable objects.  Per array a chain builds only the steps that
+read the array, the potentials or rho.  Two caches keep the last 256
+keys:
 
 * `_alpha(b_1)`: alpha (None for b_1 = 1), also the factor of
-  `head_contraction[i]`: one Fraction of two integers of log2(b_1) bits
+  `head_contraction[i]` and, at b_1 - 1, the deep subcases' alpha2: one
+  Fraction of two integers of log2(b_1) bits (`maxsize=256`).
+* `_lemma(kind, b_1, j)`: the `_LEMMAS` row `kind` at (b_1, j), with
+  j = 0 for an ending.  An entry holds a few integers of up to
+  2*log2(b_1) bits for an ending, eight integers of up to j*log2(b_1)
+  bits and a few small ones for `k3`, and about twenty integers of up to
+  (j - s + 1)*log2(b_1) bits for a deep subcase, with s = 3 for
+  [subcase1_ratio3] and s = 4 for [subcase2_product4]; `_deep_head` is
+  their arithmetic, the deep-head sum and its geometric limit
   (`maxsize=256`).
-* `_k3_lemma(b_1, j)`: six of the eight K = 3 steps, `geometric_head` to
-  `total_lt_target`, with alpha and the right side of `head_tail_bound`.
-  An entry holds eight integers of up to j*log2(b_1) bits and a few
-  small ones (`maxsize=256`).
-* `_ending(name, b_1)`: the close of five optimal chains, the `_ENDINGS`
-  rows: case 1 (`half_cap`), the j = 2 split and the j = 3 close
-  (`cap_value`), case 4 [c3_gt_b3] with b_1 >= 4 (`cap_value`) and the
-  quadrangle chain (`final_value`).  It holds the cap and the last two
-  steps, `label: cap relation value` and `target_gap`; `_close` adds
-  `rho_cap`, rho < cap, per array.  An entry holds a few integers of up
-  to 2*log2(b_1) bits (`maxsize=256`).
-* `_deep_lemma(b_1, j, s)`: the deep case-3 subcases, s = 3 for
-  [subcase1_ratio3] and s = 4 for [subcase2_product4].  It holds alpha2,
-  the `chain` and bound values and every step that reads only the key
-  (`geometric_head`, `tail_peak`, `peak_cap`, `j4_value`, `half_cap`,
-  `alpha_cap`, `final_value`, `cap_value`, `target_gap`, as the branch
-  has them); `sub_cond`, `half_cond` and `head_ratio_cap` read the array
-  and `chain` and `bound_peak`/`bound_j5` read rho, so they are built per
-  array.  `_deep_head` is its arithmetic: the deep-head sum and its
-  geometric limit.  An entry holds about twenty integers of up to
-  (j - s + 1)*log2(b_1) bits (`maxsize=256`).
 
 So a cached chain takes no `Fraction` power and builds no alpha.  The
 caches bound the number of entries, not their size: a caller proving
@@ -344,33 +339,27 @@ def _target_gap(label: str, lhs: Fraction, relation: str, value: Fraction) -> li
     return [_step(label, lhs, relation, value), _step("target_gap", value, "<", _OPTIMAL.target)]
 
 
-# The close rho < cap, cap relation value, value < 93/100 of five optimal chains;
-# cap and value read only b_1.  name -> b_1 -> (label, relation, cap, value).
-_ENDINGS = {
-    "case1": lambda b1: ("half_cap", "<=", Fraction(1, b1), Fraction(1, 2)),
-    "j2": lambda b1: ("cap_value", "<=", Fraction(5, 2 * b1), Fraction(5, 6)),
-    "j3": lambda b1: ("cap_value", "<=", Fraction(11, 4 * b1), Fraction(11, 12)),
-    "c3_gt_b3": lambda b1: ("cap_value", "<=", Fraction(4 * b1 - 3, b1 * b1), Fraction(13, 16)),
-    "quadrangle": lambda b1: (
-        "final_value",
-        "==",
-        Fraction(1, b1) + Fraction(2 * (b1 - 1), 3 * b1),
-        Fraction(2 * b1 + 1, 3 * b1),
-    ),
-}
+def _ending(label: str, relation: str, cap: Fraction, value: Fraction) -> tuple:
+    """rho < cap, cap relation value, value < 93/100: the close of five optimal chains."""
+    return (("rho_cap", "<", cap), *_target_gap(label, cap, relation, value))
 
 
 @functools.lru_cache(maxsize=256)
-def _ending(name: str, b1: int) -> tuple[Fraction, tuple[TraceStep, ...]]:
-    """The cap of the `_ENDINGS` row `name` and its last two steps, built once per (name, b_1)."""
-    label, relation, cap, value = _ENDINGS[name](b1)
-    return cap, tuple(_target_gap(label, cap, relation, value))
+def _lemma(kind: str, b1: int, j: int) -> tuple:
+    """The `_LEMMAS` row `kind` at (b_1, j), built once per key."""
+    return _LEMMAS[kind](b1, j)
 
 
-def _close(profile: PotentialProfile, ending: str) -> tuple[TraceStep, ...]:
-    """rho < cap, then the two steps of `_ending(ending, b_1)`: the close of an optimal chain."""
-    cap, steps = _ending(ending, profile.params.array.b[1])
-    return (_step("rho_cap", profile.ratio, "<", cap), *steps)
+def _apply_lemma(profile: PotentialProfile, kind: str, j: int = 0) -> list[TraceStep]:
+    """The steps of `_lemma(kind, b_1, j)`, each (label, relation, rhs) made rho relation rhs.
+
+    An ending reads only b_1, so it takes the default j = 0.
+    """
+    rho, steps = profile.ratio, []
+    # a loop: a comprehension costs a call more before Python 3.12
+    for entry in _lemma(kind, profile.params.array.b[1], j):
+        steps.append(_step(entry[0], rho, entry[1], entry[2]) if type(entry) is tuple else entry)
+    return steps
 
 
 def _direct(
@@ -423,32 +412,20 @@ def prove_k3(profile: PotentialProfile) -> BoundTrace:
     its value at m = min(j, b_1), itself below 1.  Every power in the trace
     has an exponent of at most j <= D.  Only `head_tail_bound` and
     `rho_lt_target` read rho; the six steps between them are built once
-    per (b_1, j) and shared by every trace with that pair (`_k3_lemma`:
-    eight integers of up to j*log2(b_1) bits per pair, the last 256 pairs
-    kept).
+    per (b_1, j) and shared by every trace with that pair (the `_LEMMAS`
+    row `k3`, cached by `_lemma`).
     Raises ValueError for k < 3.
     """
     return _prove(profile, _K3.target, _k3_chain)
 
 
 def _k3_chain(profile: PotentialProfile, case: CaseId) -> BoundTrace:
-    params = profile.params
-    rho = profile.ratio
-    alpha, bound, lemma = _k3_lemma(params.array.b[1], params.j)  # j >= 2 as b_1 >= 2
-    steps = (
-        _step("head_tail_bound", rho, "<=", bound),
-        *lemma,
-        _step("rho_lt_target", rho, "<", _K3.target),
-    )
-    return _trace(profile, case, steps, _K3.target, alpha=alpha)
+    steps = _apply_lemma(profile, "k3", profile.params.j)  # j >= 2 as b_1 >= 2
+    return _trace(profile, case, steps, _K3.target)
 
 
-@functools.lru_cache(maxsize=256)
-def _k3_lemma(b1: int, j: int) -> tuple[Fraction, Fraction, tuple[TraceStep, ...]]:
-    """alpha, head + tail and the six steps from `geometric_head` to `total_lt_target`.
-
-    They read only (b_1, j), so every array with that pair shares them.
-    """
+def _k3_lemma(b1: int, j: int) -> tuple:
+    """The eight K = 3 steps: rho <= head + tail, six that read only (b_1, j), rho < 2."""
     m = min(j, b1)
     alpha = _alpha(b1)
     # with alpha = (b1-1)/b1: head = (1 + ... + alpha^(j-2))/b1 = 1 - alpha^(j-1),
@@ -459,15 +436,16 @@ def _k3_lemma(b1: int, j: int) -> tuple[Fraction, Fraction, tuple[TraceStep, ...
     tail = Fraction(tail_num, 2 * bottom)
     peak_cap = Fraction(2 * m - 1, 2 * b1)
     peak_tail = peak_cap * alpha ** (m - 2)
-    steps = (
+    return (
+        ("head_tail_bound", "<=", Fraction(2 * head_num + tail_num, 2 * bottom)),
         _step("geometric_head", Fraction(1, b1) / (1 - alpha), "==", 1),
         _step("f_falling", f_ratio(b1, b1), "<", 1),
         _step("tail_peak", tail, "<=", peak_tail),
         _step("peak_drop", peak_tail, "<=", peak_cap),
         _step("peak_lt_1", peak_cap, "<", 1),
         _step("total_lt_target", Fraction(2 * bottom + tail_num, 2 * bottom), "<", _K3.target),
+        ("rho_lt_target", "<", _K3.target),
     )
-    return alpha, Fraction(2 * head_num + tail_num, 2 * bottom), steps
 
 
 # ----------------------------------------------------------------------
@@ -476,22 +454,19 @@ def _k3_lemma(b1: int, j: int) -> tuple[Fraction, Fraction, tuple[TraceStep, ...
 def prove_optimal(profile: PotentialProfile) -> BoundTrace:
     """Audit the per-case chain for rho < 93/100 (94/101 only for Biggs-Smith).
 
-    Steps that read only b_1, or (b_1, j, s) in the deep case-3 subcases,
+    Steps that read only b_1, or (b_1, j) in the deep case-3 subcases,
     are built once per key and shared by every trace with that key: the
-    last two steps of five chain endings (`_ending`, keyed by (ending,
-    b_1): a few integers of up to 2*log2(b_1) bits per entry), the
-    deep-subcase steps after `chain` that read no rho (`_deep_lemma`:
-    about twenty integers of up to (j - s + 1)*log2(b_1) bits per entry)
-    and alpha (`_alpha`, per b_1).  Each cache keeps the last 256 keys.
-    Per array a chain builds only the steps that read the array, the
-    potentials or rho.
+    last two steps of five chain endings and the deep-subcase steps after
+    `chain` that read no rho (the `_LEMMAS` rows, cached by `_lemma`),
+    and alpha and alpha2 (`_alpha`).  Per array a chain builds only the
+    steps that read the array, the potentials or rho.
     Raises ValueError for k < 3.
     """
     return _prove(profile, _OPTIMAL.target)
 
 
 def _optimal_case1(profile: PotentialProfile, case: CaseId) -> BoundTrace:
-    return _trace(profile, case, (_initial_drop(profile), *_close(profile, "case1")))
+    return _trace(profile, case, (_initial_drop(profile), *_apply_lemma(profile, "case1")))
 
 
 def _optimal_case2(profile: PotentialProfile, case: CaseId) -> BoundTrace:
@@ -523,7 +498,7 @@ def _split_j2_steps(profile: PotentialProfile) -> tuple[TraceStep, ...]:
         tail_sum_check(profile),
         _step("sum_cap", profile.phi_sum(1), "<=", Fraction(5, 2) * profile.phi[1]),
         _initial_drop(profile),
-        *_close(profile, "j2"),
+        *_apply_lemma(profile, "j2"),
     )
 
 
@@ -534,7 +509,7 @@ def _j3_sum_cap(profile: PotentialProfile) -> list[TraceStep]:
         tail_sum_check(profile),
         _step("half_drop", phi[2], "<", phi[1] / 2),
         _step("sum_cap", profile.phi_sum(1), "<=", phi[1] + Fraction(7, 2) * phi[2]),
-        *_close(profile, "j3"),
+        *_apply_lemma(profile, "j3"),
     ]
 
 
@@ -564,11 +539,8 @@ def _optimal_case3(profile: PotentialProfile, case: CaseId) -> BoundTrace:
             _step("sub_cond", Fraction(b[2] * b[3], c[1] * c[2]), ">=", 4),
             _step("half_cond", Fraction(b[2], c[1]), ">=", 2),
         ]
-    alpha2, chain, head, bound, rest = _deep_lemma(b[1], j, s)
-    rho = profile.ratio
-    steps += [*_head_ratio_cap(arr, s, j - 1, alpha2), _step("chain", rho, "<=", chain), *head]
-    if bound is not None:  # subcase 2 with j >= 5: rho < the chain's tail-peak bound
-        steps += [_step(bound[0], rho, "<", bound[1]), *rest]
+    alpha2 = _alpha(b[1] - 1)
+    steps += [*_head_ratio_cap(arr, s, j - 1, alpha2), *_apply_lemma(profile, branch, j)]
     return _trace(profile, case, steps, alpha=alpha2, branch=branch)
 
 
@@ -599,66 +571,62 @@ def _deep_head(b1: int, j: int, s: int) -> tuple[Fraction, Fraction]:
     return Fraction(rest + 2 * (w * w_pow - u * u_pow), den), Fraction(rest + 2 * w * w_pow, den)
 
 
-@functools.lru_cache(maxsize=256)
-def _deep_lemma(
-    b1: int, j: int, s: int
-) -> tuple[
-    Fraction, Fraction, tuple[TraceStep, ...], tuple[str, Fraction] | None, tuple[TraceStep, ...]
-]:
-    """What a deep case-3 subcase (s = 3 or 4) reads only from (b_1, j, s).
-
-    Returns alpha2, the `chain` value, the steps after `chain`, the label and
-    value of the step rho < bound (None unless s = 4 and j >= 5) and the steps
-    after that one.  Every array with that key shares them.
-    """
-    alpha2 = Fraction(b1 - 2, b1 - 1)
-    chain, geo = _deep_head(b1, j, s)
-    if s == 3:
-        # the tail weight rises up to i = b1 - 1 and falls after it, so it is at most its
-        # value at m = min(j, b1 - 1); for b1 = 3 the peak is below j >= 4, so j = 4 dominates
-        m = min(j, b1 - 1)
-        peak = (m - Fraction(1, 2)) * alpha2 ** (m - 3) if b1 >= 4 else Fraction(7, 2) * alpha2
-        head = Fraction(1, b1) + Fraction(b1 - 1, 3 * b1)  # geo less its tail term
-        steps = [
-            _step("geometric_head", chain, "<", geo),
-            _step("tail_peak", (j - Fraction(1, 2)) * alpha2 ** (j - 3), "<=", peak),
+def _ratio3_lemma(b1: int, j: int) -> tuple:
+    """The steps of [subcase1_ratio3] from `chain` on: rho <= chain and what reads only (b_1, j)."""
+    alpha2 = _alpha(b1 - 1)
+    chain, geo = _deep_head(b1, j, 3)
+    # the tail weight rises up to i = b1 - 1 and falls after it, so it is at most its
+    # value at m = min(j, b1 - 1); for b1 = 3 the peak is below j >= 4, so j = 4 dominates
+    m = min(j, b1 - 1)
+    peak = (m - Fraction(1, 2)) * alpha2 ** (m - 3) if b1 >= 4 else Fraction(7, 2) * alpha2
+    head = Fraction(1, b1) + Fraction(b1 - 1, 3 * b1)  # geo less its tail term
+    steps = [
+        ("chain", "<=", chain),
+        _step("geometric_head", chain, "<", geo),
+        _step("tail_peak", (j - Fraction(1, 2)) * alpha2 ** (j - 3), "<=", peak),
+    ]
+    if b1 >= 4:
+        steps += [
+            _step("peak_cap", peak / (3 * b1), "<=", Fraction(1, 3)),
+            *_target_gap("final_value", head + Fraction(1, 3), "==", Fraction(2 * b1 + 2, 3 * b1)),
         ]
-        if b1 >= 4:
-            steps += [
-                _step("peak_cap", peak / (3 * b1), "<=", Fraction(1, 3)),
-                *_target_gap(
-                    "final_value", head + Fraction(1, 3), "==", Fraction(2 * b1 + 2, 3 * b1)
-                ),
-            ]
-        else:
-            steps += _target_gap("final_value", head + peak / (3 * b1), "==", Fraction(3, 4))
-        return alpha2, chain, tuple(steps), None, ()
+    else:
+        steps += _target_gap("final_value", head + peak / (3 * b1), "==", Fraction(3, 4))
+    return tuple(steps)
 
+
+def _product4_lemma(b1: int, j: int) -> tuple:
+    """The steps of [subcase2_product4] from `chain` on: rho <= chain, then for j >= 5
+    rho < the chain's tail-peak bound, and what reads only (b_1, j)."""
+    chain = _deep_head(b1, j, 4)[0]
     if j == 4:
-        steps = (
+        return (
+            ("chain", "<=", chain),
             _step("j4_value", chain, "==", Fraction(21, 2) / (4 * b1)),
             *_target_gap("cap_value", Fraction(21, 2) / (4 * b1), "<=", Fraction(7, 8)),
         )
-        return alpha2, chain, steps, None, ()
-
+    alpha2 = _alpha(b1 - 1)
     # the tail weight rises up to i = b1 - 1 and falls after it, so it is at most its
     # value at m = min(j, b1 - 1); for b1 <= 5 the peak is below j >= 5, so j = 5 dominates
     m = min(j, b1 - 1)
     peak = (m - Fraction(1, 2)) * alpha2 ** (m - 4) if b1 >= 6 else Fraction(9, 2) * alpha2
     head = Fraction(3, 2 * b1) + Fraction(b1 - 1, 4 * b1)  # the geometric limit less its tail term
     bound = head + peak / (4 * b1)
-    tail_peak = _step("tail_peak", (j - Fraction(1, 2)) * alpha2 ** (j - 4), "<=", peak)
+    steps = [
+        ("chain", "<=", chain),
+        _step("tail_peak", (j - Fraction(1, 2)) * alpha2 ** (j - 4), "<=", peak),
+        ("bound_peak" if b1 >= 6 else "bound_j5", "<", bound),
+    ]
     if b1 == 3:  # alpha2 = 1/2 exactly
-        rest = _target_gap("final_value", bound, "==", Fraction(41, 48))
+        steps += _target_gap("final_value", bound, "==", Fraction(41, 48))
     elif b1 <= 5:
-        rest = _target_gap("alpha_cap", bound, "<", head + Fraction(9, 2) / (4 * b1))
+        steps += _target_gap("alpha_cap", bound, "<", head + Fraction(9, 2) / (4 * b1))
     else:
-        rest = [
+        steps += [
             _step("half_cap", Fraction(b1 - 1, 4 * b1) + peak / (4 * b1), "<", Fraction(1, 2)),
             *_target_gap("final_value", Fraction(3, 2 * b1) + Fraction(1, 2), "<=", Fraction(3, 4)),
         ]
-    label = "bound_peak" if b1 >= 6 else "bound_j5"
-    return alpha2, chain, (tail_peak,), (label, bound), tuple(rest)
+    return tuple(steps)
 
 
 def _optimal_case4(profile: PotentialProfile, case: CaseId) -> BoundTrace:
@@ -676,7 +644,7 @@ def _optimal_case4(profile: PotentialProfile, case: CaseId) -> BoundTrace:
 
     if c3 > b3:
         branch = "c3_gt_b3"
-        close = _close(profile, "c3_gt_b3")
+        close = _apply_lemma(profile, "c3_gt_b3")
         steps += [
             _step("diameter_cap", D, "<=", 5),
             _head_contraction(profile, 2),
@@ -726,7 +694,7 @@ def _quadrangle_chain(profile: PotentialProfile) -> list[TraceStep]:
         _step("interior_count", profile.phi_sum(2), "<=", (b1 - 1) * phi[2]),
         _initial_drop(profile),
         _step("phi2_cap", phi[2], "<", Fraction(2, 3) * phi[1]),
-        *_close(profile, "quadrangle"),
+        *_apply_lemma(profile, "quadrangle"),
     ]
 
 
@@ -774,6 +742,28 @@ def _optimal_case6(profile: PotentialProfile, case: CaseId) -> BoundTrace:
             "from the array; preconditions are reported, not assumed",
         ),
     )
+
+
+# kind -> (b_1, j) -> the steps of a chain that read only that key, in chain order.
+# An entry (label, relation, rhs) is the step rho relation rhs, which `_apply_lemma`
+# builds per array.  The five endings, case1 to quadrangle, read only b_1.
+_LEMMAS = {
+    "k3": _k3_lemma,
+    "case1": lambda b1, j: _ending("half_cap", "<=", Fraction(1, b1), Fraction(1, 2)),
+    "j2": lambda b1, j: _ending("cap_value", "<=", Fraction(5, 2 * b1), Fraction(5, 6)),
+    "j3": lambda b1, j: _ending("cap_value", "<=", Fraction(11, 4 * b1), Fraction(11, 12)),
+    "c3_gt_b3": lambda b1, j: _ending(
+        "cap_value", "<=", Fraction(4 * b1 - 3, b1 * b1), Fraction(13, 16)
+    ),
+    "quadrangle": lambda b1, j: _ending(
+        "final_value",
+        "==",
+        Fraction(1, b1) + Fraction(2 * (b1 - 1), 3 * b1),
+        Fraction(2 * b1 + 1, 3 * b1),
+    ),
+    "subcase1_ratio3": _ratio3_lemma,
+    "subcase2_product4": _product4_lemma,
+}
 
 
 # Tested in order: a test may assume every earlier test failed (so D >= 3 from case 2 on).

@@ -27,11 +27,10 @@ from drg.potentials import PotentialProfile
 from drg.proofs import (
     CASES,
     TraceStep,
+    _LEMMAS,
     _alpha,
     _deep_head,
-    _deep_lemma,
-    _ending,
-    _k3_lemma,
+    _lemma,
     f_ratio,
 )
 from test_array_layer import (
@@ -189,10 +188,10 @@ def test_k3_petersen_full_trace():
     assert trace.verdict and trace.all_steps_hold
 
 
-# the proof caches: steps that read only b_1, (b_1, j) or (b_1, j, s), built once per key
+# the proof caches: steps that read only b_1 or (b_1, j), built once per key
 
 LEMMA = slice(1, 7)  # geometric_head .. total_lt_target
-PROOF_CACHES = (_alpha, _ending, _deep_lemma, _k3_lemma)
+PROOF_CACHES = (_alpha, _lemma)
 
 
 def _clear_proof_caches() -> None:
@@ -200,13 +199,13 @@ def _clear_proof_caches() -> None:
         cache.cache_clear()
 
 
-def _warm_equals_cold(prover, caches) -> None:
+def _warm_equals_cold(prover) -> None:
     """Over the corpus, the catalog and PROOF_ARRAYS, a trace built with filled
     caches equals the one built from empty caches."""
     profiles = [compute_profile(derive(arr)) for arr in feasible_arrays() if arr.k >= 3]
     _clear_proof_caches()
     warm = [repr(prover(prof)) for prof in profiles]
-    for cache in caches:  # arrays sharing a key with an earlier one
+    for cache in PROOF_CACHES:  # arrays sharing a key with an earlier one
         assert cache.cache_info().hits > 0, cache.__name__
     for prof, want in zip(profiles, warm):
         _clear_proof_caches()
@@ -214,11 +213,11 @@ def _warm_equals_cold(prover, caches) -> None:
 
 
 def test_k3_lemma_warm_equals_cold():
-    _warm_equals_cold(prove_k3, (_k3_lemma,))
+    _warm_equals_cold(prove_k3)
 
 
 def test_optimal_caches_warm_equal_cold():
-    _warm_equals_cold(prove_optimal, (_alpha, _ending, _deep_lemma))
+    _warm_equals_cold(prove_optimal)
 
 
 def test_k3_lemma_steps_are_shared():
@@ -232,38 +231,52 @@ def test_k3_lemma_steps_are_shared():
     assert petersen.steps[0] is not cube.steps[0]  # head_tail_bound reads rho
 
 
-# Two arrays with one key of `_ending` (ending, b_1) or `_deep_lemma` (b_1, j, s),
-# across cases where a row has two, and the labels of the steps that key builds.
+# Two arrays with one key of the `_LEMMAS` row named first, (b_1) for an ending or
+# (b_1, j) for a deep subcase, across cases where a row has two, and the labels of the
+# steps that key builds.
 SHARED = {
-    "case1": (("3,2;1,1", "4,2;1,1"), ["half_cap", "target_gap"]),
-    "j2": (("5,4,1;1,1,1", "5,4,1;1,2,5"), ["cap_value", "target_gap"]),  # case 3, case 5
-    "j3": (("5,4,2;1,1,1", "5,4,2;1,1,2"), ["cap_value", "target_gap"]),
-    "c3_gt_b3": (("5,4,3;1,2,3", "6,4,3;1,2,2"), ["cap_value", "target_gap"]),
-    "quadrangle": (("5,4,3,2;1,2,2,2", "5,4,3,3;1,2,2,3"), ["final_value", "target_gap"]),
+    "case1": ("case1", ("3,2;1,1", "4,2;1,1"), ["half_cap", "target_gap"]),
+    "j2": ("j2", ("5,4,1;1,1,1", "5,4,1;1,2,5"), ["cap_value", "target_gap"]),  # case 3, case 5
+    "j3": ("j3", ("5,4,2;1,1,1", "5,4,2;1,1,2"), ["cap_value", "target_gap"]),
+    "c3_gt_b3": ("c3_gt_b3", ("5,4,3;1,2,3", "6,4,3;1,2,2"), ["cap_value", "target_gap"]),
+    "quadrangle": (  # case 4 (j = 3), case 5 (j = 4)
+        "quadrangle", ("5,4,3,2;1,2,2,2", "5,4,3,3;1,2,2,3"), ["final_value", "target_gap"]
+    ),
     "ratio3": (
+        "subcase1_ratio3",
         ("5,4,3,2;1,1,1,1", "5,4,3,2;1,1,1,2"),
         ["geometric_head", "tail_peak", "peak_cap", "final_value", "target_gap"],
     ),
     "product4_j4": (
-        ("5,4,2,2;1,1,1,1", "5,4,2,2;1,1,1,2"), ["j4_value", "cap_value", "target_gap"]
+        "subcase2_product4",
+        ("5,4,2,2;1,1,1,1", "5,4,2,2;1,1,1,2"),
+        ["j4_value", "cap_value", "target_gap"],
     ),
     "product4_j5": (
+        "subcase2_product4",
         ("7,6,2,2,2;1,1,1,1,1", "7,6,2,2,2;1,1,1,1,7"),
         ["tail_peak", "half_cap", "final_value", "target_gap"],
     ),
 }
-READ_RHO = ("rho_cap", "chain", "bound_peak")
 
 
 @pytest.mark.parametrize("key", SHARED)
 def test_optimal_key_steps_are_shared(key):
-    """Two arrays with one key hold the same step objects for what the key builds."""
-    texts, shared = SHARED[key]
-    traces = [prove_optimal(profile_of(text)) for text in texts]
+    """Two arrays with one key hold the same step objects for what the key builds, and
+    build per array each step the lemma writes as (label, relation, rhs), which reads rho."""
+    kind, texts, shared = SHARED[key]
+    profiles = [profile_of(text) for text in texts]
+    traces = [prove_optimal(prof) for prof in profiles]
     assert traces[0].alpha is traces[1].alpha  # alpha or alpha2, built once per key too
+    params = profiles[0].params
+    lemma = _LEMMAS[kind](params.array.b[1], params.j)
+    assert [entry.label for entry in lemma if type(entry) is TraceStep] == shared
+    read_rho = [entry[0] for entry in lemma if type(entry) is tuple]
+    assert read_rho
     one, two = (steps_by_label(trace) for trace in traces)
     assert all(one[label] is two[label] for label in shared)
-    assert all(one[label] is not two[label] for label in READ_RHO if label in one)
+    assert all(one[label] is not two[label] for label in read_rho)
+    assert all(one[label].lhs == profiles[0].ratio for label in read_rho)
 
 
 def test_k3_lemma_is_keyed_by_j():
@@ -278,9 +291,15 @@ def test_k3_lemma_is_keyed_by_j():
     "texts, keys",
     [
         # b_1 = 6, s = 3: j = 4 then j = 6
-        (("7,6,5,4;1,1,1,7", "7,6,6,5,5,4;1,1,2,2,3,3"), [(6, 4, 3), (6, 6, 3)]),
+        (
+            ("7,6,5,4;1,1,1,7", "7,6,6,5,5,4;1,1,2,2,3,3"),
+            [("subcase1_ratio3", 6, 4), ("subcase1_ratio3", 6, 6)],
+        ),
         # b_1 = 5, j = 5: s = 3 then s = 4
-        (("6,5,5,4,4;1,1,2,2,3", "6,5,2,2,2;1,1,1,1,6"), [(5, 5, 3), (5, 5, 4)]),
+        (
+            ("6,5,5,4,4;1,1,2,2,3", "6,5,2,2,2;1,1,1,1,6"),
+            [("subcase1_ratio3", 5, 5), ("subcase2_product4", 5, 5)],
+        ),
     ],
     ids=("j", "s"),
 )
@@ -289,8 +308,7 @@ def test_deep_lemma_is_keyed_by_j_and_s(texts, keys):
     _clear_proof_caches()
     profiles = [profile_of(text) for text in texts]
     traces = [prove_optimal(prof) for prof in profiles]
-    s_of = {"subcase1_ratio3": 3, "subcase2_product4": 4}
-    got = [(p.params.array.b[1], p.params.j, s_of[t.branch]) for p, t in zip(profiles, traces)]
+    got = [(t.branch, p.params.array.b[1], p.params.j) for p, t in zip(profiles, traces)]
     assert got == keys
     one, two = (steps_by_label(t)["tail_peak"] for t in traces)
     assert one.lhs != two.lhs
