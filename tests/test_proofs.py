@@ -314,14 +314,37 @@ def test_deep_lemma_is_keyed_by_j_and_s(texts, keys):
     assert one.lhs != two.lhs
 
 
-@pytest.mark.parametrize("cache", PROOF_CACHES, ids=lambda cache: cache.__name__)
-def test_proof_cache_bound_is_documented(cache):
-    """Each cache is bounded, and the module docstring's item for it gives the bound."""
+# Each chain's key-only lemmas: the K = 3 lemma, the endings, the deep subcases.
+LEMMA_KINDS = {
+    "_k3_lemma": ("k3",),
+    "_ending": ("case1", "j2", "j3", "c3_gt_b3", "quadrangle"),
+    "_deep_lemma": ("subcase1_ratio3", "subcase2_product4"),
+}
+
+
+def test_lemma_kinds_cover_the_table():
+    assert sorted(kind for kinds in LEMMA_KINDS.values() for kind in kinds) == sorted(_LEMMAS)
+
+
+@pytest.mark.parametrize(
+    "cache, kinds",
+    [pytest.param(cache, (), id=cache.__name__) for cache in PROOF_CACHES]
+    + [pytest.param(_lemma, kinds, id=name) for name, kinds in LEMMA_KINDS.items()],
+)
+def test_proof_cache_bound_is_documented(cache, kinds):
+    """Each cache is bounded, and the module docstring's item for it gives the bound.
+
+    Each chain's key-only lemmas are `_LEMMAS` rows, kept by `_lemma`, and
+    the module docstring names each kind.
+    """
     maxsize = cache.cache_info().maxsize
     assert maxsize == 256
     item = re.search(rf"^\* `{cache.__name__}\(.*?(?=^\S|^\* |\Z)", proofs.__doc__, re.M | re.S)
     assert item is not None, cache.__name__
     assert f"maxsize={maxsize}" in item.group()
+    for kind in kinds:
+        assert kind in _LEMMAS
+        assert f"`{kind}`" in proofs.__doc__, kind
 
 
 # ----------------------------------------------------------------------
