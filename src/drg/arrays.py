@@ -333,7 +333,9 @@ class DerivedParams(Record):
     the least i in [1, D-1] with c_i >= b_i, or D if there is none.
     """
 
-    __slots__ = _fields = ("array", "k", "n", "a", "sphere_sizes", "j")
+    _fields = ("array", "k", "n", "a", "sphere_sizes", "j")
+    # _case_row is the CASES row proofs._row found for these params, not a field
+    __slots__ = (*_fields, "_case_row")
 
     def __init__(
         self,
@@ -350,6 +352,7 @@ class DerivedParams(Record):
         set_field(self, "a", a)
         set_field(self, "sphere_sizes", sphere_sizes)
         set_field(self, "j", j)
+        set_field(self, "_case_row", None)
 
     @property
     def D(self) -> int:

@@ -37,6 +37,7 @@ Only an empty list is refused with no line.  The claim is read last.
 
 from __future__ import annotations
 
+import functools
 import operator
 import sys
 from array import array
@@ -417,9 +418,12 @@ def _diagnose(g: LabeledGraph) -> DistancePartitionReport:
 # ----------------------------------------------------------------------
 # constructions
 
-# str(i) -> i for every vertex index below the cap: parse_edge_list's fast
-# path converts an edge list of canonical indices by dict lookups alone.
-_INDICES = {str(i): i for i in range(MAX_VERTICES)}
+@functools.cache
+def _indices() -> dict[str, int]:
+    """str(i) -> i for every vertex index below the cap, built on first use:
+    parse_edge_list's fast path converts an edge list of canonical indices
+    by dict lookups alone."""
+    return {str(i): i for i in range(MAX_VERTICES)}
 
 
 def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> LabeledGraph:
@@ -434,7 +438,7 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
 
     The text is split into lines and tokens once.  The fast path checks
     the rows at once: every line has 0 or 2 tokens, every token is in
-    _INDICES, and the caps hold for the final largest index and edge
+    _indices(), and the caps hold for the final largest index and edge
     count, which pass on every line when they pass at the end, as both
     only grow; LabeledGraph then builds the graph.  Any other text (a
     token not in the table, a failed cap, a loop or a repeated edge that
@@ -448,7 +452,7 @@ def parse_edge_list(text: str, name: str = "", claimed: str | None = None) -> La
     g = None
     if set(map(len, rows)) <= {0, 2}:
         try:
-            numbers = list(map(_INDICES.__getitem__, chain.from_iterable(rows)))
+            numbers = list(map(_indices().__getitem__, chain.from_iterable(rows)))
             top = max(numbers, default=MAX_VERTICES)
             if top < MAX_VERTICES and (top + 1) * (len(numbers) // 2) <= MAX_WORK:
                 pairs = iter(numbers)

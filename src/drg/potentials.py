@@ -10,7 +10,9 @@ phi_i = P_i/B_i; then P_0 = n-1 and P_i = c_i*P_{i-1} - k*B_{i-1}.
 Scaled to the common denominator B = B_{D-1}, phi_i = Q_i/B with
 Q_i = P_i*b_{i+1}...b_{D-1}, so the resistances and the ratio
 rho = (phi_1+...+phi_{D-1})/phi_0 come from integer prefix sums of the
-Q_i, and a Fraction is built once per returned value.
+Q_i, and a Fraction is built once per returned value.  The profile keeps
+B and the Q_i, outside its fields, so `phi_sum` and the bound traces
+build a sum or a multiple of potentials as one Fraction of two integers.
 
 Where only rho is read (the audit of each `drg batch` line against the
 ratio targets, the catalog's check of its printed ratios),
@@ -65,7 +67,9 @@ def compute_potentials_explicit(params: DerivedParams) -> tuple[Fraction, ...]:
 class PotentialProfile(Record):
     """Potentials and everything derived from them for one array."""
 
-    __slots__ = _fields = ("params", "phi", "resistances", "ratio", "k_effective")
+    _fields = ("params", "phi", "resistances", "ratio", "k_effective")
+    # _scaled is the kept (B, (Q_0, ..., Q_{D-1})) of _integers(), not a field
+    __slots__ = (*_fields, "_scaled")
 
     def __init__(
         self,
@@ -80,16 +84,29 @@ class PotentialProfile(Record):
         set_field(self, "resistances", resistances)
         set_field(self, "ratio", ratio)
         set_field(self, "k_effective", k_effective)
+        set_field(self, "_scaled", None)
+
+    def _integers(self) -> tuple[int, tuple[int, ...]]:
+        """(B, (Q_0, ..., Q_{D-1})) with phi_i = Q_i/B and B = b_1...b_{D-1}.
+
+        compute_profile keeps the integers it summed; a profile built
+        another way (through the constructor, a copy or a pickle) takes
+        them from phi on first use, as every phi_i has a denominator
+        dividing B.  The pair is in a slot outside the profile's fields, so
+        ==, hash, repr, copies and pickles ignore it.
+        """
+        kept = self._scaled
+        if kept is None:
+            common = prod(self.params.array.b[1:])
+            kept = common, tuple(p.numerator * (common // p.denominator) for p in self.phi)
+            set_field(self, "_scaled", kept)
+        return kept
 
     def phi_sum(self, start: int) -> Fraction:
-        """phi_start + ... + phi_{D-1} (0 for an empty sum), built as one Fraction.
-
-        Every phi_i has a denominator dividing B = b_1...b_{D-1}, so the sum
-        is an integer sum over B.
-        """
-        common = prod(self.params.array.b[1:])
-        total = sum(p.numerator * (common // p.denominator) for p in self.phi[start:])
-        return Fraction(total, common)
+        """phi_start + ... + phi_{D-1} (0 for an empty sum): (Q_start + ... + Q_{D-1})/B
+        from the kept integers, one Fraction."""
+        common, scaled = self._integers()
+        return Fraction(sum(scaled[start:]), common)
 
 
 def _scaled(numerators: list[tuple[int, int]]) -> list[int]:
@@ -140,11 +157,13 @@ def compute_profile(params: DerivedParams) -> PotentialProfile:
     scaled = _scaled(numerators)
     resistances, total = _resistances(params, numerators, scaled)
     q0 = scaled[0]
-    return PotentialProfile(
+    profile = PotentialProfile(
         params=params,
         phi=tuple(phi),
         resistances=resistances,
         ratio=_ratio(q0, total),
         k_effective=Fraction(total, q0),
     )
+    set_field(profile, "_scaled", (numerators[-1][1], tuple(scaled)))
+    return profile
 

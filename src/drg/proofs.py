@@ -13,7 +13,8 @@ CLI takes its `--prove` choices, its dispatch and its batch counts from it.
 `CASES` is the one table of the case analysis: each row holds a case,
 the array test that selects it, and its optimal chain or the note of its
 direct trace.  `classify_case` and `_prove`, which starts both provers,
-take the first row whose test holds.
+take the first row whose test holds; `_row` finds it once per params
+object and keeps it there.
 
 Each trace records every intermediate inequality with both sides
 evaluated exactly, so a reader can audit the whole chain.  The three
@@ -46,11 +47,14 @@ on).  A step that reads rho is written (label, relation, rhs), and
 `_apply_lemma` makes it rho relation rhs for one profile; every other
 step is built once per key, and every trace with that key shares the
 same immutable objects.  Per array a chain builds only the steps that
-read the array, the potentials or rho.  Two caches keep the last 256
-keys:
+read the array, the potentials or rho.  A side of such a step that scales
+or sums potentials, here and in the analysis checks, is one Fraction of
+two integers built from the profile's kept integers phi_i = Q_i/B (see
+`PotentialProfile._integers`), with no Fraction arithmetic on phi.  Two
+caches keep the last 256 keys:
 
-* `_alpha(b_1)`: alpha (None for b_1 = 1), also the factor of
-  `head_contraction[i]` and, at b_1 - 1, the deep subcases' alpha2: one
+* `_alpha(b_1)`: alpha (None for b_1 = 1), the traces' alpha and the
+  K = 3 lemma's ratio, and, at b_1 - 1, the deep subcases' alpha2: one
   Fraction of two integers of log2(b_1) bits (`maxsize=256`).
 * `_lemma(kind, b_1, j)`: the `_LEMMAS` row `kind` at (b_1, j), with
   j = 0 for an ending.  An entry holds a few integers of up to
@@ -143,20 +147,24 @@ def tail_sum_check(profile: PotentialProfile) -> TraceStep:
     """The tail bound phi_j + ... + phi_{D-1} <= (j - 1/2) * phi_{j-1} at the
     head/tail split index j (an empty sum if j = D)."""
     j = profile.params.j
-    rhs = Fraction(2 * j - 1, 2) * profile.phi[j - 1]
+    common, q = profile._integers()
+    rhs = Fraction((2 * j - 1) * q[j - 1], 2 * common)
     return TraceStep("tail_bound", profile.phi_sum(j), "<=", rhs)
 
 
 def _initial_drop(profile: PotentialProfile) -> TraceStep:
     """phi_1 < phi_0 / b_1, the step inequality `initial_drop[1]`."""
-    phi = profile.phi
-    return TraceStep("initial_drop[1]", phi[1], "<", phi[0] / profile.params.array.b[1])
+    common, q = profile._integers()
+    rhs = Fraction(q[0], profile.params.array.b[1] * common)
+    return TraceStep("initial_drop[1]", profile.phi[1], "<", rhs)
 
 
 def _head_contraction(profile: PotentialProfile, i: int) -> TraceStep:
     """phi_i < ((b_1-1)/b_1) phi_{i-1}, the step inequality `head_contraction[i]`."""
-    alpha, phi = _alpha(profile.params.array.b[1]), profile.phi
-    return TraceStep(f"head_contraction[{i}]", phi[i], "<", alpha * phi[i - 1])
+    b1 = profile.params.array.b[1]
+    common, q = profile._integers()
+    rhs = Fraction((b1 - 1) * q[i - 1], b1 * common)
+    return TraceStep(f"head_contraction[{i}]", profile.phi[i], "<", rhs)
 
 
 def step_inequalities(profile: PotentialProfile) -> tuple[TraceStep, ...]:
@@ -173,10 +181,11 @@ def step_inequalities(profile: PotentialProfile) -> tuple[TraceStep, ...]:
     if b[1] < 2:
         raise ValueError("step inequalities need b_1 >= 2")
     phi = profile.phi
+    common, q = profile._integers()
     out: list[TraceStep] = []
     for i in range(1, len(b)):
-        ratio = Fraction(c[i - 1], b[i])
-        out.append(TraceStep(f"recursion_ratio[{i}]", phi[i], "<", ratio * phi[i - 1]))
+        rhs = Fraction(c[i - 1] * q[i - 1], b[i] * common)
+        out.append(TraceStep(f"recursion_ratio[{i}]", phi[i], "<", rhs))
         if b[i] > c[i - 1]:
             out.append(_head_contraction(profile, i))
         if i == 1:
@@ -494,9 +503,10 @@ def _optimal_case2(profile: PotentialProfile, case: CaseId) -> BoundTrace:
 
 def _split_j2_steps(profile: PotentialProfile) -> tuple[TraceStep, ...]:
     """Shared j = 2 chain: tail bound plus the initial drop give rho <= (5/2)/b1."""
+    common, q = profile._integers()
     return (
         tail_sum_check(profile),
-        _step("sum_cap", profile.phi_sum(1), "<=", Fraction(5, 2) * profile.phi[1]),
+        _step("sum_cap", profile.phi_sum(1), "<=", Fraction(5 * q[1], 2 * common)),
         _initial_drop(profile),
         *_apply_lemma(profile, "j2"),
     )
@@ -504,11 +514,11 @@ def _split_j2_steps(profile: PotentialProfile) -> tuple[TraceStep, ...]:
 
 def _j3_sum_cap(profile: PotentialProfile) -> list[TraceStep]:
     """Shared j = 3 close: the tail bound and phi_2 < phi_1/2 give rho < (11/4)/b1."""
-    phi = profile.phi
+    common, q = profile._integers()
     return [
         tail_sum_check(profile),
-        _step("half_drop", phi[2], "<", phi[1] / 2),
-        _step("sum_cap", profile.phi_sum(1), "<=", phi[1] + Fraction(7, 2) * phi[2]),
+        _step("half_drop", profile.phi[2], "<", Fraction(q[1], 2 * common)),
+        _step("sum_cap", profile.phi_sum(1), "<=", Fraction(2 * q[1] + 7 * q[2], 2 * common)),
         *_apply_lemma(profile, "j3"),
     ]
 
@@ -633,6 +643,7 @@ def _optimal_case4(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     params = profile.params
     arr = params.array
     phi = profile.phi
+    common, q = profile._integers()
     rho = profile.ratio
     D = arr.D
     b1, b2 = arr.b[1], arr.b[2]
@@ -648,8 +659,8 @@ def _optimal_case4(profile: PotentialProfile, case: CaseId) -> BoundTrace:
         steps += [
             _step("diameter_cap", D, "<=", 5),
             _head_contraction(profile, 2),
-            _step("phi2_cap", phi[2], "<", Fraction(b1 - 1, b1 * b1) * phi[0]),
-            _step("interior_count", profile.phi_sum(2), "<=", 3 * phi[2]),
+            _step("phi2_cap", phi[2], "<", Fraction((b1 - 1) * q[0], b1 * b1 * common)),
+            _step("interior_count", profile.phi_sum(2), "<=", Fraction(3 * q[2], common)),
         ]
         if b1 >= 4:
             steps += close
@@ -681,7 +692,7 @@ def _quadrangle_chain(profile: PotentialProfile) -> list[TraceStep]:
     """Shared quadrangle chain: D <= b1+1 and c2/b2 <= 2/3 give (2b1+1)/(3b1)."""
     params = profile.params
     arr = params.array
-    phi = profile.phi
+    common, q = profile._integers()
     k = params.k
     b1, b2 = arr.b[1], arr.b[2]
     c2 = arr.c[1]
@@ -691,9 +702,9 @@ def _quadrangle_chain(profile: PotentialProfile) -> list[TraceStep]:
         _step("quad_diameter_cap", Fraction(2 * k, k + 1 - b1), "<=", b1 + 1),
         _step("c3_growth", arr.c[2], ">=", Fraction(3, 2) * c2),
         _step("ratio_23", Fraction(c2, b2), "<=", Fraction(2, 3)),
-        _step("interior_count", profile.phi_sum(2), "<=", (b1 - 1) * phi[2]),
+        _step("interior_count", profile.phi_sum(2), "<=", Fraction((b1 - 1) * q[2], common)),
         _initial_drop(profile),
-        _step("phi2_cap", phi[2], "<", Fraction(2, 3) * phi[1]),
+        _step("phi2_cap", profile.phi[2], "<", Fraction(2 * q[1], 3 * common)),
         *_apply_lemma(profile, "quadrangle"),
     ]
 
@@ -720,14 +731,14 @@ def _optimal_case5(profile: PotentialProfile, case: CaseId) -> BoundTrace:
 
 def _optimal_case6(profile: PotentialProfile, case: CaseId) -> BoundTrace:
     params = profile.params
-    phi = profile.phi
+    common, q = profile._integers()
     b1 = params.array.b[1]
     c2 = params.array.c[1]
-    ten_ratio = 10 * phi[1] / phi[0]
+    ten_ratio = Fraction(10 * q[1], q[0])
     steps = (
         _step("k_cap", params.k, ">=", 50 * (c2 - 1)),
         _step("b1_large", b1, ">", 20),
-        _step("interior_tail_cap", profile.phi_sum(2), "<", 9 * phi[1]),
+        _step("interior_tail_cap", profile.phi_sum(2), "<", Fraction(9 * q[1], common)),
         _initial_drop(profile),
         _step("rho_ten", profile.ratio, "<", ten_ratio),
         *_target_gap("ten_half", ten_ratio, "<", Fraction(1, 2)),
@@ -791,10 +802,19 @@ CASES = (
 
 
 def _row(params: DerivedParams) -> CaseRow:
-    """The first row of `CASES` whose test holds; the last one holds for every array."""
-    for row in CASES:
-        if row.test(params):
-            return row
+    """The first row of `CASES` whose test holds; the last one holds for every array.
+
+    The row is found once per params object and kept on it, in a slot
+    outside its fields, so both provers and `classify_case` on one
+    profile run the row tests once.
+    """
+    row = params._case_row
+    if row is None:
+        for row in CASES:
+            if row.test(params):
+                break
+        set_field(params, "_case_row", row)
+    return row
 
 
 def classify_case(params: DerivedParams) -> CaseId:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import re
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from drg.arrays import is_cocktail_party
 from drg.potentials import PotentialProfile
 from drg.proofs import (
     CASES,
+    CaseRow,
     TraceStep,
     _LEMMAS,
     _alpha,
@@ -132,6 +135,35 @@ def test_case_table_routes_as_the_if_chain(corpus):
         assert case == classify_reference(params), arr
         selected.add(case)
     assert [row.case for row in CASES if row.case not in selected] == []
+
+
+def test_each_params_object_runs_the_row_tests_once(monkeypatch):
+    """Both provers and classify_case on one params object test each row once, in order."""
+    calls = []
+
+    def counting(row):
+        def test(params):
+            calls.append(row.case)
+            return row.test(params)
+
+        return CaseRow(row.case, test, row.chain, row.note)
+
+    monkeypatch.setattr(proofs, "CASES", tuple(map(counting, CASES)))
+    order = [row.case for row in CASES]
+    selected = set()
+    for text in PROOF_ARRAYS.values():
+        params = derive(_named_or_parsed(text))
+        calls.clear()
+        profile = compute_profile(params)
+        prove_k3(profile)
+        prove_optimal(profile)
+        case = classify_case(params)
+        assert calls == order[: order.index(case) + 1], text
+        selected.add(case)
+        fresh = derive(params.array)  # the kept row is not part of the value
+        assert fresh._case_row is None and params._case_row is not None
+        assert fresh == params and hash(fresh) == hash(params) and repr(fresh) == repr(params)
+    assert selected == set(order)
 
 
 def test_trace_step_rejects_an_unknown_relation():
@@ -592,6 +624,105 @@ def test_chains_cite_the_analysis_steps(corpus):
                     assert step == analysis[step.label], (arr, step)
                     cited.add(step.label)
     assert cited >= {"initial_drop[1]", "tail_bound", "head_contraction[2]"}
+
+
+def _phi_sum(profile, start: int) -> Fraction:
+    return sum(profile.phi[start:], Fraction(0))
+
+
+J2_SUM_CAP = ("j2", "split_j2")  # the other sum_cap closes j = 3
+# the quadrangle chain's phi2_cap and interior_count; the other ones are case 4's c3_gt_b3
+QUADRANGLE = ("c3_eq_b3_quadrangle", "quadrangle")
+
+
+def reference_sides(profile, label: str, branch: str | None):
+    """(lhs, rhs) of a step whose sides the provers build from the profile's kept
+    integers, as the Fraction expression of phi they replaced; None for another label."""
+    params = profile.params
+    phi, b, c, j = profile.phi, params.array.b, params.array.c, params.j
+    name, _, index = label.partition("[")
+    i = int(index.rstrip("]")) if index else 0
+    if name == "tail_bound":
+        return _phi_sum(profile, j), Fraction(2 * j - 1, 2) * phi[j - 1]
+    if name == "initial_drop":
+        return phi[1], phi[0] / b[1]
+    if name == "head_contraction":
+        return phi[i], Fraction(b[1] - 1, b[1]) * phi[i - 1]
+    if name == "recursion_ratio":
+        return phi[i], Fraction(c[i - 1], b[i]) * phi[i - 1]
+    if name == "sum_cap" and branch in J2_SUM_CAP:
+        return _phi_sum(profile, 1), Fraction(5, 2) * phi[1]
+    if name == "sum_cap":
+        return _phi_sum(profile, 1), phi[1] + Fraction(7, 2) * phi[2]
+    if name == "half_drop":
+        return phi[2], phi[1] / 2
+    if name == "phi2_cap" and branch in QUADRANGLE:
+        return phi[2], Fraction(2, 3) * phi[1]
+    if name == "phi2_cap":
+        return phi[2], Fraction(b[1] - 1, b[1] * b[1]) * phi[0]
+    if name == "interior_count" and branch in QUADRANGLE:
+        return _phi_sum(profile, 2), (b[1] - 1) * phi[2]
+    if name == "interior_count":
+        return _phi_sum(profile, 2), 3 * phi[2]
+    if name == "interior_tail_cap":
+        return _phi_sum(profile, 2), 9 * phi[1]
+    if name == "rho_ten":
+        return profile.ratio, 10 * phi[1] / phi[0]
+    if name == "ten_half":
+        return 10 * phi[1] / phi[0], Fraction(1, 2)
+    return None
+
+
+REFERENCE_LABELS = {
+    "tail_bound", "initial_drop", "head_contraction", "recursion_ratio", "sum_cap", "half_drop",
+    "phi2_cap", "interior_count", "interior_tail_cap", "rho_ten", "ten_half",
+}
+
+
+def test_integer_sides_equal_their_fraction_expressions(corpus):
+    """Every trace and analysis step over the corpus, the catalog and the golden proof
+    arrays has the sides the Fraction arithmetic on phi gave, for each rewritten label."""
+    checked = set()
+    for arr in [*corpus, *map(_named_or_parsed, PROOF_ARRAYS.values())]:
+        if arr.k < 3:
+            continue
+        prof = compute_profile(derive(arr))
+        steps = [(None, tail_sum_check(prof))]
+        if arr.D >= 2 and arr.b[1] >= 2:
+            steps += [(None, s) for s in step_inequalities(prof)]
+        for prover in (prove_k3, prove_optimal):
+            trace = prover(prof)
+            steps += [(trace.branch, s) for s in trace.steps]
+        for branch, step in steps:
+            want = reference_sides(prof, step.label, branch)
+            if want is not None:
+                assert (step.lhs, step.rhs) == want, (format_array(arr), branch, step)
+                checked.add(step.label.partition("[")[0])
+    assert checked == REFERENCE_LABELS
+
+
+def test_profiles_without_kept_integers_prove_alike(corpus):
+    """A profile rebuilt through its constructor, copied or pickled keeps no integers,
+    takes them from phi on first use, and gives the same sums and traces."""
+    for arr in corpus:
+        profile = compute_profile(derive(arr))
+        assert profile._scaled is not None
+        twins = (
+            PotentialProfile(*(getattr(profile, field) for field in PotentialProfile._fields)),
+            copy.copy(profile),
+            copy.deepcopy(profile),
+            pickle.loads(pickle.dumps(profile)),
+        )
+        for twin in twins:
+            assert twin._scaled is None
+            assert twin == profile and hash(twin) == hash(profile) and repr(twin) == repr(profile)
+        starts = range(arr.D + 1)
+        provers = (prove_k3, prove_optimal) if arr.k >= 3 else ()
+        want = [profile.phi_sum(s) for s in starts], [repr(p(profile)) for p in provers]
+        for twin in twins:
+            got = [twin.phi_sum(s) for s in starts], [repr(p(twin)) for p in provers]
+            assert got == want, format_array(arr)
+            assert twin._integers() == profile._integers()
 
 
 def test_trace_render_format():
